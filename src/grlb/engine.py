@@ -13,6 +13,12 @@ exact rational arithmetic:
                  -> barycenter parameter tbar = Int t P / Int P
                  -> greatest Ricci lower bound R from the position of tbar.
 
+The density is never expanded to compute tbar.  Under sigma = (t+a)/(a+b)
+it factors as content * sigma^p (1-sigma)^q * prod (c0 + c1 sigma)^m over a
+handful of coprime integer forms, and its moments are Beta integrals against
+the coefficients of that short product.  `dh_polynomial` still returns the
+dense polynomial in t, as a view for callers that want it.
+
 Orientation convention: the marked index whose fundamental-weight coefficient
 grows with t is *i*.  For X3 and X5 this is the second root of the defining
 pair, so the segment parametrizations (and hence the sign of tbar) match the
@@ -22,11 +28,13 @@ swapping (i, a) with (j, b) negates tbar and leaves R unchanged.
 
 from __future__ import annotations
 
+import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Polynomial, integrate, poly_product
+from .exactnum import Polynomial, _int_mul, _linear_pow_int, poly_product
 from .rootsystems import (
     RootSystem,
     RootVector,
@@ -65,8 +73,9 @@ FAMILIES = ("X1", "X2", "X3", "X4", "X5")
 #: order to the segment orientation fixed above.
 _FLIPPED_FAMILIES = frozenset({"X3", "X5"})
 
-#: Default ceiling on the size parameter n for exact computation.  Near the
-#: ceiling a single value takes minutes; there is no floating-point fallback.
+#: Default ceiling on the size parameter n for exact computation.  At the
+#: ceiling one X1 value takes about two seconds (Python 3.11, one core); there
+#: is no floating-point fallback.
 DEFAULT_MAX_EXACT_N = 100
 
 _MAX_N_ENV = "GRLB_MAX_N"
@@ -215,14 +224,37 @@ def two_rho_P(rs: RootSystem, i: int, j: int) -> WeightExpr:
     return weight_of_root_sum(rs, phi_pu(rs, i, j))
 
 
+def _oriented(datum: HorosphericalDatum, p: int, q: int) -> tuple[int, int]:
+    """Marked indices (i, j) in segment orientation (see module docstring)."""
+    return (q, p) if datum.family in _FLIPPED_FAMILIES else (p, q)
+
+
+def _segment(rs: RootSystem, i: int, j: int, roots: tuple[RootVector, ...]) -> MomentSegment:
+    w = weight_of_root_sum(rs, roots)
+    return MomentSegment(two_rho_P=w, i=i, j=j, a=coroot_pairing(rs, i, w), b=coroot_pairing(rs, j, w))
+
+
 def moment_segment(datum: HorosphericalDatum) -> MomentSegment:
     """Oriented moment segment for a datum (see module docstring for orientation)."""
     rs, p, q = resolve(datum)
-    i, j = (q, p) if datum.family in _FLIPPED_FAMILIES else (p, q)
-    w = two_rho_P(rs, i, j)
-    a = coroot_pairing(rs, i, w)
-    b = coroot_pairing(rs, j, w)
-    return MomentSegment(two_rho_P=w, i=i, j=j, a=a, b=b)
+    i, j = _oriented(datum, p, q)
+    return _segment(rs, i, j, phi_pu(rs, i, j))
+
+
+def _marked_weights(
+    rs: RootSystem, seg: MomentSegment, roots: tuple[RootVector, ...]
+) -> Counter[tuple[Fraction, Fraction]]:
+    """Multiset of (u, v) over the roots: the root contributes u*(a+t) + v*(b-t).
+
+    u and v are its coefficients on the marked simple roots i and j times
+    their half squared lengths.
+    """
+    d_i = rs.half_lengths[seg.i - 1]
+    d_j = rs.half_lengths[seg.j - 1]
+    out: Counter[tuple[Fraction, Fraction]] = Counter()
+    for (c_i, c_j), mult in Counter((r[seg.i - 1], r[seg.j - 1]) for r in roots).items():
+        out[c_i * d_i, c_j * d_j] += mult
+    return out
 
 
 def dh_polynomial_on(rs: RootSystem, seg: MomentSegment) -> Polynomial:
@@ -232,13 +264,9 @@ def dh_polynomial_on(rs: RootSystem, seg: MomentSegment) -> Polynomial:
     c_i*d_i*(a+t) + c_j*d_j*(b-t) where (c_i, c_j) are its coefficients on
     the marked simple roots and d_m the half squared lengths.
     """
-    d_i = rs.half_lengths[seg.i - 1]
-    d_j = rs.half_lengths[seg.j - 1]
     factors = []
-    for root in phi_pu(rs, seg.i, seg.j):
-        u = root[seg.i - 1] * d_i
-        v = root[seg.j - 1] * d_j
-        factors.append(Polynomial.linear(u * seg.a + v * seg.b, u - v))
+    for (u, v), mult in _marked_weights(rs, seg, phi_pu(rs, seg.i, seg.j)).items():
+        factors += [Polynomial.linear(u * seg.a + v * seg.b, u - v)] * mult
     return poly_product(factors)
 
 
@@ -248,30 +276,71 @@ def dh_polynomial(datum: HorosphericalDatum) -> Polynomial:
     return dh_polynomial_on(rs, moment_segment(datum))
 
 
-def _times_t(p: Polynomial) -> Polynomial:
-    return Polynomial((Fraction(0),) + p.coeffs)
+def _beta_sum(coeffs: list[int], s: int, q: int) -> Fraction:
+    """Sum over j of coeffs[j] * B(s+j+1, q+1), where B(s+1, q+1) = s! q!/(s+q+1)!.
+
+    Consecutive terms differ by the ratio (s+j)/(s+j+q+1), so Horner's rule
+    over that ratio keeps the sum in integers until the one final Fraction.
+    """
+    num, den = 0, 1
+    for j in range(len(coeffs) - 1, -1, -1):
+        num = coeffs[j] * den + (s + j + 1) * num
+        den *= s + j + q + 1
+    return Fraction(num, math.comb(s + q, q) * den)
 
 
-def _moments(rs: RootSystem, seg: MomentSegment) -> tuple[Fraction, Fraction]:
-    """(volume, first moment) of the density over [-a, b]."""
-    density = dh_polynomial_on(rs, seg)
-    volume = integrate(density, -seg.a, seg.b)
+def _moments(
+    rs: RootSystem, seg: MomentSegment, roots: tuple[RootVector, ...]
+) -> tuple[int, Fraction, Fraction]:
+    """(degree, volume, first moment) of the density over [-a, b].
+
+    With sigma = (t+a)/(a+b) a root's factor u*(a+t) + v*(b-t) becomes
+    (a+b)*(v + (u-v)*sigma).  Constant factors (u == v) go into the content,
+    v == 0 gives sigma and u == 0 gives 1-sigma; the rest reduce to coprime
+    integer forms c0 + c1*sigma, grouped by form.  Only those few forms are
+    expanded, and dt = (a+b) dsigma.
+    """
+    content = Fraction(1)
+    p = q = 0
+    forms: Counter[tuple[int, int]] = Counter()
+    for (u, v), mult in _marked_weights(rs, seg, roots).items():
+        if u == v:
+            content *= v**mult
+        elif v == 0:
+            content *= u**mult
+            p += mult
+        elif u == 0:
+            content *= v**mult
+            q += mult
+        else:
+            slope = u - v
+            den = math.lcm(v.denominator, slope.denominator)
+            c0 = v.numerator * (den // v.denominator)
+            c1 = slope.numerator * (den // slope.denominator)
+            g = math.gcd(c0, c1)
+            content *= Fraction(g, den) ** mult
+            forms[c0 // g, c1 // g] += mult
+    coeffs = [1]
+    for (c0, c1), mult in forms.items():
+        coeffs = _int_mul(coeffs, _linear_pow_int(c0, c1, mult))
+    scale = content * (seg.a + seg.b) ** (len(roots) + 1)
+    volume = scale * _beta_sum(coeffs, p, q)
     if volume == 0:
         raise DegenerateMeasureError("Duistermaat-Heckman density has zero volume")
-    first = integrate(_times_t(density), -seg.a, seg.b)
-    return volume, first
+    # t = (a+b)*sigma - a
+    first = (seg.a + seg.b) * scale * _beta_sum(coeffs, p + 1, q) - seg.a * volume
+    return p + q + sum(forms.values()), volume, first
 
 
 def barycenter_on(rs: RootSystem, seg: MomentSegment) -> Fraction:
     """Density-weighted mean parameter of the segment."""
-    volume, first = _moments(rs, seg)
+    _, volume, first = _moments(rs, seg, phi_pu(rs, seg.i, seg.j))
     return first / volume
 
 
 def barycenter_t(datum: HorosphericalDatum) -> Fraction:
     """Exact barycenter parameter tbar of the datum's moment segment."""
-    rs, _, _ = resolve(datum)
-    return barycenter_on(rs, moment_segment(datum))
+    return report(datum).barycenter_t
 
 
 def ricci_bound(a: Fraction, b: Fraction, t_bar: Fraction) -> Fraction:
@@ -290,9 +359,7 @@ def ricci_bound(a: Fraction, b: Fraction, t_bar: Fraction) -> Fraction:
 
 def greatest_ricci_lower_bound(datum: HorosphericalDatum) -> Fraction:
     """Exact greatest Ricci lower bound R(X) for the datum."""
-    rs, _, _ = resolve(datum)
-    seg = moment_segment(datum)
-    return ricci_bound(seg.a, seg.b, barycenter_on(rs, seg))
+    return report(datum).R
 
 
 def dimension(datum: HorosphericalDatum) -> int:
@@ -303,18 +370,17 @@ def dimension(datum: HorosphericalDatum) -> int:
 
 def report(datum: HorosphericalDatum) -> ComputationReport:
     """Run the full pipeline once and collect every exact quantity."""
-    rs, _, _ = resolve(datum)
-    seg = moment_segment(datum)
-    density = dh_polynomial_on(rs, seg)
-    volume = integrate(density, -seg.a, seg.b)
-    if volume == 0:
-        raise DegenerateMeasureError("Duistermaat-Heckman density has zero volume")
-    t_bar = integrate(_times_t(density), -seg.a, seg.b) / volume
+    rs, p, q = resolve(datum)
+    i, j = _oriented(datum, p, q)
+    roots = phi_pu(rs, i, j)
+    seg = _segment(rs, i, j, roots)
+    degree, volume, first = _moments(rs, seg, roots)
+    t_bar = first / volume
     return ComputationReport(
         datum=datum,
-        dimension=len(phi_pu(rs, seg.i, seg.j)) + 1,
+        dimension=len(roots) + 1,
         segment=seg,
-        dh_degree=density.degree,
+        dh_degree=degree,
         volume=volume,
         barycenter_t=t_bar,
         barycenter_point=seg.point_at(t_bar),

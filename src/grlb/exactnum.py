@@ -27,6 +27,7 @@ __all__ = [
     "integrate",
     "poly_product",
     "to_decimal",
+    "to_significant",
 ]
 
 
@@ -307,3 +308,35 @@ def to_decimal(r: RationalLike, digits: int) -> str:
     s = str(q).rjust(digits + 1, "0")
     sign = "-" if rf < 0 else ""
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
+
+
+def to_significant(r: RationalLike, digits: int) -> str:
+    """r with `digits` significant digits, laid out like format(float(r), f".{digits}g").
+
+    Works at any magnitude: the value never passes through a float, whose
+    range ends near 1.8e308, nor through str() of a huge integer.
+    """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    rf = Fraction(r)
+    if not rf:
+        return "0"
+    sign = "-" if rf < 0 else ""
+    x = abs(rf)
+    # Estimate floor(log10 x) from bit lengths, then correct it exactly.
+    exp = math.floor((x.numerator.bit_length() - x.denominator.bit_length()) * math.log10(2))
+    while x < Fraction(10) ** exp:
+        exp -= 1
+    while x >= Fraction(10) ** (exp + 1):
+        exp += 1
+    mant = round(x / Fraction(10) ** (exp - digits + 1))
+    if mant == 10**digits:
+        mant //= 10
+        exp += 1
+    ds = str(mant)
+    if -4 <= exp < digits:
+        whole, frac = (ds[: exp + 1], ds[exp + 1 :]) if exp >= 0 else ("0", "0" * (-exp - 1) + ds)
+        frac = frac.rstrip("0")
+        return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+    frac = ds[1:].rstrip("0")
+    return f"{sign}{ds[0]}{'.' + frac if frac else ''}e{exp:+03d}"

@@ -144,34 +144,15 @@ def _type_bc_roots(rank: int, long_last: bool) -> tuple[RootVector, ...]:
     n = rank
     roots: list[RootVector] = []
     for i in range(1, n + 1):
+        head = (0,) * (i - 1)
         for j in range(i + 1, n + 1):
+            ones = head + (1,) * (j - i)
             # L_i - L_j
-            v = [0] * n
-            for m in range(i, j):
-                v[m - 1] = 1
-            roots.append(tuple(v))
+            roots.append(ones + (0,) * (n - j + 1))
             # L_i + L_j
-            v = [0] * n
-            for m in range(i, j):
-                v[m - 1] = 1
-            if long_last:
-                for m in range(j, n):
-                    v[m - 1] = 2
-                v[n - 1] = 1
-            else:
-                for m in range(j, n + 1):
-                    v[m - 1] = 2
-            roots.append(tuple(v))
+            roots.append(ones + ((2,) * (n - j) + (1,) if long_last else (2,) * (n - j + 1)))
         # L_i for B, 2 L_i for C
-        v = [0] * n
-        if long_last:
-            for m in range(i, n):
-                v[m - 1] = 2
-            v[n - 1] = 1
-        else:
-            for m in range(i, n + 1):
-                v[m - 1] = 1
-        roots.append(tuple(v))
+        roots.append(head + ((2,) * (n - i) + (1,) if long_last else (1,) * (n - i + 1)))
     return tuple(roots)
 
 
@@ -235,10 +216,7 @@ def root_to_weight(rs: RootSystem, root: Iterable[int]) -> WeightExpr:
 
 def weight_of_root_sum(rs: RootSystem, roots: Iterable[RootVector]) -> WeightExpr:
     """Fundamental-weight coordinates of a sum of roots (summed before converting)."""
-    total = [0] * rs.rank
-    for root in roots:
-        for m, c in enumerate(root):
-            total[m] += c
+    total = [sum(column) for column in zip(*roots)] or [0] * rs.rank
     return root_to_weight(rs, total)
 
 

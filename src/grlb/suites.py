@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from . import closedforms, engine, oracle
 from .engine import HorosphericalDatum
+from .exactnum import to_significant
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -40,7 +41,7 @@ def _suite_lemmas(max_n: int) -> list[CheckResult]:
             CheckResult(
                 f"x1-sign n={n}",
                 check.holds,
-                f"integral={float(check.lhs):.6g} > 0",
+                f"integral={to_significant(check.lhs, 6)} > 0",
             )
         )
     for n, k in _x3_pairs(max_n, strict=True):
@@ -49,12 +50,12 @@ def _suite_lemmas(max_n: int) -> list[CheckResult]:
             CheckResult(
                 f"x3-ratio n={n} k={k}",
                 check.holds,
-                f"ratio={float(check.lhs):.12g} < {k}",
+                f"ratio={to_significant(check.lhs, 12)} < {k}",
             )
         )
     for n in range(2, max_n + 1):
         a_n = closedforms.a_sequence(n)
-        out.append(CheckResult(f"a_n>2 n={n}", a_n > 2, f"a_n={float(a_n):.12g}"))
+        out.append(CheckResult(f"a_n>2 n={n}", a_n > 2, f"a_n={to_significant(a_n, 12)}"))
     for n in range(0, max_n):
         lhs = closedforms.a_sequence(n + 1)
         rhs = closedforms.a_sequence(n) * closedforms.a_recurrence_factor(n)
@@ -116,7 +117,7 @@ def _suite_bounds(max_n: int) -> list[CheckResult]:
             CheckResult(
                 f"x1 R>n/(n+2) n={n}",
                 check.holds,
-                f"margin={float(check.margin):.6g}",
+                f"margin={to_significant(check.margin, 6)}",
             )
         )
     for n, k in _x3_pairs(max_n, strict=True):
@@ -125,7 +126,7 @@ def _suite_bounds(max_n: int) -> list[CheckResult]:
             CheckResult(
                 f"x3 lower bound n={n} k={k}",
                 check.holds,
-                f"margin={float(check.margin):.6g}",
+                f"margin={to_significant(check.margin, 6)}",
             )
         )
     for n in range(2, max_n + 1):
@@ -134,7 +135,7 @@ def _suite_bounds(max_n: int) -> list[CheckResult]:
             CheckResult(
                 f"x3(n,n) stirling n={n}",
                 check.holds and check.margin > 0,
-                f"margin={float(check.margin):.6g}",
+                f"margin={to_significant(check.margin, 6)}",
             )
         )
     return out

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from grlb.closedforms import r_x1_formula, r_x3_formula
 from grlb.engine import (
     DegenerateMeasureError,
     HorosphericalDatum,
@@ -337,6 +338,33 @@ class TestDimension:
         rep = report(datum)
         density = dh_polynomial(datum)
         assert rep.volume == integrate(density, -rep.segment.a, rep.segment.b)
+
+
+def dense_grid():
+    data = list(FIXED)
+    data += [HorosphericalDatum("X1", n=n) for n in range(3, 26)]
+    data += [HorosphericalDatum("X3", n=n, k=k) for n in range(2, 13) for k in range(2, n + 1)]
+    return data
+
+
+class TestFactoredMoments:
+    """The engine integrates the factored density; the dense expansion is an
+    independent route to the same exact moments."""
+
+    @pytest.mark.parametrize("datum", dense_grid(), ids=lambda d: d.label())
+    def test_moments_equal_dense_integrals(self, datum):
+        rep = report(datum)
+        density = dh_polynomial(datum)
+        lo, hi = -rep.segment.a, rep.segment.b
+        assert rep.volume == integrate(density, lo, hi)
+        assert rep.barycenter_t * rep.volume == integrate(Polynomial((0, 1)) * density, lo, hi)
+        assert rep.dh_degree == density.degree
+
+    def test_x1_50_equals_closed_form(self):
+        assert report(HorosphericalDatum("X1", n=50)).R == r_x1_formula(50)
+
+    def test_x3_70_35_equals_closed_form(self):
+        assert report(HorosphericalDatum("X3", n=70, k=35)).R == r_x3_formula(70, 35)
 
 
 class TestFactorialForm:

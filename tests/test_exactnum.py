@@ -13,6 +13,7 @@ from grlb.exactnum import (
     integrate,
     poly_product,
     to_decimal,
+    to_significant,
 )
 
 F = Fraction
@@ -148,6 +149,25 @@ class TestFactorial:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             factorial(-1)
+
+
+class TestToSignificant:
+    @pytest.mark.parametrize(
+        "value",
+        [F(1), F(-2, 3), F(9999995, 10), F(123, 10**7), F(1, 10**4), F(10**20), F(5, 10**5), F(0)],
+    )
+    @pytest.mark.parametrize("digits", [1, 6, 12])
+    def test_matches_float_g_format(self, value, digits):
+        assert to_significant(value, digits) == format(float(value), f".{digits}g")
+
+    def test_beyond_float_range(self):
+        # float(2**5000) raises OverflowError; 1/3**3000 would underflow to 0.
+        assert to_significant(F(2**5000), 6) == "1.41247e+1505"
+        assert to_significant(-F(1, 3**3000), 12) == "-4.32748768861e-1432"
+
+    def test_digits_validation(self):
+        with pytest.raises(ValueError):
+            to_significant(F(1, 2), 0)
 
 
 class TestToDecimal:
