@@ -46,39 +46,6 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def _int_sqr(a: Sequence[int]) -> list[int]:
-    """Square an integer coefficient list, exploiting symmetry of cross terms."""
-    n = len(a)
-    out = [0] * (2 * n - 1)
-    for i in range(n):
-        ai = a[i]
-        if not ai:
-            continue
-        out[2 * i] += ai * ai
-        doubled = ai << 1
-        for j in range(i + 1, n):
-            aj = a[j]
-            if aj:
-                out[i + j] += doubled * aj
-    return out
-
-
-def _int_pow(base: Sequence[int], exponent: int) -> list[int]:
-    """Raise an integer coefficient list to a positive power by squaring."""
-    result: list[int] | None = None
-    cur = list(base)
-    m = exponent
-    while True:
-        if m & 1:
-            result = cur[:] if result is None else _int_mul(result, cur)
-        m >>= 1
-        if not m:
-            break
-        cur = _int_sqr(cur)
-    assert result is not None
-    return result
-
-
 def _linear_pow_int(c0: int, c1: int, exponent: int) -> list[int]:
     """Expand (c0 + c1*t)**exponent by the binomial theorem in O(exponent) steps."""
     m = exponent
@@ -119,10 +86,6 @@ class Polynomial:
     @classmethod
     def one(cls) -> "Polynomial":
         return cls((1,))
-
-    @classmethod
-    def constant(cls, value: RationalLike) -> "Polynomial":
-        return cls((value,))
 
     @classmethod
     def linear(cls, constant: RationalLike, slope: RationalLike) -> "Polynomial":
@@ -210,20 +173,20 @@ class Polynomial:
             raise ValueError("polynomial power must be nonnegative")
         if exponent == 0:
             return Polynomial.one()
-        if exponent == 1:
-            return self
-        if self.degree <= 0:
-            c = self._coeffs[0] if self._coeffs else Fraction(0)
-            return Polynomial((c**exponent,))
-        ints, den = self._int_form()
         if self.degree == 1:
             # Binomial expansion beats repeated squaring for linear bases: the
             # products of a few thousand linear factors this library builds
             # would otherwise dominate the runtime.
-            powered = _linear_pow_int(ints[0], ints[1], exponent)
-        else:
-            powered = _int_pow(ints, exponent)
-        return _poly_from_int(powered, den**exponent)
+            ints, den = self._int_form()
+            return _poly_from_int(_linear_pow_int(ints[0], ints[1], exponent), den**exponent)
+        result, base = Polynomial.one(), self
+        while True:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if not exponent:
+                return result
+            base = base * base
 
     def __call__(self, x: RationalLike) -> Fraction:
         """Evaluate at x by Horner's rule."""

@@ -98,13 +98,14 @@ def _oracle_data(max_n: int):
 def _suite_oracle(max_n: int, rel_tol: float = 1e-9) -> list[CheckResult]:
     out = []
     for datum in _oracle_data(max_n):
-        rep = oracle.crosscheck(datum, rel_tol)
+        name = f"quadrature {datum.label()}"
+        try:
+            rep = oracle.crosscheck(datum, rel_tol)
+        except (oracle.EvaluationFailureError, oracle.NoConvergenceError) as exc:
+            out.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+            continue
         out.append(
-            CheckResult(
-                f"quadrature {datum.label()}",
-                rep.ok,
-                f"tbar_err={rep.t_bar_rel_err:.2e} R_err={rep.r_rel_err:.2e}",
-            )
+            CheckResult(name, rep.ok, f"tbar_err={rep.t_bar_rel_err:.2e} R_err={rep.r_rel_err:.2e}")
         )
     return out
 

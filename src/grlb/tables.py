@@ -118,8 +118,11 @@ def table3_rows() -> list[dict]:
     return rows
 
 
-def _pad(cells: list[str], widths: list[int]) -> str:
-    return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
+def _text_table(header: list[str], data: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, each as wide as its widest cell."""
+    rows = [header] + data
+    widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows)
 
 
 def render_table(table_id: int, fmt: str) -> str:
@@ -136,10 +139,7 @@ def render_table(table_id: int, fmt: str) -> str:
             return "\n".join(lines)
         header = ["family", "dim", "R"]
         data = [[r["family"], r["dim"], r["R"]] for r in rows]
-        widths = [max(len(row[c]) for row in data + [header]) for c in range(3)]
-        out = [_pad(header, widths)]
-        out += [_pad(row, widths) for row in data]
-        return "\n".join(out)
+        return _text_table(header, data)
 
     if table_id == 2:
         rows = table2_cells()
@@ -170,10 +170,7 @@ def render_table(table_id: int, fmt: str) -> str:
             return "\n".join(lines)
         header = ["n"] + [str(n) for n in TABLE2_GRID]
         data = [[row["label"]] + ["-" if c is None else c["decimal"] for c in row["cells"]] for row in rows]
-        widths = [max(len(r[c]) for r in data + [header]) for c in range(len(header))]
-        out = [_pad(header, widths)]
-        out += [_pad(row, widths) for row in data]
-        return "\n".join(out)
+        return _text_table(header, data)
 
     if table_id == 3:
         rows = table3_rows()
@@ -193,9 +190,6 @@ def render_table(table_id: int, fmt: str) -> str:
             return "\n".join(lines)
         header = ["n", "R(X3(n,n))"]
         data = [[str(r["n"]), r["rendered"]] for r in rows]
-        widths = [max(len(r[c]) for r in data + [header]) for c in range(2)]
-        out = [_pad(header, widths)]
-        out += [_pad(row, widths) for row in data]
-        return "\n".join(out)
+        return _text_table(header, data)
 
     raise ValueError(f"unknown table id {table_id}; valid ids are 1, 2, 3")

@@ -193,6 +193,27 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "--suite", "oracle", "--max-n", "4"])
         assert result.exit_code == 0
 
+    def test_oracle_at_cap(self, runner):
+        result = runner.invoke(cli, ["verify", "--suite", "oracle", "--max-n", "20"])
+        assert result.exit_code == 0
+        assert "211/211 checks passed" in result.output
+
+    def test_oracle_evaluation_failure_is_a_failed_check(self, runner, monkeypatch):
+        from grlb import oracle
+
+        real = oracle.crosscheck
+
+        def crosscheck(datum, rel_tol=1e-9):
+            if datum.label() == "X4":
+                raise oracle.EvaluationFailureError("integrand returned a non-finite value")
+            return real(datum, rel_tol)
+
+        monkeypatch.setattr(oracle, "crosscheck", crosscheck)
+        result = runner.invoke(cli, ["verify", "--suite", "oracle", "--max-n", "3"])
+        assert result.exit_code == 3
+        assert "FAIL quadrature X4: EvaluationFailureError: integrand returned a non-finite value" in result.output
+        assert "ok   quadrature X5" in result.output
+
     def test_bounds_small(self, runner):
         result = runner.invoke(cli, ["verify", "--suite", "bounds", "--max-n", "5"])
         assert result.exit_code == 0

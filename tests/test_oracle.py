@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grlb import engine
 from grlb.engine import HorosphericalDatum
 from grlb.exactnum import Polynomial, integrate
 from grlb.oracle import (
@@ -60,33 +61,53 @@ class TestQuad:
         assert res.estimate == 0.0
 
 
+def _evaluator(datum):
+    rs, _, _ = engine.resolve(datum)
+    return dh_density_evaluator(rs, engine.moment_segment(datum))
+
+
 class TestDensityEvaluator:
     def test_x5_barycenter_by_quadrature(self):
-        density, a, b = dh_density_evaluator(HorosphericalDatum("X5"))
+        density, a, b = _evaluator(HorosphericalDatum("X5"))
         vol = quad(density, -a, b, 1e-13).estimate
         first = quad(lambda ts: ts * density(ts), -a, b, 1e-13).estimate
         assert first / vol == pytest.approx(-11.0 / 28.0, rel=1e-9)
 
     def test_endpoints_vanish(self):
-        density, a, b = dh_density_evaluator(HorosphericalDatum("X4"))
+        density, a, b = _evaluator(HorosphericalDatum("X4"))
         vals = density(np.array([-a, b]))
         assert vals == pytest.approx([0.0, 0.0], abs=1e-12)
 
-    def test_log_domain_matches_direct_product(self):
-        # X1(9) has 53 factors, above the log-domain threshold; compare its
-        # values against a plain high-precision product of the same factors.
+    def test_normalised_log_sum_matches_exact_density(self):
+        # The evaluator divides each of X1(9)'s 53 factors by its maximum
+        # (a+b)*max(u, v) on the segment; the exact density divided by the
+        # product of those maxima must match it pointwise.
         datum = HorosphericalDatum("X1", n=9)
-        density, a, b = dh_density_evaluator(datum)
-        from grlb import engine
-
+        density, a, b = _evaluator(datum)
         rs, _, _ = engine.resolve(datum)
         seg = engine.moment_segment(datum)
-        assert len(engine.phi_pu(rs, seg.i, seg.j)) > 40
+        d_i = rs.half_lengths[seg.i - 1]
+        d_j = rs.half_lengths[seg.j - 1]
+        scale = F(1)
+        for root in engine.phi_pu(rs, seg.i, seg.j):
+            scale *= (seg.a + seg.b) * max(root[seg.i - 1] * d_i, root[seg.j - 1] * d_j)
         exact_density = engine.dh_polynomial(datum)
         ts = np.linspace(-float(a) + 0.25, float(b) - 0.25, 7)
         got = density(ts)
-        want = np.array([float(exact_density(F(t).limit_denominator(10**12))) for t in ts])
+        want = np.array([float(exact_density(F(t).limit_denominator(10**12)) / scale) for t in ts])
         assert got == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "datum",
+        [HorosphericalDatum("X1", n=70), HorosphericalDatum("X3", n=70, k=35)],
+        ids=lambda d: d.label(),
+    )
+    def test_values_in_unit_interval_at_large_n(self, datum):
+        density, a, b = _evaluator(datum)
+        vals = density(np.linspace(-a, b, 257))
+        assert np.all(np.isfinite(vals))
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert vals.max() > 0.0
 
 
 class TestCrosscheck:
@@ -98,6 +119,9 @@ class TestCrosscheck:
             HorosphericalDatum("X5"),
             HorosphericalDatum("X3", n=6, k=3),
             HorosphericalDatum("X1", n=5),
+            HorosphericalDatum("X1", n=CROSSCHECK_MAX_N),
+            HorosphericalDatum("X3", n=20, k=10),
+            HorosphericalDatum("X3", n=20, k=20),
         ],
         ids=lambda d: d.label(),
     )
