@@ -5,7 +5,8 @@ additionally collapses to a factorial expression.  This module evaluates all
 of them directly from expanded integrands, without touching the root-system
 pipeline, so the two routes can be compared exactly.  It also carries the
 inequality and asymptotic-bound checks that control the limiting behaviour
-of each family.
+of each family.  mpmath is imported only inside `stirling_upper_bound`, the
+one function that needs it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-
-import mpmath
 
 from .exactnum import Polynomial, factorial, integrate
 
@@ -173,11 +172,6 @@ def lemma_x3nk_sign(n: int, k: int) -> BoundCheck:
     return BoundCheck.evaluate((n, k), "upper-bound", ratio, Fraction(k))
 
 
-def _mp_to_fraction(x: "mpmath.mpf") -> Fraction:
-    # Exact through a decimal string: Decimal keeps all printed digits.
-    return Fraction(Decimal(mpmath.nstr(x, STIRLING_PRECISION_DPS - 5)))
-
-
 def stirling_upper_bound(n: int) -> Fraction:
     """High-precision value of (2 sqrt(2n+1) / (pi (n+2))) (1 + 1/(2n))^(2n+1).
 
@@ -190,10 +184,13 @@ def stirling_upper_bound(n: int) -> Fraction:
     if n < 1:
         raise InvalidParameterError("Stirling bound requires n >= 1")
     rational_part = Fraction(2, n + 2) * (Fraction(2 * n + 1, 2 * n)) ** (2 * n + 1)
+    import mpmath
+
     with mpmath.workdps(STIRLING_PRECISION_DPS):
         irrational = mpmath.sqrt(2 * n + 1) / mpmath.pi
         scaled = irrational * mpmath.mpf(rational_part.numerator) / rational_part.denominator
-        return _mp_to_fraction(scaled)
+        # Exact through a decimal string: Decimal keeps all printed digits.
+        return Fraction(Decimal(mpmath.nstr(scaled, STIRLING_PRECISION_DPS - 5)))
 
 
 def asymptotic_bounds(family: str, n: int, k: int | None = None) -> BoundCheck:

@@ -13,10 +13,10 @@ exact rational arithmetic:
                  -> barycenter parameter tbar = Int t P / Int P
                  -> greatest Ricci lower bound R from the position of tbar.
 
-The density is never expanded to compute tbar.  Under sigma = (t+a)/(a+b)
-it factors as content * sigma^p (1-sigma)^q * prod (c0 + c1 sigma)^m over a
-handful of coprime integer forms, and its moments are Beta integrals against
-the coefficients of that short product.  `dh_polynomial` still returns the
+The density is never expanded to compute tbar.  Under sigma = (t+a)/(a+b) it
+factors as a content times a few coprime integer forms (c0 + c1 sigma)^m, and
+its moments are taken in the variable of the form of largest m, so only the
+short product of the others is expanded.  `dh_polynomial` still returns the
 dense polynomial in t, as a view for callers that want it.
 
 Orientation convention: the marked index whose fundamental-weight coefficient
@@ -74,8 +74,8 @@ FAMILIES = ("X1", "X2", "X3", "X4", "X5")
 _FLIPPED_FAMILIES = frozenset({"X3", "X5"})
 
 #: Default ceiling on the size parameter n for exact computation.  At the
-#: ceiling one X1 value takes about two seconds (Python 3.11, one core); there
-#: is no floating-point fallback.
+#: ceiling one X1 report takes about 0.05 s, the dense closed-form route about
+#: 15 s (Python 3.11, one core); there is no floating-point fallback.
 DEFAULT_MAX_EXACT_N = 100
 
 _MAX_N_ENV = "GRLB_MAX_N"
@@ -276,17 +276,32 @@ def dh_polynomial(datum: HorosphericalDatum) -> Polynomial:
     return dh_polynomial_on(rs, moment_segment(datum))
 
 
-def _beta_sum(coeffs: list[int], s: int, q: int) -> Fraction:
-    """Sum over j of coeffs[j] * B(s+j+1, q+1), where B(s+1, q+1) = s! q!/(s+q+1)!.
+def _form_moments(forms: Counter[tuple[int, int]]) -> tuple[Fraction, Fraction]:
+    """Integrals of P and sigma*P over [0, 1], P = prod (c0 + c1*sigma)^m over `forms`.
 
-    Consecutive terms differ by the ratio (s+j)/(s+j+q+1), so Horner's rule
-    over that ratio keeps the sum in integers until the one final Fraction.
+    The form of largest multiplicity m becomes the variable tau = c0 + c1*sigma;
+    only the others are expanded, as c1*(d0 + d1*sigma) = (c1*d0 - c0*d1) + d1*tau.
+    Each term is Int tau^e dtau = (hi^(e+1) - lo^(e+1))/(e+1) over [c0, c0 + c1],
+    summed in integers over the lcm of the e+1, and dsigma = dtau/c1.
     """
-    num, den = 0, 1
-    for j in range(len(coeffs) - 1, -1, -1):
-        num = coeffs[j] * den + (s + j + 1) * num
-        den *= s + j + q + 1
-    return Fraction(num, math.comb(s + q, q) * den)
+    (c0, c1), m = max(forms.items(), key=lambda item: item[1], default=((0, 1), 0))
+    q = [1]
+    for (d0, d1), mult in forms.items():
+        if (d0, d1) != (c0, c1):
+            q = _int_mul(q, _linear_pow_int(c1 * d0 - c0 * d1, d1, mult))
+    # w[j] = den * Int tau^(m+j) dtau, up to the degree of tau*Q(tau).
+    exponents = range(m + 1, m + len(q) + 2)
+    den = math.lcm(*exponents)
+    lo_p, hi_p, w = c0**m, (c0 + c1) ** m, []
+    for e in exponents:
+        lo_p *= c0
+        hi_p *= c0 + c1
+        w.append((hi_p - lo_p) * (den // e))
+    # sigma = (tau - c0)/c1, and the other forms contribute c1^-(their degree).
+    num0 = sum(qj * w[j] for j, qj in enumerate(q))
+    num1 = sum(qj * (w[j + 1] - c0 * w[j]) for j, qj in enumerate(q))
+    scale = den * c1 ** (sum(forms.values()) - m + 1)
+    return Fraction(num0, scale), Fraction(num1, scale * c1)
 
 
 def _moments(
@@ -294,42 +309,26 @@ def _moments(
 ) -> tuple[int, Fraction, Fraction]:
     """(degree, volume, first moment) of the density over [-a, b].
 
-    With sigma = (t+a)/(a+b) a root's factor u*(a+t) + v*(b-t) becomes
-    (a+b)*(v + (u-v)*sigma).  Constant factors (u == v) go into the content,
-    v == 0 gives sigma and u == 0 gives 1-sigma; the rest reduce to coprime
-    integer forms c0 + c1*sigma, grouped by form.  Only those few forms are
-    expanded, and dt = (a+b) dsigma.
+    With sigma = (t+a)/(a+b) a root's factor u*(a+t) + v*(b-t) is
+    (a+b)*(g/den)*(c0 + c1*sigma) for coprime integers c0, c1; dt = (a+b) dsigma.
     """
     content = Fraction(1)
-    p = q = 0
     forms: Counter[tuple[int, int]] = Counter()
     for (u, v), mult in _marked_weights(rs, seg, roots).items():
-        if u == v:
-            content *= v**mult
-        elif v == 0:
-            content *= u**mult
-            p += mult
-        elif u == 0:
-            content *= v**mult
-            q += mult
-        else:
-            slope = u - v
-            den = math.lcm(v.denominator, slope.denominator)
-            c0 = v.numerator * (den // v.denominator)
-            c1 = slope.numerator * (den // slope.denominator)
-            g = math.gcd(c0, c1)
-            content *= Fraction(g, den) ** mult
+        den = math.lcm(v.denominator, (u - v).denominator)
+        c0, c1 = int(v * den), int((u - v) * den)
+        g = math.gcd(c0, c1)
+        content *= Fraction(g, den) ** mult
+        if c1:
             forms[c0 // g, c1 // g] += mult
-    coeffs = [1]
-    for (c0, c1), mult in forms.items():
-        coeffs = _int_mul(coeffs, _linear_pow_int(c0, c1, mult))
+    i0, i1 = _form_moments(forms)
     scale = content * (seg.a + seg.b) ** (len(roots) + 1)
-    volume = scale * _beta_sum(coeffs, p, q)
+    volume = scale * i0
     if volume == 0:
         raise DegenerateMeasureError("Duistermaat-Heckman density has zero volume")
     # t = (a+b)*sigma - a
-    first = (seg.a + seg.b) * scale * _beta_sum(coeffs, p + 1, q) - seg.a * volume
-    return p + q + sum(forms.values()), volume, first
+    first = (seg.a + seg.b) * scale * i1 - seg.a * volume
+    return sum(forms.values()), volume, first
 
 
 def barycenter_on(rs: RootSystem, seg: MomentSegment) -> Fraction:

@@ -24,8 +24,10 @@ __all__ = [
     "Polynomial",
     "Rational",
     "factorial",
+    "int_to_str",
     "integrate",
     "poly_product",
+    "str_to_int",
     "to_decimal",
     "to_significant",
 ]
@@ -255,6 +257,42 @@ def factorial(n: int) -> int:
     return math.factorial(n)
 
 
+#: Digits per str()/int() call in the conversions below: under 640, the least
+#: value Python's int_max_str_digits limit may be set to.
+_STR_CHUNK = 600
+_STR_CHUNK_LIMIT = 10**_STR_CHUNK
+
+
+def int_to_str(x: int) -> str:
+    """Decimal digits of x at any size, equal to str(x).
+
+    Python refuses str() of an int above int_max_str_digits (4300 by default);
+    this splits x at a power of ten near half its digits and recurses, so each
+    str() call converts fewer than _STR_CHUNK digits.
+    """
+    if x < 0:
+        return "-" + int_to_str(-x)
+    if x < _STR_CHUNK_LIMIT:
+        return str(x)
+    half = x.bit_length() * 3 // 20  # about half of log10(x)
+    high, low = divmod(x, 10**half)
+    return int_to_str(high) + int_to_str(low).rjust(half, "0")
+
+
+def str_to_int(s: str) -> int:
+    """int(s) at any length for an optionally signed run of ASCII digits.
+
+    Other strings, and strings short enough for int(), go to int() unchanged;
+    long digit runs are split in half and joined as high*10^k + low.
+    """
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if len(digits) <= _STR_CHUNK or not (digits.isascii() and digits.isdigit()):
+        return int(s)
+    k = len(digits) // 2
+    value = str_to_int(digits[:-k]) * 10**k + str_to_int(digits[-k:])
+    return -value if s[0] == "-" else value
+
+
 def to_decimal(r: RationalLike, digits: int) -> str:
     """Decimal expansion of r with exactly `digits` fractional digits.
 
@@ -268,7 +306,7 @@ def to_decimal(r: RationalLike, digits: int) -> str:
     q, rem = divmod(num * 10**digits, den)
     if 2 * rem > den or (2 * rem == den and q % 2 == 1):
         q += 1
-    s = str(q).rjust(digits + 1, "0")
+    s = int_to_str(q).rjust(digits + 1, "0")
     sign = "-" if rf < 0 else ""
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 

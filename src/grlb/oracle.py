@@ -11,19 +11,23 @@ its multiset of linear forms, never expanded: the exponential of a sum of
 logarithms, each form divided by its maximum on the segment, so every value
 lies in [0, 1] at any n.  It compares the quadrature barycenter and Ricci
 bound against the exact engine values.
+
+numpy is imported inside the functions that use it, so importing this module
+(and the CLI, through `suites`) does not load it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from . import engine
 from .engine import HorosphericalDatum, MomentSegment
 from .rootsystems import RootSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CrosscheckReport",
@@ -63,6 +67,8 @@ class QuadratureResult:
 
 def _midpoint_sum(f: Callable[[np.ndarray], np.ndarray], lo: float, step: float, count: int) -> float:
     """Sum of f at the `count` points lo + step/2 + m*step, evaluated in chunks."""
+    import numpy as np
+
     total = 0.0
     start = lo + step / 2.0
     for offset in range(0, count, _CHUNK):
@@ -95,6 +101,8 @@ def quad(
         raise ValueError("rel_tol must be positive")
     if max_levels < 2:
         raise ValueError("max_levels must be at least 2")
+    import numpy as np
+
     ends = np.asarray(f(np.array([lo, hi], dtype=float)), dtype=float)
     if not np.all(np.isfinite(ends)):
         raise EvaluationFailureError("integrand returned a non-finite value")
@@ -128,6 +136,8 @@ def dh_density_evaluator(rs: RootSystem, seg: MomentSegment) -> tuple[Callable[[
     its logarithm is weighted by its multiplicity.  The constant factor this
     drops cancels in tbar and R, and no value can leave double range.
     """
+    import numpy as np
+
     d_i = rs.half_lengths[seg.i - 1]
     d_j = rs.half_lengths[seg.j - 1]
     marked = Counter((r[seg.i - 1], r[seg.j - 1]) for r in engine.phi_pu(rs, seg.i, seg.j))

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import closedforms, engine
 from .engine import ComputationReport, HorosphericalDatum
-from .exactnum import to_decimal
+from .exactnum import int_to_str, str_to_int, to_decimal
 
 SCHEMA_VERSION = 1
 
@@ -34,12 +34,14 @@ __all__ = [
 
 
 def frac_str(f: Fraction) -> str:
-    return f"{f.numerator}/{f.denominator}"
+    """The fraction as "p/q", at any size (see exactnum.int_to_str)."""
+    return f"{int_to_str(f.numerator)}/{int_to_str(f.denominator)}"
 
 
 def parse_frac(s: str) -> Fraction:
+    """Inverse of frac_str."""
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den))
+    return Fraction(str_to_int(num), str_to_int(den))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,20 @@
 """Tests for the command-line interface and result serialization."""
 
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import grlb
 from grlb.cli import cli
-from grlb.engine import HorosphericalDatum
+from grlb.engine import HorosphericalDatum, report
 from grlb.records import (
     CSV_HEADER,
+    frac_str,
     record_for,
     record_from_json,
     record_to_csv_row,
@@ -82,6 +87,21 @@ class TestCompute:
         assert "ceiling" in blocked.output
         allowed = runner.invoke(cli, args, env={"GRLB_MAX_N": "150"})
         assert allowed.exit_code == 0
+
+    def test_x1_165_renders_past_str_limit(self, runner, monkeypatch):
+        # R(X1(165)) has more than the 4300 digits str(int) allows.
+        monkeypatch.setenv("GRLB_MAX_N", "200")
+        args = ["compute", "--family", "X1", "--n", "165"]
+        result = runner.invoke(cli, args + ["--format", "json"])
+        assert result.exit_code == 0, result.output
+        rec = record_from_json(result.output)
+        assert record_to_json(rec) == result.output.rstrip("\n")
+        rep = report(HorosphericalDatum("X1", n=165))
+        assert rep.R.denominator > 10**4300
+        assert (rec.R, rec.barycenter_t) == (rep.R, rep.barycenter_t)
+        text = runner.invoke(cli, args)
+        assert text.exit_code == 0
+        assert f"R             {frac_str(rep.R)}" in text.output.splitlines()
 
 
 class TestRecords:
@@ -238,3 +258,14 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "--suite", "lemmas", "--max-n", "3"])
         assert result.exit_code == 3
         assert "FAIL forced" in result.output
+
+
+def test_cli_import_leaves_out_numpy_and_mpmath():
+    # compute and table need neither; the oracle and the Stirling bound import them on use.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import grlb.cli; "
+        "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+    )
+    src = str(Path(grlb.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,9 +1,14 @@
 """Tests for the moment-segment pipeline: goldens, invariances, error paths."""
 
+import hashlib
+import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grlb.closedforms import r_x1_formula, r_x3_formula
 from grlb.engine import (
@@ -24,7 +29,8 @@ from grlb.engine import (
     ricci_bound,
     two_rho_P,
 )
-from grlb.exactnum import Polynomial, integrate
+from grlb.engine import _form_moments
+from grlb.exactnum import Polynomial, integrate, poly_product
 from grlb.rootsystems import WeightExpr, build_root_system
 
 F = Fraction
@@ -365,6 +371,45 @@ class TestFactoredMoments:
 
     def test_x3_70_35_equals_closed_form(self):
         assert report(HorosphericalDatum("X3", n=70, k=35)).R == r_x3_formula(70, 35)
+
+    def test_x1_100_digests(self):
+        # SHA-256 of "p/q" as computed by the earlier Beta-sum integration.
+        rep = report(HorosphericalDatum("X1", n=100))
+        digests = {
+            name: hashlib.sha256(f"{v.numerator}/{v.denominator}".encode()).hexdigest()
+            for name, v in (("R", rep.R), ("barycenter_t", rep.barycenter_t))
+        }
+        assert digests == {
+            "R": "70f668088f067d83ed3f81ad240803cc8aa3992c96a5455d095ffb8d69402df6",
+            "barycenter_t": "c5c987aab097ccdd447a153b6537334ae147333edd1a7fc784235087ed15485a",
+        }
+
+
+coprime_forms = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+    lambda f: f[1] != 0 and math.gcd(*f) == 1
+)
+form_multisets = st.lists(st.tuples(coprime_forms, st.integers(1, 9)), max_size=4).map(
+    lambda items: Counter(dict(items))
+)
+
+
+class TestFormMoments:
+    """The dominant-form rule against the dense product integrated over [0, 1]."""
+
+    @given(form_multisets)
+    @settings(max_examples=150)
+    @example(Counter())
+    @example(Counter({(0, 1): 7}))
+    @example(Counter({(1, -1): 5}))
+    @example(Counter({(0, 1): 3, (1, -1): 3}))
+    @example(Counter({(1, 1): 4, (2, -1): 4, (0, 1): 2}))
+    @example(Counter({(-3, 2): 6, (1, -4): 2, (3, -1): 6}))
+    def test_matches_dense_integrals(self, forms):
+        dense = poly_product(Polynomial.linear(c0, c1) ** m for (c0, c1), m in forms.items())
+        assert _form_moments(forms) == (
+            integrate(dense, 0, 1),
+            integrate(Polynomial((0, 1)) * dense, 0, 1),
+        )
 
 
 class TestFactorialForm:

@@ -1,5 +1,6 @@
 """Tests for rationals, polynomials, exact integration and decimal rendering."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ from grlb.exactnum import (
     InvalidIntervalError,
     Polynomial,
     factorial,
+    int_to_str,
     integrate,
     poly_product,
+    str_to_int,
     to_decimal,
     to_significant,
 )
@@ -187,6 +190,42 @@ class TestToDecimal:
     def test_digits_validation(self):
         with pytest.raises(ValueError):
             to_decimal(F(1, 2), 0)
+
+    def test_digits_past_str_limit(self):
+        assert to_decimal(F(1, 3), 5000) == "0." + "3" * 5000
+
+
+# Values past Python's default int_max_str_digits (4300).
+huge_ints = st.integers(10**4400, 10**9000) | st.integers(-(10**9000), -(10**4400))
+
+
+class TestIntStr:
+    @given(st.integers(-(10**4000), 10**4000))
+    @settings(max_examples=60)
+    def test_equals_builtins_below_limit(self, x):
+        assert int_to_str(x) == str(x)
+        assert str_to_int(str(x)) == x
+
+    @given(huge_ints)
+    @settings(max_examples=30)
+    def test_round_trip_past_limit(self, x):
+        # Decimal converts ints without the str() digit limit.
+        s = int_to_str(x)
+        assert s == str(Decimal(x))
+        assert str_to_int(s) == x
+        assert str_to_int("+" + s.lstrip("-")) == abs(x)
+
+    def test_exact_layout(self):
+        assert int_to_str(10**6000) == "1" + "0" * 6000
+        assert int_to_str(-(10**6000 - 1)) == "-" + "9" * 6000
+        assert str_to_int("0" * 5000 + "7") == 7
+
+    def test_other_strings_follow_int(self):
+        assert str_to_int(" 42 ") == 42
+        assert str_to_int("1_000") == 1000
+        for bad in ("", "-", "1" * 700 + "-" + "1" * 700, "12a"):
+            with pytest.raises(ValueError):
+                str_to_int(bad)
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
