@@ -1,21 +1,35 @@
 """Independent closed-form evaluations for the parametric families.
 
-The X1(n) and X3(n, k) bounds have explicit integral formulas, and X3(n, n)
-additionally collapses to a factorial expression.  This module evaluates all
-of them directly from expanded integrands, without touching the root-system
-pipeline, so the two routes can be compared exactly.  It also carries the
-inequality and asymptotic-bound checks that control the limiting behaviour
-of each family.  mpmath is imported only inside `stirling_upper_bound`, the
-one function that needs it.
+The X1(n) and X3(n, k) bounds are explicit ratios of one-variable integrals,
+and X3(n, n) additionally collapses to a factorial expression.  Each integrand
+is a product of powers of linear forms dominated by one of them, so it is
+integrated in the variable s of that largest factor: s^m times a short integer
+cofactor q(s), whose terms integrate as q_j (hi^(m+j+1) - lo^(m+j+1))/(m+j+1).
+
+- X1(n): s = t + 2n + 2 on [n+2, 2n+4]; the integrand is
+  s^(n(n-1)/2) (2n+4-s) (s-n-2)^(n-1).
+- X3(n, k): s = b - t on [0, b+k] with b = 2n-2k+2; the integrand is
+  s^(b-1) (b+k-s)^(k-1) (4n-3k+4-b+s)^(k-1).
+
+All of it is written from the paper's formulas, without touching the
+root-system pipeline or the engine's integration, so the two routes can be
+compared exactly.  `x1_integrand`, `x3_integrand` and `x1_comparison_integral`
+stay dense: the first two are the reference the tests integrate, and the
+comparison integrand has degree n.  The module also carries the inequality and
+asymptotic-bound checks that control the limiting behaviour of each family.
+mpmath is imported only inside `stirling_upper_bound`, the one function that
+needs it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from typing import Sequence
 
-from .exactnum import Polynomial, factorial, integrate
+from .exactnum import Polynomial, _int_mul, _linear_pow_int, factorial, integrate
 
 __all__ = [
     "BoundCheck",
@@ -86,18 +100,43 @@ def _lin(c0: int, c1: int) -> Polynomial:
     return Polynomial.linear(c0, c1)
 
 
+def _power_integral(m: int, q: Sequence[int], lo: int, hi: int) -> Fraction:
+    """Integral of s^m * sum_j q[j] s^j over [lo, hi], for integers q[j], lo, hi.
+
+    The terms q[j] (hi^e - lo^e)/e, e = m+j+1, are summed in integers over the
+    lcm of the e, so only one Fraction is built.
+    """
+    exponents = range(m + 1, m + len(q) + 1)
+    den = math.lcm(*exponents)
+    lo_p, hi_p, total = lo**m, hi**m, 0
+    for e, qj in zip(exponents, q):
+        lo_p *= lo
+        hi_p *= hi
+        total += qj * (hi_p - lo_p) * (den // e)
+    return Fraction(total, den)
+
+
 def x1_integrand(n: int) -> Polynomial:
     """(2-t) (n+t)^(n-1) (t+2n+2)^(n(n-1)/2), the common X1(n) integrand."""
     return _lin(2, -1) * _lin(n, 1) ** (n - 1) * _lin(2 * n + 2, 1) ** (n * (n - 1) // 2)
 
 
+def _x1_cofactor(n: int) -> tuple[int, list[int], int, int]:
+    """(m, q, lo, hi): the X1(n) integrand is s^m q(s) on [lo, hi], s = t + 2n + 2.
+
+    2 - t = 2n+4-s and n + t = s-n-2, so q(s) = (2n+4-s) (s-n-2)^(n-1).
+    """
+    q = _int_mul([2 * n + 4, -1], _linear_pow_int(-(n + 2), 1, n - 1))
+    return n * (n - 1) // 2, q, n + 2, 2 * n + 4
+
+
 def r_x1_formula(n: int) -> Fraction:
-    """R(X1(n)) as the explicit ratio of integrals over [-n, 2]."""
+    """R(X1(n)) = n Int f / Int (n+t) f over [-n, 2], f the X1(n) integrand."""
     if n < 3:
         raise InvalidParameterError("X1 formula requires n >= 3")
-    base = x1_integrand(n)
-    num = integrate(base, -n, 2)
-    den = integrate(base * _lin(n, 1), -n, 2)
+    m, q, lo, hi = _x1_cofactor(n)
+    num = _power_integral(m, q, lo, hi)
+    den = _power_integral(m, _int_mul(q, [-(n + 2), 1]), lo, hi)
     return n * num / den
 
 
@@ -107,18 +146,27 @@ def x3_integrand(n: int, k: int) -> Polynomial:
     return _lin(k, 1) ** (k - 1) * _lin(b, -1) ** (b - 1) * _lin(4 * n - 3 * k + 4, -1) ** (k - 1)
 
 
+def _x3_cofactor(n: int, k: int) -> tuple[int, list[int], int]:
+    """(b, q, hi): the X3(n, k) integrand is s^(b-1) q(s) on [0, hi], s = b - t.
+
+    k + t = b+k-s and 4n-3k+4-t = 4n-3k+4-b+s, so
+    q(s) = (b+k-s)^(k-1) (4n-3k+4-b+s)^(k-1), with b = 2n-2k+2 and hi = b+k.
+    """
+    b = 2 * n - 2 * k + 2
+    q = _int_mul(_linear_pow_int(b + k, -1, k - 1), _linear_pow_int(4 * n - 3 * k + 4 - b, 1, k - 1))
+    return b, q, b + k
+
+
 def r_x3_formula(n: int, k: int) -> Fraction:
-    """R(X3(n, k)) as the explicit ratio of integrals over [-k, 2n-2k+2].
+    """R(X3(n, k)) = b Int f / Int (b-t) f over [-k, b], b = 2n-2k+2, f the X3 integrand.
 
     Valid for n >= k >= 2; at k == n it reproduces the factorial closed form.
     """
     if not (isinstance(n, int) and isinstance(k, int) and n >= k >= 2):
         raise InvalidParameterError("X3 formula requires n >= k >= 2")
-    b = 2 * n - 2 * k + 2
-    base = x3_integrand(n, k)
-    num = integrate(base, -k, b)
-    den = integrate(base * _lin(b, -1), -k, b)
-    return b * num / den
+    b, q, hi = _x3_cofactor(n, k)
+    # b - t = s raises the power of s by one.
+    return b * _power_integral(b - 1, q, 0, hi) / _power_integral(b, q, 0, hi)
 
 
 def r_x3nn_closed(n: int) -> Fraction:
@@ -144,8 +192,9 @@ def lemma_x1_sign(n: int) -> BoundCheck:
     """Positivity of Integral_{-n}^{2} t (2-t) (n+t)^(n-1) (t+2n+2)^(n(n-1)/2) dt."""
     if n < 3:
         raise InvalidParameterError("X1 sign lemma requires n >= 3")
-    weighted = Polynomial((0, 1)) * x1_integrand(n)
-    value = integrate(weighted, -n, 2)
+    m, q, lo, hi = _x1_cofactor(n)
+    # t = s - 2n - 2
+    value = _power_integral(m, _int_mul(q, [-(2 * n + 2), 1]), lo, hi)
     return BoundCheck.evaluate((n,), "sign", value, Fraction(0))
 
 
@@ -166,9 +215,9 @@ def lemma_x3nk_sign(n: int, k: int) -> BoundCheck:
     """The (k+t)-weighted mean of the X3 integrand stays strictly below k."""
     if not n > k >= 2:
         raise InvalidParameterError("X3(n, k) sign lemma requires n > k >= 2")
-    b = 2 * n - 2 * k + 2
-    base = x3_integrand(n, k)
-    ratio = integrate(base * _lin(k, 1), -k, b) / integrate(base, -k, b)
+    b, q, hi = _x3_cofactor(n, k)
+    # k + t = b+k-s
+    ratio = _power_integral(b - 1, _int_mul(q, [b + k, -1]), 0, hi) / _power_integral(b - 1, q, 0, hi)
     return BoundCheck.evaluate((n, k), "upper-bound", ratio, Fraction(k))
 
 

@@ -74,8 +74,9 @@ FAMILIES = ("X1", "X2", "X3", "X4", "X5")
 _FLIPPED_FAMILIES = frozenset({"X3", "X5"})
 
 #: Default ceiling on the size parameter n for exact computation.  At the
-#: ceiling one X1 report takes about 0.05 s, the dense closed-form route about
-#: 15 s (Python 3.11, one core); there is no floating-point fallback.
+#: ceiling one X1 report takes about 0.015 s and the closed-form R about
+#: 0.007 s (Python 3.11, one core of a 2-CPU host); there is no floating-point
+#: fallback.  Raising it waits for a committed benchmark trajectory (ROADMAP).
 DEFAULT_MAX_EXACT_N = 100
 
 _MAX_N_ENV = "GRLB_MAX_N"

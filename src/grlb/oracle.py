@@ -140,7 +140,9 @@ def dh_density_evaluator(rs: RootSystem, seg: MomentSegment) -> tuple[Callable[[
 
     d_i = rs.half_lengths[seg.i - 1]
     d_j = rs.half_lengths[seg.j - 1]
-    marked = Counter((r[seg.i - 1], r[seg.j - 1]) for r in engine.phi_pu(rs, seg.i, seg.j))
+    # Phi_Pu: the positive roots with a nonzero coefficient on a marked index.
+    marked = Counter((r[seg.i - 1], r[seg.j - 1]) for r in rs.positive_roots)
+    del marked[0, 0]
     a, b = float(seg.a), float(seg.b)
     forms = []
     for (c_i, c_j), mult in marked.items():

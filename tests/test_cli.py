@@ -75,6 +75,13 @@ class TestCompute:
         engine_result = runner.invoke(cli, ["compute", "--family", "X1", "--n", "4", "--format", "json"])
         assert json.loads(engine_result.output)["R"] == data["R"]
 
+    def test_closed_form_route_at_ceiling(self, runner):
+        args = ["compute", "--family", "X1", "--n", "100", "--format", "json"]
+        closed = runner.invoke(cli, [*args, "--route", "closed-form"])
+        assert closed.exit_code == 0
+        engine_result = runner.invoke(cli, [*args, "--route", "engine"])
+        assert json.loads(closed.output)["R"] == json.loads(engine_result.output)["R"]
+
     def test_closed_form_route_rejected_for_fixed_families(self, runner):
         result = runner.invoke(cli, ["compute", "--family", "X5", "--route", "closed-form"])
         assert result.exit_code == 2

@@ -17,6 +17,7 @@ from grlb.closedforms import (
     r_x3nn_closed,
     stirling_upper_bound,
     x1_comparison_integral,
+    x1_integrand,
     x3_integrand,
 )
 from grlb.exactnum import Polynomial, integrate, to_decimal
@@ -60,6 +61,27 @@ class TestX3Formula:
             r_x3_formula(3, 4)
         with pytest.raises(InvalidParameterError):
             r_x3_formula(3, 1)
+
+
+class TestDenseReference:
+    """The formulas integrate in the variable of the largest factor; the dense
+    expansion of the same integrands is an independent route to each value."""
+
+    @pytest.mark.parametrize("n", range(3, 26))
+    def test_x1(self, n):
+        base = x1_integrand(n)
+        assert r_x1_formula(n) == n * integrate(base, -n, 2) / integrate(base * Polynomial((n, 1)), -n, 2)
+        assert lemma_x1_sign(n).lhs == integrate(base * Polynomial((0, 1)), -n, 2)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_x3(self, n):
+        for k in range(2, n + 1):
+            b = 2 * n - 2 * k + 2
+            base = x3_integrand(n, k)
+            volume = integrate(base, -k, b)
+            assert r_x3_formula(n, k) == b * volume / integrate(base * Polynomial((b, -1)), -k, b)
+            if k < n:
+                assert lemma_x3nk_sign(n, k).lhs == integrate(base * Polynomial((k, 1)), -k, b) / volume
 
 
 class TestX3nnClosed:

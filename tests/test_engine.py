@@ -346,6 +346,17 @@ class TestDimension:
         assert rep.volume == integrate(density, -rep.segment.a, rep.segment.b)
 
 
+#: SHA-256 of "p/q" for report(X1(100)), as computed by the earlier Beta-sum integration.
+X1_100_DIGESTS = {
+    "R": "70f668088f067d83ed3f81ad240803cc8aa3992c96a5455d095ffb8d69402df6",
+    "barycenter_t": "c5c987aab097ccdd447a153b6537334ae147333edd1a7fc784235087ed15485a",
+}
+
+
+def _sha256(v: Fraction) -> str:
+    return hashlib.sha256(f"{v.numerator}/{v.denominator}".encode()).hexdigest()
+
+
 def dense_grid():
     data = list(FIXED)
     data += [HorosphericalDatum("X1", n=n) for n in range(3, 26)]
@@ -373,16 +384,16 @@ class TestFactoredMoments:
         assert report(HorosphericalDatum("X3", n=70, k=35)).R == r_x3_formula(70, 35)
 
     def test_x1_100_digests(self):
-        # SHA-256 of "p/q" as computed by the earlier Beta-sum integration.
         rep = report(HorosphericalDatum("X1", n=100))
-        digests = {
-            name: hashlib.sha256(f"{v.numerator}/{v.denominator}".encode()).hexdigest()
-            for name, v in (("R", rep.R), ("barycenter_t", rep.barycenter_t))
-        }
-        assert digests == {
-            "R": "70f668088f067d83ed3f81ad240803cc8aa3992c96a5455d095ffb8d69402df6",
-            "barycenter_t": "c5c987aab097ccdd447a153b6537334ae147333edd1a7fc784235087ed15485a",
-        }
+        digests = {name: _sha256(v) for name, v in (("R", rep.R), ("barycenter_t", rep.barycenter_t))}
+        assert digests == X1_100_DIGESTS
+
+    def test_x1_100_closed_form_digest(self):
+        assert _sha256(r_x1_formula(100)) == X1_100_DIGESTS["R"]
+
+    @pytest.mark.parametrize("k", [*range(2, 9), 50, 100])
+    def test_x3_100_equals_closed_form(self, k):
+        assert report(HorosphericalDatum("X3", n=100, k=k)).R == r_x3_formula(100, k)
 
 
 coprime_forms = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(

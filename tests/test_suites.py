@@ -1,8 +1,10 @@
 """Tests for the verification suites behind `grlb verify`."""
 
 import pytest
+from click.testing import CliRunner
 
-from grlb import oracle
+from grlb import closedforms, oracle
+from grlb.cli import cli
 from grlb.oracle import NoConvergenceError, QuadratureResult
 from grlb.suites import run_suite
 
@@ -33,3 +35,40 @@ def test_oracle_other_errors_propagate(monkeypatch):
     monkeypatch.setattr(oracle, "crosscheck", crosscheck)
     with pytest.raises(ZeroDivisionError):
         run_suite("oracle", 3)
+
+
+# One exact check per suite, and the closedforms function it calls.
+EXACT_CHECKS = [
+    ("lemmas", "lemma_x1_sign", "x1-sign n=4"),
+    ("closed-forms", "r_x1_formula", "x1 engine=formula n=4"),
+    ("bounds", "r_x1_formula", "x1 R>n/(n+2) n=4"),
+]
+
+
+def _raise_at_n4(monkeypatch, function, error):
+    real = getattr(closedforms, function)
+
+    def patched(n):
+        if n == 4:
+            raise error
+        return real(n)
+
+    monkeypatch.setattr(closedforms, function, patched)
+
+
+@pytest.mark.parametrize("suite,function,name", EXACT_CHECKS)
+def test_exact_check_error_is_a_failed_check(monkeypatch, suite, function, name):
+    expected = len(run_suite(suite, 5))
+    _raise_at_n4(monkeypatch, function, ArithmeticError("forced"))
+    assert len(run_suite(suite, 5)) == expected
+    result = CliRunner().invoke(cli, ["verify", "--suite", suite, "--max-n", "5"])
+    assert result.exit_code == 3
+    assert f"FAIL {name}: ArithmeticError: forced" in result.output
+    assert result.output.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("suite,function,name", EXACT_CHECKS)
+def test_exact_check_other_errors_propagate(monkeypatch, suite, function, name):
+    _raise_at_n4(monkeypatch, function, RuntimeError("a defect, not a check failure"))
+    with pytest.raises(RuntimeError):
+        run_suite(suite, 5)
