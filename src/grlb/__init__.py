@@ -14,14 +14,12 @@ from .engine import (
     InvalidDatumError,
     MomentSegment,
     barycenter_t,
-    dh_polynomial,
-    dimension,
     greatest_ricci_lower_bound,
     moment_segment,
     report,
     resolve,
 )
-from .exactnum import Polynomial, Rational, factorial, integrate, poly_product, to_decimal
+from .exactnum import Polynomial, Rational, integrate, poly_product, to_decimal
 from .rootsystems import RootSystem, WeightExpr, build_root_system, coroot_pairing, rho_G
 
 __version__ = "0.1.0"
@@ -38,9 +36,6 @@ __all__ = [
     "barycenter_t",
     "build_root_system",
     "coroot_pairing",
-    "dh_polynomial",
-    "dimension",
-    "factorial",
     "greatest_ricci_lower_bound",
     "integrate",
     "moment_segment",

@@ -10,26 +10,27 @@ cofactor q(s), whose terms integrate as q_j (hi^(m+j+1) - lo^(m+j+1))/(m+j+1).
   s^(n(n-1)/2) (2n+4-s) (s-n-2)^(n-1).
 - X3(n, k): s = b - t on [0, b+k] with b = 2n-2k+2; the integrand is
   s^(b-1) (b+k-s)^(k-1) (4n-3k+4-b+s)^(k-1).
+- The X1 comparison integral: s = t + n on [0, n+2]; the integrand is
+  s^(n-1) (s-n) (n+2-s), times the constant (2n+2)^(n(n-1)/2).
 
 All of it is written from the paper's formulas, without touching the
 root-system pipeline or the engine's integration, so the two routes can be
-compared exactly.  `x1_integrand`, `x3_integrand` and `x1_comparison_integral`
-stay dense: the first two are the reference the tests integrate, and the
-comparison integrand has degree n.  The module also carries the inequality and
-asymptotic-bound checks that control the limiting behaviour of each family.
-mpmath is imported only inside `stirling_upper_bound`, the one function that
-needs it.
+compared exactly.  `x1_integrand` and `x3_integrand` stay dense: they are the
+reference the tests integrate, and no function here calls them.  The module
+also carries the inequality and asymptotic-bound checks that control the
+limiting behaviour of each family.  Every check is exact: the one bound that
+involves pi, at X3(n, n), is tested with the rational PI_UPPER > pi in its
+place, so a pass proves the bound itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import Polynomial, _int_mul, _linear_pow_int, factorial, integrate
+from .exactnum import Polynomial, _int_mul, _linear_pow_int
 
 __all__ = [
     "BoundCheck",
@@ -42,14 +43,13 @@ __all__ = [
     "r_x1_formula",
     "r_x3_formula",
     "r_x3nn_closed",
-    "stirling_upper_bound",
     "x1_comparison_integral",
     "x1_integrand",
     "x3_integrand",
 ]
 
-#: Decimal working precision for the irrational side of the Stirling bound.
-STIRLING_PRECISION_DPS = 60
+#: A rational upper bound for pi (355/113 - pi < 2.7e-7), used by the X3(n, n) check.
+PI_UPPER = Fraction(355, 113)
 
 
 class InvalidParameterError(ValueError):
@@ -58,7 +58,7 @@ class InvalidParameterError(ValueError):
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Outcome of one exact (or high-precision) inequality instance.
+    """Outcome of one exact inequality instance.
 
     relation is one of "lower-bound" (lhs > rhs), "upper-bound" (lhs < rhs),
     "sign" (lhs > 0, rhs ignored and stored as 0) and "equality" (lhs == rhs).
@@ -173,14 +173,14 @@ def r_x3nn_closed(n: int) -> Fraction:
     """R(X3(n, n)) = 2 (2n+1)! / ((n+2) (2^n n!)^2), exact."""
     if n < 2:
         raise InvalidParameterError("X3(n, n) closed form requires n >= 2")
-    return Fraction(2 * factorial(2 * n + 1), (n + 2) * (2**n * factorial(n)) ** 2)
+    return Fraction(2 * math.factorial(2 * n + 1), (n + 2) * (2**n * math.factorial(n)) ** 2)
 
 
 def a_sequence(n: int) -> Fraction:
     """a_n = (n+2) * Integral_0^1 (1-t^2)^n dt = (n+2)(2^n n!)^2 / (2n+1)!."""
     if n < 0:
         raise InvalidParameterError("a_n requires n >= 0")
-    return Fraction((n + 2) * (2**n * factorial(n)) ** 2, factorial(2 * n + 1))
+    return Fraction((n + 2) * (2**n * math.factorial(n)) ** 2, math.factorial(2 * n + 1))
 
 
 def a_recurrence_factor(n: int) -> Fraction:
@@ -206,9 +206,9 @@ def x1_comparison_integral(n: int) -> Fraction:
     """
     if n < 3:
         raise InvalidParameterError("comparison integral requires n >= 3")
-    p = Polynomial((0, 1)) * _lin(2, -1) * _lin(n, 1) ** (n - 1)
-    scale = Fraction((2 * n + 2) ** (n * (n - 1) // 2))
-    return scale * integrate(p, -n, 2)
+    # s = t + n: t = s-n, 2-t = n+2-s and (n+t)^(n-1) = s^(n-1) on [0, n+2].
+    q = _int_mul([-n, 1], [n + 2, -1])
+    return (2 * n + 2) ** (n * (n - 1) // 2) * _power_integral(n - 1, q, 0, n + 2)
 
 
 def lemma_x3nk_sign(n: int, k: int) -> BoundCheck:
@@ -221,25 +221,16 @@ def lemma_x3nk_sign(n: int, k: int) -> BoundCheck:
     return BoundCheck.evaluate((n, k), "upper-bound", ratio, Fraction(k))
 
 
-def stirling_upper_bound(n: int) -> Fraction:
-    """High-precision value of (2 sqrt(2n+1) / (pi (n+2))) (1 + 1/(2n))^(2n+1).
+def _x3nn_stirling(n: int) -> BoundCheck:
+    """R(X3(n, n)) < 2 sqrt(2n+1) c / (pi (n+2)), c = (1 + 1/(2n))^(2n+1), exactly.
 
-    The bound mixes the rational factor (1+1/(2n))^(2n+1) with sqrt and pi, so
-    it cannot be exact; it is evaluated at STIRLING_PRECISION_DPS significant
-    digits and returned as the exact rational value of that approximation.
-    The error is below 1e-50, orders of magnitude smaller than any margin
-    observed on the supported grids.
+    The bound is equivalent to (R pi (n+2) / (2c))^2 < 2n+1.  The left side
+    grows with pi, so the check uses PI_UPPER for pi: lhs is that square and
+    rhs is 2n+1, and a pass proves the bound.
     """
-    if n < 1:
-        raise InvalidParameterError("Stirling bound requires n >= 1")
-    rational_part = Fraction(2, n + 2) * (Fraction(2 * n + 1, 2 * n)) ** (2 * n + 1)
-    import mpmath
-
-    with mpmath.workdps(STIRLING_PRECISION_DPS):
-        irrational = mpmath.sqrt(2 * n + 1) / mpmath.pi
-        scaled = irrational * mpmath.mpf(rational_part.numerator) / rational_part.denominator
-        # Exact through a decimal string: Decimal keeps all printed digits.
-        return Fraction(Decimal(mpmath.nstr(scaled, STIRLING_PRECISION_DPS - 5)))
+    c = Fraction(2 * n + 1, 2 * n) ** (2 * n + 1)
+    lhs = (r_x3nn_closed(n) * PI_UPPER * (n + 2) / (2 * c)) ** 2
+    return BoundCheck.evaluate((n, n), "upper-bound", lhs, Fraction(2 * n + 1))
 
 
 def asymptotic_bounds(family: str, n: int, k: int | None = None) -> BoundCheck:
@@ -247,7 +238,9 @@ def asymptotic_bounds(family: str, n: int, k: int | None = None) -> BoundCheck:
 
     X1: R(X1(n)) > n/(n+2), exact.
     X3 with k < n: R(X3(n, k)) > (2n-2k+2)/(2n-k+2), exact.
-    X3 with k == n: R(X3(n, n)) < Stirling upper bound, at high precision.
+    X3 with k == n: R(X3(n, n)) < 2 sqrt(2n+1) (1 + 1/(2n))^(2n+1) / (pi (n+2)),
+    exact in the squared form with pi bounded above by PI_UPPER; lhs and rhs
+    are the two sides of that form (see `_x3nn_stirling`).
     """
     if family == "X1":
         if k is not None:
@@ -262,5 +255,5 @@ def asymptotic_bounds(family: str, n: int, k: int | None = None) -> BoundCheck:
             return BoundCheck.evaluate(
                 (n, k), "lower-bound", lhs, Fraction(2 * n - 2 * k + 2, 2 * n - k + 2)
             )
-        return BoundCheck.evaluate((n, n), "upper-bound", r_x3nn_closed(n), stirling_upper_bound(n))
+        return _x3nn_stirling(n)
     raise InvalidParameterError(f"no asymptotic bound for family {family!r}")

@@ -16,8 +16,9 @@ exact rational arithmetic:
 The density is never expanded to compute tbar.  Under sigma = (t+a)/(a+b) it
 factors as a content times a few coprime integer forms (c0 + c1 sigma)^m, and
 its moments are taken in the variable of the form of largest m, so only the
-short product of the others is expanded.  `dh_polynomial` still returns the
-dense polynomial in t, as a view for callers that want it.
+short product of the others is expanded.  `dh_polynomial_on` still returns
+the dense polynomial in t over a given root system and segment, as a view for
+callers that want it; no computation of R uses it.
 
 Orientation convention: the marked index whose fundamental-weight coefficient
 grows with t is *i*.  For X3 and X5 this is the second root of the defining
@@ -54,9 +55,7 @@ __all__ = [
     "MomentSegment",
     "barycenter_on",
     "barycenter_t",
-    "dh_polynomial",
     "dh_polynomial_on",
-    "dimension",
     "greatest_ricci_lower_bound",
     "max_exact_n",
     "moment_segment",
@@ -271,12 +270,6 @@ def dh_polynomial_on(rs: RootSystem, seg: MomentSegment) -> Polynomial:
     return poly_product(factors)
 
 
-def dh_polynomial(datum: HorosphericalDatum) -> Polynomial:
-    """Duistermaat-Heckman density of the datum's moment segment."""
-    rs, _, _ = resolve(datum)
-    return dh_polynomial_on(rs, moment_segment(datum))
-
-
 def _form_moments(forms: Counter[tuple[int, int]]) -> tuple[Fraction, Fraction]:
     """Integrals of P and sigma*P over [0, 1], P = prod (c0 + c1*sigma)^m over `forms`.
 
@@ -360,12 +353,6 @@ def ricci_bound(a: Fraction, b: Fraction, t_bar: Fraction) -> Fraction:
 def greatest_ricci_lower_bound(datum: HorosphericalDatum) -> Fraction:
     """Exact greatest Ricci lower bound R(X) for the datum."""
     return report(datum).R
-
-
-def dimension(datum: HorosphericalDatum) -> int:
-    """Dimension of the manifold: |Phi_Pu| + 1 (rank-one torus fiber over G/P)."""
-    rs, p, q = resolve(datum)
-    return len(phi_pu(rs, p, q)) + 1
 
 
 def report(datum: HorosphericalDatum) -> ComputationReport:

@@ -1,11 +1,18 @@
-"""Exact numeric substrate: rationals, dense univariate polynomials, integration.
+"""Exact numeric substrate: integer coefficient lists, dense polynomials,
+integration and exact rendering.
 
 The scalar type is ``fractions.Fraction`` (re-exported as ``Rational``): it is
 arbitrary precision, always reduced, and always carries a positive denominator.
-``Polynomial`` stores dense coefficient tuples indexed by degree and keeps all
-arithmetic exact.  Multiplication clears coefficient denominators and convolves
-plain Python integers, which is substantially faster than Fraction-by-Fraction
-products once coefficients grow to thousands of digits.
+
+- ``_int_mul`` and ``_linear_pow_int`` expand short products of linear forms
+  as plain integer lists; the engine's moments and the closed forms build
+  their cofactors with them.
+- ``Polynomial`` (multiplication, powers, evaluation), ``poly_product`` and
+  ``integrate`` are the dense route: no computation of R uses them.  They
+  serve ``engine.dh_polynomial_on`` and the tests, which integrate the dense
+  densities and integrands as an independent reference.
+- ``int_to_str``, ``str_to_int``, ``to_decimal`` and ``to_significant`` write
+  and read exact values at any size.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ __all__ = [
     "InvalidIntervalError",
     "Polynomial",
     "Rational",
-    "factorial",
     "int_to_str",
     "integrate",
     "poly_product",
@@ -107,12 +113,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def coefficient(self, k: int) -> Fraction:
-        """Coefficient of t**k (zero beyond the stored degree)."""
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return Fraction(0)
-
     def _int_form(self) -> tuple[list[int], int]:
         """Return (integer coefficients, common denominator) with self = ints/den."""
         den = 1
@@ -134,25 +134,6 @@ class Polynomial:
             return "Polynomial(0)"
         parts = [f"{c}*t^{k}" if k else f"{c}" for k, c in enumerate(self._coeffs) if c]
         return "Polynomial(" + " + ".join(parts) + ")"
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self._coeffs))
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Polynomial(out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: object) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -248,13 +229,6 @@ def integrate(p: Polynomial, lo: RationalLike, hi: RationalLike) -> Fraction:
         if c:
             total += Fraction(c * (hi_p - lo_p), k + 1)
     return total / den
-
-
-def factorial(n: int) -> int:
-    """n! for nonnegative integer n."""
-    if n < 0:
-        raise ValueError("factorial is undefined for negative integers")
-    return math.factorial(n)
 
 
 #: Digits per str()/int() call in the conversions below: under 640, the least

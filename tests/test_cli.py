@@ -268,7 +268,8 @@ class TestVerify:
 
 
 def test_cli_import_leaves_out_numpy_and_mpmath():
-    # compute and table need neither; the oracle and the Stirling bound import them on use.
+    # compute and table need neither; the oracle imports numpy on use, and
+    # mpmath is only a test dependency.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import grlb.cli; "
         "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"

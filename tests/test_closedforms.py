@@ -5,7 +5,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from grlb import closedforms
 from grlb.closedforms import (
+    PI_UPPER,
     InvalidParameterError,
     a_recurrence_factor,
     a_sequence,
@@ -15,7 +17,6 @@ from grlb.closedforms import (
     r_x1_formula,
     r_x3_formula,
     r_x3nn_closed,
-    stirling_upper_bound,
     x1_comparison_integral,
     x1_integrand,
     x3_integrand,
@@ -82,6 +83,12 @@ class TestDenseReference:
             assert r_x3_formula(n, k) == b * volume / integrate(base * Polynomial((b, -1)), -k, b)
             if k < n:
                 assert lemma_x3nk_sign(n, k).lhs == integrate(base * Polynomial((k, 1)), -k, b) / volume
+
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_x1_comparison(self, n):
+        base = Polynomial((0, 1)) * Polynomial((2, -1)) * Polynomial((n, 1)) ** (n - 1)
+        scale = (2 * n + 2) ** (n * (n - 1) // 2)
+        assert x1_comparison_integral(n) == scale * integrate(base, -n, 2)
 
 
 class TestX3nnClosed:
@@ -187,19 +194,33 @@ class TestAsymptoticBounds:
 
 
 class TestStirlingPrecision:
-    @pytest.mark.parametrize("n", [2, 8, 30])
-    def test_agrees_with_higher_precision(self, n):
-        value = stirling_upper_bound(n)
+    """The exact X3(n, n) check, with pi replaced by PI_UPPER, against the
+    bound itself evaluated with mpmath at 90 digits."""
+
+    @staticmethod
+    def _reference_holds(n):
         with mpmath.workdps(90):
-            rational = F(2, n + 2) * F(2 * n + 1, 2 * n) ** (2 * n + 1)
-            reference = (
-                mpmath.sqrt(2 * n + 1)
-                / mpmath.pi
-                * mpmath.mpf(rational.numerator)
-                / rational.denominator
-            )
-            err = abs(mpmath.mpf(value.numerator) / value.denominator - reference)
-            assert err < mpmath.mpf(10) ** -45
+            c = mpmath.mpf(2 * n + 1) ** (2 * n + 1) / mpmath.mpf(2 * n) ** (2 * n + 1)
+            bound = 2 * mpmath.sqrt(2 * n + 1) * c / (mpmath.pi * (n + 2))
+            r = r_x3nn_closed(n)
+            return mpmath.mpf(r.numerator) / r.denominator < bound
+
+    def test_pi_upper_exceeds_pi(self):
+        with mpmath.workdps(90):
+            assert mpmath.mpf(PI_UPPER.numerator) / PI_UPPER.denominator > mpmath.pi
+
+    @pytest.mark.parametrize("n", [2, 8, 30, 100, 400])
+    def test_agrees_with_higher_precision(self, n):
+        check = asymptotic_bounds("X3", n, n)
+        assert check.relation == "upper-bound"
+        assert check.rhs == 2 * n + 1
+        assert check.holds == self._reference_holds(n)
+        assert 1 - check.lhs / check.rhs >= F(1, 10)
+
+    def test_detects_a_larger_r(self, monkeypatch):
+        exact = closedforms.r_x3nn_closed
+        monkeypatch.setattr(closedforms, "r_x3nn_closed", lambda n: exact(n) * F(6, 5))
+        assert not all(asymptotic_bounds("X3", n, n).holds for n in range(2, 25))
 
 
 class TestBoundCheckSemantics:

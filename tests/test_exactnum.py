@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from grlb.exactnum import (
     InvalidIntervalError,
     Polynomial,
-    factorial,
     int_to_str,
     integrate,
     poly_product,
@@ -43,11 +42,6 @@ class TestPolynomialBasics:
         assert Polynomial((1, 2, 0, 0)).coeffs == (F(1), F(2))
         assert Polynomial((0, 0)).is_zero
         assert Polynomial(()).degree == -1
-
-    def test_addition_and_negation(self):
-        p = Polynomial((1, 2)) + Polynomial((3, -2, 5))
-        assert p == Polynomial((4, 0, 5))
-        assert p - p == Polynomial.zero()
 
     def test_multiplication(self):
         p = Polynomial((1, 1)) * Polynomial((-1, 1))
@@ -135,23 +129,6 @@ class TestIntegrate:
 
     def test_empty_polynomial(self):
         assert integrate(Polynomial.zero(), -5, 5) == 0
-
-
-class TestFactorial:
-    def test_base_cases(self):
-        assert factorial(0) == 1
-        assert factorial(5) == 120
-
-    def test_thirteen(self):
-        # 2n+1 with n=6, checked against repeated multiplication.
-        expected = 1
-        for m in range(1, 14):
-            expected *= m
-        assert factorial(13) == expected == 6227020800
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            factorial(-1)
 
 
 class TestToSignificant:
@@ -260,8 +237,3 @@ class TestProperties:
         rendered = to_decimal(r, digits)
         assert abs(Fraction(rendered) - r) <= F(1, 2 * 10**digits)
         assert len(rendered.split(".")[1]) == digits
-
-    @given(st.integers(min_value=1, max_value=300))
-    @settings(max_examples=40)
-    def test_factorial_recurrence(self, n):
-        assert factorial(n) == n * factorial(n - 1)

@@ -91,7 +91,7 @@ class TestDensityEvaluator:
         scale = F(1)
         for root in engine.phi_pu(rs, seg.i, seg.j):
             scale *= (seg.a + seg.b) * max(root[seg.i - 1] * d_i, root[seg.j - 1] * d_j)
-        exact_density = engine.dh_polynomial(datum)
+        exact_density = engine.dh_polynomial_on(rs, seg)
         ts = np.linspace(-float(a) + 0.25, float(b) - 0.25, 7)
         got = density(ts)
         want = np.array([float(exact_density(F(t).limit_denominator(10**12)) / scale) for t in ts])

@@ -1,8 +1,13 @@
 """Tests for the verification suites behind `grlb verify`."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
+import grlb
 from grlb import closedforms, oracle
 from grlb.cli import cli
 from grlb.oracle import NoConvergenceError, QuadratureResult
@@ -15,6 +20,19 @@ def test_lemmas_pass_where_values_exceed_float_range():
     assert results
     assert [r.name for r in results if not r.passed] == []
     assert any(r.name == "x1-sign n=20" and "e+" in r.detail for r in results)
+
+
+def test_bounds_suite_runs_without_mpmath():
+    # Every check is exact: with mpmath unimportable the bounds suite still passes.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); sys.modules['mpmath'] = None\n"
+        "from grlb import suites\n"
+        "results = suites.run_suite('bounds', 24)\n"
+        "print(sum(r.passed for r in results), len(results))"
+    )
+    src = str(Path(grlb.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["298", "298"]
 
 
 def test_oracle_no_convergence_is_a_failed_check(monkeypatch):
