@@ -1,5 +1,6 @@
 """Tests for the command-line interface and result serialization."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -109,6 +110,51 @@ class TestCompute:
         text = runner.invoke(cli, args)
         assert text.exit_code == 0
         assert f"R             {frac_str(rep.R)}" in text.output.splitlines()
+
+
+#: SHA-256 of the full output of each command, recorded before the tables and
+#: records shared one row model; every rendering must stay byte-identical.
+GOLDEN_OUTPUTS = [
+    ("table --id 1 --format text", "d84b490ac9b217e14a79930cf71eb440def28ef195cb5d1997ce601e622de51a"),
+    ("table --id 1 --format json", "38b23cb24703e82bdd79f6364f2a91f0fb9e2a021c80fe3e080404fd513c13ed"),
+    ("table --id 1 --format csv", "956d887792bd92076f2af0fd42c06c4596499e1d37c9434a5d1da73f82cae262"),
+    ("table --id 2 --format text", "e977046ff35a9c191fb985c4e8eeacc09002e7e1ccb44853635a03772b243bc4"),
+    ("table --id 2 --format json", "7c39188b708f419dbf9405b2e5b12b76659107832a7c460f4a4f45c75857cd80"),
+    ("table --id 2 --format csv", "2137b06c6b3bc443bc81b6f24d7713c59221bba4225ed5f73e40e146a2ee7a40"),
+    ("table --id 3 --format text", "25883cf15c90de177271795dbeabf19b4ab9d1f0aa8196c1a157367231834e21"),
+    ("table --id 3 --format json", "c184847e6faee1d61986c425287f299095481e57fccc46caa2cf82d189ce1c98"),
+    ("table --id 3 --format csv", "1ff343a1499d6757afc29f34f5e585b589dabc530c58ad60f34ee9c24a79ccb5"),
+    ("compute --family X5 --format text", "0bc6c4d7bb9ec3671e4cf1a4d300afe7429640854e221492955601c1449a4e77"),
+    ("compute --family X5 --format json", "1ea5eb26720b0a33519deea8b59a22b1d34071a776b9f3e32e83663c1d7a66d0"),
+    ("compute --family X5 --format csv", "02d5724468ddd5b52e564172adba5b6ec433b44b85d70dfb53f70260d89bf5d5"),
+    (
+        "compute --family X3 --n 7 --k 4 --format text",
+        "139c2183819ab43c6108e9baaa611a2eabdf078077bd4ff7912485e5553a624d",
+    ),
+    (
+        "compute --family X3 --n 7 --k 4 --format json",
+        "0e2e12119636cd3c9795171ad798eeb8226b1b04f1ddad2357dea215c8c460df",
+    ),
+    (
+        "compute --family X3 --n 7 --k 4 --format csv",
+        "146775344378e004b7b5d291c9f9074c280c298bd294c4ecbd58b120741ca656",
+    ),
+    (
+        "compute --family X1 --n 100 --format json --route engine",
+        "c93f1d63587fc0b0891ecf532994ebb7e9b03fc1f0f021eda0ed0ea754592041",
+    ),
+    (
+        "compute --family X1 --n 100 --format json --route closed-form",
+        "3510274e185e1ad4ff4876b092031a7136a4c3661ce2b16a9370e4776b82e587",
+    ),
+]
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN_OUTPUTS)
+def test_output_is_byte_identical_to_golden(runner, command, digest):
+    result = runner.invoke(cli, command.split(), env={"GRLB_MAX_N": None})
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 class TestRecords:
