@@ -6,7 +6,8 @@
 
 Exit codes: 0 success, 2 invalid arguments, 3 verification failure.
 The environment variable GRLB_MAX_N overrides the exact-computation ceiling
-on the size parameter n (default 100).
+on the size parameter n (default 100).  Under every command a bad or too-low
+GRLB_MAX_N, or any n past the ceiling, is an invalid argument (exit 2).
 """
 
 from __future__ import annotations
@@ -22,7 +23,21 @@ from .engine import HorosphericalDatum, InvalidDatumError
 VERIFY_FAILURE_EXIT = 3
 
 
-@click.group()
+class _Command(click.Command):
+    """A command that reports an InvalidDatumError as a usage error (exit 2)."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except InvalidDatumError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.version_option(version="0.1.0", prog_name="grlb")
 def cli() -> None:
     """Exact greatest Ricci lower bounds of the nonhomogeneous projective
@@ -48,11 +63,7 @@ def compute(family: str, n: int | None, k: int | None, digits: int, fmt: str, ro
     """Compute the exact greatest Ricci lower bound of one manifold."""
     if digits < 1:
         raise click.UsageError("--digits must be at least 1")
-    try:
-        datum = HorosphericalDatum(family, n=n, k=k)
-        record = records.record_for(datum, digits=digits, route=route)
-    except (InvalidDatumError, ValueError) as exc:
-        raise click.UsageError(str(exc)) from exc
+    record = records.record_for(HorosphericalDatum(family, n=n, k=k), digits=digits, route=route)
     if fmt == "json":
         click.echo(records.record_to_json(record))
     elif fmt == "csv":

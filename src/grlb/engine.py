@@ -97,9 +97,9 @@ def max_exact_n() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(f"{_MAX_N_ENV} must be an integer, got {raw!r}") from None
+        raise InvalidDatumError(f"{_MAX_N_ENV} must be an integer, got {raw!r}") from None
     if value < 2:
-        raise ValueError(f"{_MAX_N_ENV} must be at least 2, got {value}")
+        raise InvalidDatumError(f"{_MAX_N_ENV} must be at least 2, got {value}")
     return value
 
 

@@ -4,7 +4,9 @@ Fractions are rendered as "p/q" strings in JSON so consumers never lose
 precision to floating point or fixed-width integers; the coefficients of
 2*rho_P are small and are kept as explicit (index, numerator, denominator)
 triples.  `record_to_json` is canonical: re-serializing a parsed record
-reproduces the bytes.
+reproduces the bytes.  This module owns the presentation conventions that
+`tables` shares: the fraction writer `frac_str`, `SCHEMA_VERSION` and the
+text column layout `text_columns`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closedforms, engine
-from .engine import ComputationReport, HorosphericalDatum
+from .engine import ComputationReport, HorosphericalDatum, InvalidDatumError
 from .exactnum import int_to_str, str_to_int, to_decimal
 
 SCHEMA_VERSION = 1
@@ -29,6 +31,7 @@ __all__ = [
     "record_to_csv_row",
     "record_to_json",
     "record_to_text",
+    "text_columns",
     "CSV_HEADER",
 ]
 
@@ -42,6 +45,12 @@ def parse_frac(s: str) -> Fraction:
     """Inverse of frac_str."""
     num, _, den = s.partition("/")
     return Fraction(str_to_int(num), str_to_int(den))
+
+
+def text_columns(rows: list[list[str]]) -> str:
+    """Left-aligned columns two spaces apart, each as wide as its widest cell."""
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows)
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,7 @@ def record_for(
         elif datum.family == "X3":
             r_value = closedforms.r_x3_formula(datum.n, datum.k)
         else:
-            raise ValueError("closed-form route exists only for families X1 and X3")
+            raise InvalidDatumError("closed-form route exists only for families X1 and X3")
     elif route != "engine":
         raise ValueError(f"unknown route {route!r}")
     seg = rep.segment
@@ -134,18 +143,19 @@ def record_from_json(text: str) -> OutputRecord:
 def record_to_text(rec: OutputRecord) -> str:
     params = ", ".join(f"{k}={v}" for k, v in rec.params.items()) or "-"
     rho = " + ".join(f"({frac_str(c)})*w{m}" for m, c in rec.two_rho_P)
-    lines = [
-        f"family        {rec.family}",
-        f"params        {params}",
-        f"dim           {rec.dim}",
-        f"2*rho_P       {rho}",
-        f"interval      t in [-{frac_str(rec.interval[0])}, {frac_str(rec.interval[1])}]",
-        f"barycenter_t  {frac_str(rec.barycenter_t)}",
-        f"R             {frac_str(rec.R)}",
-        f"R_decimal     {rec.R_decimal}",
-        f"provenance    {rec.provenance}",
-    ]
-    return "\n".join(lines)
+    return text_columns(
+        [
+            ["family", rec.family],
+            ["params", params],
+            ["dim", str(rec.dim)],
+            ["2*rho_P", rho],
+            ["interval", f"t in [-{frac_str(rec.interval[0])}, {frac_str(rec.interval[1])}]"],
+            ["barycenter_t", frac_str(rec.barycenter_t)],
+            ["R", frac_str(rec.R)],
+            ["R_decimal", rec.R_decimal],
+            ["provenance", rec.provenance],
+        ]
+    )
 
 
 CSV_HEADER = "family,n,k,dim,R"

@@ -4,7 +4,8 @@ Each suite runs a grid of checks and returns one result per check; the CLI
 prints them and converts any failure into a nonzero exit status.  A check
 whose own computation raises one of the errors it can meet (an arithmetic or
 value error for the exact checks, a quadrature failure for the oracle) is
-reported as a failed check naming the exception; other exceptions propagate.
+reported as a failed check naming the exception; other exceptions propagate,
+an InvalidDatumError (an n past the ceiling, a bad GRLB_MAX_N) included.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import closedforms, engine, oracle
-from .engine import HorosphericalDatum
+from .engine import HorosphericalDatum, InvalidDatumError
 from .exactnum import to_significant
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
@@ -32,7 +33,7 @@ class CheckResult:
 
 
 #: Exceptions an exact check may raise for its own parameters; each becomes
-#: that check's failure.  Anything else is a defect and propagates.
+#: that check's failure, bar the InvalidDatumError of a bad argument.
 _CHECK_ERRORS = (ArithmeticError, ValueError)
 
 
@@ -45,6 +46,8 @@ def _check(
     """evaluate(*args) -> (passed, detail); an exception in `errors` fails only this check."""
     try:
         passed, detail = evaluate(*args)
+    except InvalidDatumError:
+        raise
     except errors as exc:
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
     return CheckResult(name, passed, detail)

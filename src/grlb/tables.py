@@ -7,11 +7,13 @@ parametric rows) is stored here.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from . import engine
 from .engine import HorosphericalDatum
 from .exactnum import to_decimal
+from .records import SCHEMA_VERSION, frac_str, text_columns
 
 __all__ = [
     "TABLE2_GRID",
@@ -24,21 +26,14 @@ __all__ = [
 
 TABLE2_GRID = (3, 4, 5, 6, 7, 10, 20, 30, 50, 70)
 
-#: (row label, k) with k=None meaning the X1 row.
-TABLE2_ROWS: tuple[tuple[str, int | None], ...] = (
-    ("X1", None),
-    ("X3(.,2)", 2),
-    ("X3(.,3)", 3),
-    ("X3(.,4)", 4),
+#: (row label, k, displayed fractional digits of each cell) with k=None
+#: meaning the X1 row; the digit counts match the published layout.
+TABLE2_ROWS: tuple[tuple[str, int | None, tuple[int | None, ...]], ...] = (
+    ("X1", None, (4, 4, 4, 4, 4, 4, 4, 4, 4, 4)),
+    ("X3(.,2)", 2, (3, 3, 2, 3, 3, 4, 4, 4, 4, 5)),
+    ("X3(.,3)", 3, (3, 4, 4, 3, 3, 4, 4, 4, 4, 5)),
+    ("X3(.,4)", 4, (None, 3, 3, 3, 3, 4, 4, 4, 4, 5)),
 )
-
-#: Displayed fractional digits of each cell, matching the published layout.
-TABLE2_DIGITS: dict[int | None, tuple[int | None, ...]] = {
-    None: (4, 4, 4, 4, 4, 4, 4, 4, 4, 4),
-    2: (3, 3, 2, 3, 3, 4, 4, 4, 4, 5),
-    3: (3, 4, 4, 3, 3, 4, 4, 4, 4, 5),
-    4: (None, 3, 3, 3, 3, 4, 4, 4, 4, 5),
-}
 
 _X1_FORMULA = (
     "n*Int[-n,2] (2-t)(n+t)^(n-1)(t+2n+2)^(n(n-1)/2) dt"
@@ -52,7 +47,7 @@ _X3NK_FORMULA = (
 
 
 def _exact_cell(r: Fraction, digits: int) -> str:
-    return f"{r.numerator}/{r.denominator} ≈ {to_decimal(r, digits)}"
+    return f"{frac_str(r)} ≈ {to_decimal(r, digits)}"
 
 
 def table1_rows() -> list[dict]:
@@ -77,8 +72,7 @@ def table2_cells() -> list[dict]:
     fraction and its decimal rendering at the published digit count.
     """
     rows = []
-    for label, k in TABLE2_ROWS:
-        digit_row = TABLE2_DIGITS[k]
+    for label, k, digit_row in TABLE2_ROWS:
         cells: list[dict | None] = []
         for n, digits in zip(TABLE2_GRID, digit_row):
             if k is not None and k > n:
@@ -105,8 +99,8 @@ def _table3_render(r: Fraction) -> str:
         fives += 1
     digits = max(twos, fives, 1)
     if den == 1 and digits <= 4:
-        return f"{r.numerator}/{r.denominator} = {to_decimal(r, digits)}"
-    return f"{r.numerator}/{r.denominator} ≈ {to_decimal(r, 3)}"
+        return f"{frac_str(r)} = {to_decimal(r, digits)}"
+    return f"{frac_str(r)} ≈ {to_decimal(r, 3)}"
 
 
 def table3_rows() -> list[dict]:
@@ -118,78 +112,56 @@ def table3_rows() -> list[dict]:
     return rows
 
 
-def _text_table(header: list[str], data: list[list[str]]) -> str:
-    """Left-aligned columns two spaces apart, each as wide as its widest cell."""
-    rows = [header] + data
-    widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
-    return "\n".join("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in rows)
+#: One table as (JSON payload, text rows, CSV rows); both row lists start
+#: with their header.
+TableRows = tuple[dict, list[list[str]], list[list[str]]]
+
+
+def _table1() -> TableRows:
+    rows = table1_rows()
+    header = ["family", "dim", "R"]
+    data = [[r["family"], r["dim"], r["R"]] for r in rows]
+    return {"rows": rows}, [header, *data], [header, *([f'"{c}"' for c in row] for row in data)]
+
+
+def _table2() -> TableRows:
+    rows = table2_cells()
+    payload = {
+        "n_grid": list(TABLE2_GRID),
+        "rows": [
+            {
+                "label": row["label"],
+                "cells": [
+                    None if c is None else {"n": c["n"], "R": frac_str(c["R"]), "decimal": c["decimal"]}
+                    for c in row["cells"]
+                ],
+            }
+            for row in rows
+        ],
+    }
+    grid = [str(n) for n in TABLE2_GRID]
+    data = [[row["label"]] + ["-" if c is None else c["decimal"] for c in row["cells"]] for row in rows]
+    return payload, [["n", *grid], *data], [["row", *grid], *data]
+
+
+def _table3() -> TableRows:
+    rows = table3_rows()
+    payload = {"rows": [{"n": r["n"], "R": frac_str(r["R"]), "rendered": r["rendered"]} for r in rows]}
+    text = [[str(r["n"]), r["rendered"]] for r in rows]
+    csv = [[str(r["n"]), to_decimal(r["R"], 4)] for r in rows]
+    return payload, [["n", "R(X3(n,n))"], *text], [["n", "R"], *csv]
+
+
+_TABLES = {1: _table1, 2: _table2, 3: _table3}
 
 
 def render_table(table_id: int, fmt: str) -> str:
     """Render table 1, 2 or 3 as text, json or csv."""
-    import json as _json
-
-    if table_id == 1:
-        rows = table1_rows()
-        if fmt == "json":
-            return _json.dumps({"schema_version": 1, "table": 1, "rows": rows}, indent=2)
-        if fmt == "csv":
-            lines = ["family,dim,R"]
-            lines += [f"\"{r['family']}\",\"{r['dim']}\",\"{r['R']}\"" for r in rows]
-            return "\n".join(lines)
-        header = ["family", "dim", "R"]
-        data = [[r["family"], r["dim"], r["R"]] for r in rows]
-        return _text_table(header, data)
-
-    if table_id == 2:
-        rows = table2_cells()
-        if fmt == "json":
-            payload = {
-                "schema_version": 1,
-                "table": 2,
-                "n_grid": list(TABLE2_GRID),
-                "rows": [
-                    {
-                        "label": row["label"],
-                        "cells": [
-                            None
-                            if c is None
-                            else {"n": c["n"], "R": f"{c['R'].numerator}/{c['R'].denominator}", "decimal": c["decimal"]}
-                            for c in row["cells"]
-                        ],
-                    }
-                    for row in rows
-                ],
-            }
-            return _json.dumps(payload, indent=2)
-        if fmt == "csv":
-            lines = ["row," + ",".join(str(n) for n in TABLE2_GRID)]
-            for row in rows:
-                cells = ["-" if c is None else c["decimal"] for c in row["cells"]]
-                lines.append(row["label"] + "," + ",".join(cells))
-            return "\n".join(lines)
-        header = ["n"] + [str(n) for n in TABLE2_GRID]
-        data = [[row["label"]] + ["-" if c is None else c["decimal"] for c in row["cells"]] for row in rows]
-        return _text_table(header, data)
-
-    if table_id == 3:
-        rows = table3_rows()
-        if fmt == "json":
-            payload = {
-                "schema_version": 1,
-                "table": 3,
-                "rows": [
-                    {"n": r["n"], "R": f"{r['R'].numerator}/{r['R'].denominator}", "rendered": r["rendered"]}
-                    for r in rows
-                ],
-            }
-            return _json.dumps(payload, indent=2)
-        if fmt == "csv":
-            lines = ["n,R"]
-            lines += [f"{r['n']},{to_decimal(r['R'], 4)}" for r in rows]
-            return "\n".join(lines)
-        header = ["n", "R(X3(n,n))"]
-        data = [[str(r["n"]), r["rendered"]] for r in rows]
-        return _text_table(header, data)
-
-    raise ValueError(f"unknown table id {table_id}; valid ids are 1, 2, 3")
+    if table_id not in _TABLES:
+        raise ValueError(f"unknown table id {table_id}; valid ids are 1, 2, 3")
+    payload, text, csv = _TABLES[table_id]()
+    if fmt == "json":
+        return json.dumps({"schema_version": SCHEMA_VERSION, "table": table_id, **payload}, indent=2)
+    if fmt == "csv":
+        return "\n".join(",".join(row) for row in csv)
+    return text_columns(text)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 
 import grlb
 from grlb.cli import cli
-from grlb.engine import HorosphericalDatum, report
+from grlb.engine import HorosphericalDatum, InvalidDatumError, report
 from grlb.records import (
     CSV_HEADER,
     frac_str,
@@ -181,6 +182,10 @@ class TestRecords:
 
         assert rec.R_decimal == to_decimal(rec.R, 4)
 
+    def test_closed_form_route_of_a_fixed_family_is_an_invalid_datum(self):
+        with pytest.raises(InvalidDatumError):
+            record_for(HorosphericalDatum("X2"), route="closed-form")
+
     def test_csv_row(self):
         # dim = k(4n-3k+3)/2 = 38; 0.9576 rounds to the published 0.958.
         rec = record_for(HorosphericalDatum("X3", n=7, k=4))
@@ -311,6 +316,31 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "--suite", "lemmas", "--max-n", "3"])
         assert result.exit_code == 3
         assert "FAIL forced" in result.output
+
+
+#: (GRLB_MAX_N, command, error): each is an invalid argument under its command.
+INVALID_INPUTS = [
+    ("abc", "table --id 2", "GRLB_MAX_N must be an integer, got 'abc'"),
+    ("50", "table --id 2", "n=70 exceeds the exact-computation ceiling 50"),
+    ("abc", "verify --suite oracle --max-n 4", "GRLB_MAX_N must be an integer, got 'abc'"),
+    ("10", "verify --suite closed-forms --max-n 12", "n=11 exceeds the exact-computation ceiling 10"),
+    ("1", "compute --family X1 --n 3", "GRLB_MAX_N must be at least 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("max_n,command,error", INVALID_INPUTS)
+def test_invalid_input_exits_2_with_one_error_line(max_n, command, error):
+    src = str(Path(grlb.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "GRLB_MAX_N": max_n}
+    args = [sys.executable, "-m", "grlb.cli", *command.split()]
+    out = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert f"{command.split()[0]} [OPTIONS]" in lines[0]
+    errors = [line for line in lines if "Error" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"Error: {error}"), out.stderr
+    assert "Traceback" not in out.stderr and "FAIL" not in out.stderr
 
 
 def test_cli_import_leaves_out_numpy_and_mpmath():

@@ -83,9 +83,10 @@ class TestDatumValidation:
         monkeypatch.setenv("GRLB_MAX_N", "150")
         rs, i, j = resolve(HorosphericalDatum("X1", n=101))
         assert rs.rank == 101 and (i, j) == (100, 101)
-        monkeypatch.setenv("GRLB_MAX_N", "abc")
-        with pytest.raises(ValueError):
-            resolve(HorosphericalDatum("X1", n=3))
+        for bad in ("abc", "1"):
+            monkeypatch.setenv("GRLB_MAX_N", bad)
+            with pytest.raises(InvalidDatumError):
+                resolve(HorosphericalDatum("X1", n=3))
 
 
 class TestResolve:

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 import grlb
 from grlb import closedforms, oracle
 from grlb.cli import cli
+from grlb.engine import InvalidDatumError
 from grlb.oracle import NoConvergenceError, QuadratureResult
 from grlb.suites import run_suite
 
@@ -90,3 +91,24 @@ def test_exact_check_other_errors_propagate(monkeypatch, suite, function, name):
     _raise_at_n4(monkeypatch, function, RuntimeError("a defect, not a check failure"))
     with pytest.raises(RuntimeError):
         run_suite(suite, 5)
+
+
+@pytest.mark.parametrize("suite,function,name", EXACT_CHECKS)
+def test_exact_check_value_error_is_a_failed_check(monkeypatch, suite, function, name):
+    # A ValueError of the check's own computation is a failed check, not a bad argument.
+    _raise_at_n4(monkeypatch, function, ValueError("forced"))
+    result = CliRunner().invoke(cli, ["verify", "--suite", suite, "--max-n", "5"])
+    assert result.exit_code == 3
+    assert f"FAIL {name}: ValueError: forced" in result.output
+    assert result.output.count("FAIL") == 1
+
+
+@pytest.mark.parametrize("suite,function,name", EXACT_CHECKS)
+def test_invalid_datum_is_a_bad_argument(monkeypatch, suite, function, name):
+    _raise_at_n4(monkeypatch, function, InvalidDatumError("forced"))
+    with pytest.raises(InvalidDatumError):
+        run_suite(suite, 5)
+    result = CliRunner().invoke(cli, ["verify", "--suite", suite, "--max-n", "5"])
+    assert result.exit_code == 2
+    assert "Error: forced" in result.output
+    assert "FAIL" not in result.output
