@@ -113,8 +113,9 @@ class TestCompute:
         assert f"R             {frac_str(rep.R)}" in text.output.splitlines()
 
 
-#: SHA-256 of the full output of each command, recorded before the tables and
-#: records shared one row model; every rendering must stay byte-identical.
+#: SHA-256 of the full output of each command: the renderings recorded before
+#: the tables and records shared one row model, the verify reports before the
+#: segment orientation moved into `resolve`.  Every output stays byte-identical.
 GOLDEN_OUTPUTS = [
     ("table --id 1 --format text", "d84b490ac9b217e14a79930cf71eb440def28ef195cb5d1997ce601e622de51a"),
     ("table --id 1 --format json", "38b23cb24703e82bdd79f6364f2a91f0fb9e2a021c80fe3e080404fd513c13ed"),
@@ -147,6 +148,21 @@ GOLDEN_OUTPUTS = [
     (
         "compute --family X1 --n 100 --format json --route closed-form",
         "3510274e185e1ad4ff4876b092031a7136a4c3661ce2b16a9370e4776b82e587",
+    ),
+    ("verify --suite lemmas --max-n 12", "a8bb261673dc4bed894be306ca3d4c8fcb1a2ab377f976f69ed93901c07d1459"),
+    (
+        "verify --suite lemmas --max-n 12 --format json",
+        "68ed37aa6698fb0241c7aa2e28ed303c6b89f335ffeb18b4c0474c47233b4889",
+    ),
+    ("verify --suite closed-forms --max-n 12", "48cbb855b05fe3032b3e2336621a8a3f23d00ee17f112b0312a1641864a26abd"),
+    (
+        "verify --suite closed-forms --max-n 12 --format json",
+        "26716ea1d104808fb588140cba952c78eab3d28440e865e583af76fb442e0091",
+    ),
+    ("verify --suite bounds --max-n 12", "88fa6303e5dc568bc9b66a0995c0d414bb9fa21d98116f38ab7bff6813d4fb7a"),
+    (
+        "verify --suite bounds --max-n 12 --format json",
+        "ce7003623fdd13fb84647e1556dab6fddae3b72f804b259392d24753221f12d8",
     ),
 ]
 
