@@ -20,7 +20,7 @@ from .engine import (
     resolve,
 )
 from .exactnum import Polynomial, Rational, integrate, poly_product, to_decimal
-from .rootsystems import RootSystem, WeightExpr, build_root_system, coroot_pairing, rho_G
+from .rootsystems import RootSystem, WeightExpr, build_root_system
 
 __version__ = "0.1.0"
 
@@ -35,13 +35,11 @@ __all__ = [
     "WeightExpr",
     "barycenter_t",
     "build_root_system",
-    "coroot_pairing",
     "greatest_ricci_lower_bound",
     "integrate",
     "moment_segment",
     "poly_product",
     "report",
     "resolve",
-    "rho_G",
     "to_decimal",
 ]

@@ -17,8 +17,8 @@ import sys
 
 import click
 
-from . import records, suites, tables
-from .engine import HorosphericalDatum, InvalidDatumError
+from . import __version__, records, suites, tables
+from .engine import FAMILIES, HorosphericalDatum, InvalidDatumError
 
 VERIFY_FAILURE_EXIT = 3
 
@@ -38,14 +38,14 @@ class _Group(click.Group):
 
 
 @click.group(cls=_Group)
-@click.version_option(version="0.1.0", prog_name="grlb")
+@click.version_option(version=__version__, prog_name="grlb")
 def cli() -> None:
     """Exact greatest Ricci lower bounds of the nonhomogeneous projective
     horospherical manifolds of Picard number one."""
 
 
 @cli.command()
-@click.option("--family", required=True, type=click.Choice(["X1", "X2", "X3", "X4", "X5"]))
+@click.option("--family", required=True, type=click.Choice(FAMILIES))
 @click.option("--n", "n", type=int, default=None, help="Size parameter (X1, X3).")
 @click.option("--k", "k", type=int, default=None, help="Marked-root parameter (X3).")
 @click.option("--digits", type=int, default=4, show_default=True, help="Decimal digits to render.")

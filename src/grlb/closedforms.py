@@ -60,8 +60,8 @@ class InvalidParameterError(ValueError):
 class BoundCheck:
     """Outcome of one exact inequality instance.
 
-    relation is one of "lower-bound" (lhs > rhs), "upper-bound" (lhs < rhs),
-    "sign" (lhs > 0, rhs ignored and stored as 0) and "equality" (lhs == rhs).
+    relation is "lower-bound" (lhs > rhs) or "upper-bound" (lhs < rhs); a
+    sign check is a lower bound against 0.
     """
 
     params: tuple[int, ...]
@@ -76,10 +76,6 @@ class BoundCheck:
             holds = lhs > rhs
         elif relation == "upper-bound":
             holds = lhs < rhs
-        elif relation == "sign":
-            holds = lhs > 0
-        elif relation == "equality":
-            holds = lhs == rhs
         else:
             raise ValueError(f"unknown relation tag {relation!r}")
         return BoundCheck(params=params, relation=relation, lhs=lhs, rhs=rhs, holds=holds)
@@ -87,13 +83,7 @@ class BoundCheck:
     @property
     def margin(self) -> Fraction:
         """Slack by which the relation holds (negative when violated)."""
-        if self.relation in ("sign",):
-            return self.lhs
-        if self.relation == "lower-bound":
-            return self.lhs - self.rhs
-        if self.relation == "upper-bound":
-            return self.rhs - self.lhs
-        return -abs(self.lhs - self.rhs)
+        return self.lhs - self.rhs if self.relation == "lower-bound" else self.rhs - self.lhs
 
 
 def _lin(c0: int, c1: int) -> Polynomial:
@@ -195,7 +185,7 @@ def lemma_x1_sign(n: int) -> BoundCheck:
     m, q, lo, hi = _x1_cofactor(n)
     # t = s - 2n - 2
     value = _power_integral(m, _int_mul(q, [-(2 * n + 2), 1]), lo, hi)
-    return BoundCheck.evaluate((n,), "sign", value, Fraction(0))
+    return BoundCheck.evaluate((n,), "lower-bound", value, Fraction(0))
 
 
 def x1_comparison_integral(n: int) -> Fraction:

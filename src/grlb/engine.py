@@ -20,11 +20,12 @@ short product of the others is expanded.  `dh_polynomial_on` still returns
 the dense polynomial in t over a given root system and segment, as a view for
 callers that want it; no computation of R uses it.
 
-Orientation convention: the marked index whose fundamental-weight coefficient
-grows with t is *i*.  For X3 and X5 this is the second root of the defining
-pair, so the segment parametrizations (and hence the sign of tbar) match the
-closed-form derivations for every family.  R itself is orientation-free:
-swapping (i, a) with (j, b) negates tbar and leaves R unchanged.
+Orientation convention: `resolve` returns the marked pair (i, j) with *i*
+the index whose fundamental-weight coefficient grows with t.  For X3 and X5
+this is the second root of the pair in classification order, so the segment
+parametrizations (and hence the sign of tbar) match the closed-form
+derivations for every family.  R itself is orientation-free: swapping (i, a)
+with (j, b) negates tbar and leaves R unchanged.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .rootsystems import (
     RootVector,
     WeightExpr,
     build_root_system,
-    coroot_pairing,
     weight_of_root_sum,
 )
 
@@ -67,10 +67,6 @@ __all__ = [
 ]
 
 FAMILIES = ("X1", "X2", "X3", "X4", "X5")
-
-#: Families whose defining pair of marked roots is listed in the opposite
-#: order to the segment orientation fixed above.
-_FLIPPED_FAMILIES = frozenset({"X3", "X5"})
 
 #: Default ceiling on the size parameter n for exact computation.  At the
 #: ceiling one X1 report takes about 0.015 s and the closed-form R about
@@ -193,12 +189,17 @@ class ComputationReport:
 
 
 def resolve(datum: HorosphericalDatum) -> tuple[RootSystem, int, int]:
-    """Root system and marked simple roots (in classification order) for a datum."""
+    """Root system and oriented marked simple roots (i, j) for a datum.
+
+    i is the index whose coefficient grows with t (see module docstring).
+    The ceiling is read for every datum, so a bad or too-low GRLB_MAX_N is an
+    InvalidDatumError whether or not the family takes an n.
+    """
+    ceiling = max_exact_n()
     n = datum.n
-    if n is not None and n > max_exact_n():
+    if n is not None and n > ceiling:
         raise InvalidDatumError(
-            f"n={n} exceeds the exact-computation ceiling {max_exact_n()} "
-            f"(override with {_MAX_N_ENV})"
+            f"n={n} exceeds the exact-computation ceiling {ceiling} (override with {_MAX_N_ENV})"
         )
     f = datum.family
     if f == "X1":
@@ -206,10 +207,10 @@ def resolve(datum: HorosphericalDatum) -> tuple[RootSystem, int, int]:
     if f == "X2":
         return build_root_system("B", 3), 1, 3
     if f == "X3":
-        return build_root_system("C", n), datum.k, datum.k - 1
+        return build_root_system("C", n), datum.k - 1, datum.k
     if f == "X4":
         return build_root_system("F4", 4), 2, 3
-    return build_root_system("G2", 2), 2, 1
+    return build_root_system("G2", 2), 1, 2
 
 
 def phi_pu(rs: RootSystem, i: int, j: int) -> tuple[RootVector, ...]:
@@ -224,20 +225,14 @@ def two_rho_P(rs: RootSystem, i: int, j: int) -> WeightExpr:
     return weight_of_root_sum(rs, phi_pu(rs, i, j))
 
 
-def _oriented(datum: HorosphericalDatum, p: int, q: int) -> tuple[int, int]:
-    """Marked indices (i, j) in segment orientation (see module docstring)."""
-    return (q, p) if datum.family in _FLIPPED_FAMILIES else (p, q)
-
-
 def _segment(rs: RootSystem, i: int, j: int, roots: tuple[RootVector, ...]) -> MomentSegment:
     w = weight_of_root_sum(rs, roots)
-    return MomentSegment(two_rho_P=w, i=i, j=j, a=coroot_pairing(rs, i, w), b=coroot_pairing(rs, j, w))
+    return MomentSegment(two_rho_P=w, i=i, j=j, a=w.coefficient(i), b=w.coefficient(j))
 
 
 def moment_segment(datum: HorosphericalDatum) -> MomentSegment:
-    """Oriented moment segment for a datum (see module docstring for orientation)."""
-    rs, p, q = resolve(datum)
-    i, j = _oriented(datum, p, q)
+    """Moment segment for a datum, oriented as `resolve` orients its marked pair."""
+    rs, i, j = resolve(datum)
     return _segment(rs, i, j, phi_pu(rs, i, j))
 
 
@@ -357,8 +352,7 @@ def greatest_ricci_lower_bound(datum: HorosphericalDatum) -> Fraction:
 
 def report(datum: HorosphericalDatum) -> ComputationReport:
     """Run the full pipeline once and collect every exact quantity."""
-    rs, p, q = resolve(datum)
-    i, j = _oriented(datum, p, q)
+    rs, i, j = resolve(datum)
     roots = phi_pu(rs, i, j)
     seg = _segment(rs, i, j, roots)
     degree, volume, first = _moments(rs, seg, roots)

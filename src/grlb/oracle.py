@@ -45,6 +45,11 @@ CROSSCHECK_MAX_N = 20
 
 _CHUNK = 1 << 20
 
+#: A Simpson estimate of exactly zero counts as converged only from this
+#: level on (2^11 panels): a narrow peak that no earlier sample hit would
+#: otherwise pass as a zero integral.
+ZERO_MIN_LEVELS = 12
+
 
 class EvaluationFailureError(RuntimeError):
     """The integrand returned a non-finite value."""
@@ -92,8 +97,9 @@ def quad(
 
     f must map a numpy array of sample points to the array of values.  The
     panel count doubles per level until two successive Simpson values agree
-    to rel_tol (relatively, with an absolute fallback at zero), and the level
-    cap raises NoConvergenceError carrying the best estimate.
+    to rel_tol (relatively, or absolutely for an estimate of exactly zero,
+    which is accepted only from level ZERO_MIN_LEVELS on), and the level cap
+    raises NoConvergenceError carrying the best estimate.
     """
     if not lo < hi:
         raise ValueError(f"quad requires lo < hi, got [{lo}, {hi}]")
@@ -118,7 +124,11 @@ def quad(
         if simpson_prev is not None:
             diff = abs(simpson - simpson_prev)
             scale = abs(simpson)
-            if diff <= rel_tol * scale or (scale == 0.0 and diff <= rel_tol):
+            if scale:
+                converged = diff <= rel_tol * scale
+            else:
+                converged = level >= ZERO_MIN_LEVELS and diff <= rel_tol
+            if converged:
                 return QuadratureResult(simpson, diff, level)
         simpson_prev = simpson
         trap = trap_next

@@ -36,9 +36,6 @@ __all__ = [
     "WeightExpr",
     "build_root_system",
     "cartan_matrix",
-    "coroot_pairing",
-    "rho_G",
-    "root_to_weight",
     "weight_of_root_sum",
 ]
 
@@ -67,14 +64,6 @@ class WeightExpr:
     def support(self) -> frozenset[int]:
         return frozenset(self._coords)
 
-    def __add__(self, other: "WeightExpr") -> "WeightExpr":
-        if not isinstance(other, WeightExpr):
-            return NotImplemented
-        out = dict(self._coords)
-        for m, c in other._coords.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return WeightExpr(out)
-
     def __sub__(self, other: "WeightExpr") -> "WeightExpr":
         if not isinstance(other, WeightExpr):
             return NotImplemented
@@ -83,13 +72,6 @@ class WeightExpr:
             out[m] = out.get(m, Fraction(0)) - c
         return WeightExpr(out)
 
-    def __mul__(self, scalar: Fraction | int) -> "WeightExpr":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return WeightExpr({m: c * scalar for m, c in self._coords.items()})
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, WeightExpr):
             return self._coords == other._coords
@@ -97,9 +79,6 @@ class WeightExpr:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._coords.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._coords)
 
     def __repr__(self) -> str:
         if not self._coords:
@@ -205,28 +184,13 @@ def cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def root_to_weight(rs: RootSystem, root: Iterable[int]) -> WeightExpr:
-    """Convert a simple-root coefficient vector to fundamental-weight coordinates."""
-    c = list(root)
-    pairing = cartan_matrix(rs)
-    return WeightExpr(
-        {l + 1: sum(pairing[l][m] * c[m] for m in range(rs.rank)) for l in range(rs.rank)}
-    )
-
-
 def weight_of_root_sum(rs: RootSystem, roots: Iterable[RootVector]) -> WeightExpr:
-    """Fundamental-weight coordinates of a sum of roots (summed before converting)."""
+    """Fundamental-weight coordinates of a sum of roots (summed before converting).
+
+    The coefficient of the l-th fundamental weight is <alpha_l^vee, sum>, a row
+    of the Cartan matrix applied to the summed simple-root coefficients.
+    """
     total = [sum(column) for column in zip(*roots)] or [0] * rs.rank
-    return root_to_weight(rs, total)
-
-
-def rho_G(rs: RootSystem) -> WeightExpr:
-    """Sum of all fundamental weights: coefficient one at every index."""
-    return WeightExpr({m: 1 for m in range(1, rs.rank + 1)})
-
-
-def coroot_pairing(rs: RootSystem, m: int, w: WeightExpr) -> Fraction:
-    """<alpha_m^vee, w>: the coefficient of the m-th fundamental weight in w."""
-    if not 1 <= m <= rs.rank:
-        raise IndexError(f"simple-root index {m} out of range 1..{rs.rank}")
-    return w.coefficient(m)
+    return WeightExpr(
+        {l + 1: sum(p * c for p, c in zip(row, total)) for l, row in enumerate(cartan_matrix(rs))}
+    )

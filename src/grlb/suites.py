@@ -133,15 +133,15 @@ def _oracle_data(max_n: int):
             yield HorosphericalDatum("X3", n=n, k=k)
 
 
-def _crosscheck(datum: HorosphericalDatum, rel_tol: float) -> tuple[bool, str]:
-    rep = oracle.crosscheck(datum, rel_tol)
+def _crosscheck(datum: HorosphericalDatum) -> tuple[bool, str]:
+    rep = oracle.crosscheck(datum)
     return rep.ok, f"tbar_err={rep.t_bar_rel_err:.2e} R_err={rep.r_rel_err:.2e}"
 
 
-def _suite_oracle(max_n: int, rel_tol: float = 1e-9) -> list[CheckResult]:
+def _suite_oracle(max_n: int) -> list[CheckResult]:
     quadrature_errors = (oracle.EvaluationFailureError, oracle.NoConvergenceError)
     return [
-        _check(f"quadrature {datum.label()}", _crosscheck, datum, rel_tol, errors=quadrature_errors)
+        _check(f"quadrature {datum.label()}", _crosscheck, datum, errors=quadrature_errors)
         for datum in _oracle_data(max_n)
     ]
 

@@ -341,6 +341,8 @@ INVALID_INPUTS = [
     ("abc", "verify --suite oracle --max-n 4", "GRLB_MAX_N must be an integer, got 'abc'"),
     ("10", "verify --suite closed-forms --max-n 12", "n=11 exceeds the exact-computation ceiling 10"),
     ("1", "compute --family X1 --n 3", "GRLB_MAX_N must be at least 2, got 1"),
+    ("abc", "compute --family X5", "GRLB_MAX_N must be an integer, got 'abc'"),
+    ("abc", "table --id 1", "GRLB_MAX_N must be an integer, got 'abc'"),
 ]
 
 

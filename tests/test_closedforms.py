@@ -138,7 +138,7 @@ class TestLemmas:
     def test_x1_sign_holds(self, n):
         check = lemma_x1_sign(n)
         assert check.holds and check.lhs > 0
-        assert check.relation == "sign"
+        assert check.relation == "lower-bound" and check.rhs == 0
 
     def test_x1_sign_value_at_3(self):
         # Same integrand as the frozen monomial-oracle value in the exactnum
@@ -230,14 +230,16 @@ class TestBoundCheckSemantics:
         assert BoundCheck.evaluate((1,), "lower-bound", F(2), F(1)).holds
         assert not BoundCheck.evaluate((1,), "lower-bound", F(1), F(2)).holds
         assert BoundCheck.evaluate((1,), "upper-bound", F(1), F(2)).holds
-        assert BoundCheck.evaluate((1,), "sign", F(1), F(0)).holds
-        assert BoundCheck.evaluate((1,), "equality", F(1), F(1)).holds
-        with pytest.raises(ValueError):
-            BoundCheck.evaluate((1,), "between", F(1), F(1))
+        assert not BoundCheck.evaluate((1,), "upper-bound", F(2), F(2)).holds
+        # A sign check is a lower bound against 0; no other tag is accepted.
+        for tag in ("sign", "equality", "between"):
+            with pytest.raises(ValueError):
+                BoundCheck.evaluate((1,), tag, F(1), F(1))
 
     def test_margins(self):
         from grlb.closedforms import BoundCheck
 
         assert BoundCheck.evaluate((1,), "lower-bound", F(3), F(1)).margin == 2
         assert BoundCheck.evaluate((1,), "upper-bound", F(1), F(3)).margin == 2
-        assert BoundCheck.evaluate((1,), "sign", F(5), F(0)).margin == 5
+        assert BoundCheck.evaluate((1,), "lower-bound", F(5), F(0)).margin == 5
+        assert BoundCheck.evaluate((1,), "upper-bound", F(3), F(1)).margin == -2

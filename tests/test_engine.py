@@ -83,17 +83,20 @@ class TestDatumValidation:
         monkeypatch.setenv("GRLB_MAX_N", "150")
         rs, i, j = resolve(HorosphericalDatum("X1", n=101))
         assert rs.rank == 101 and (i, j) == (100, 101)
+        # The ceiling is read for every datum, parameter-free families included.
         for bad in ("abc", "1"):
             monkeypatch.setenv("GRLB_MAX_N", bad)
-            with pytest.raises(InvalidDatumError):
-                resolve(HorosphericalDatum("X1", n=3))
+            for datum in (HorosphericalDatum("X1", n=3), HorosphericalDatum("X5")):
+                with pytest.raises(InvalidDatumError):
+                    resolve(datum)
 
 
 class TestResolve:
     def test_triples(self):
+        # (i, j) is oriented: the coefficient of w_i grows with t.
         cases = [
-            (HorosphericalDatum("X5"), "G2", 2, (2, 1)),
-            (HorosphericalDatum("X3", n=7, k=4), "C", 7, (4, 3)),
+            (HorosphericalDatum("X5"), "G2", 2, (1, 2)),
+            (HorosphericalDatum("X3", n=7, k=4), "C", 7, (3, 4)),
             (HorosphericalDatum("X1", n=3), "B", 3, (2, 3)),
             (HorosphericalDatum("X2"), "B", 3, (1, 3)),
             (HorosphericalDatum("X4"), "F4", 4, (2, 3)),
@@ -101,6 +104,14 @@ class TestResolve:
         for datum, label, rank, marked in cases:
             rs, i, j = resolve(datum)
             assert (rs.type_label, rs.rank, (i, j)) == (label, rank, marked)
+
+    @pytest.mark.parametrize(
+        "datum", [HorosphericalDatum("X1", n=5), HorosphericalDatum("X3", n=5, k=3), *FIXED], ids=str
+    )
+    def test_report_segment_uses_the_resolved_pair(self, datum):
+        seg = report(datum).segment
+        assert resolve(datum)[1:] == (seg.i, seg.j)
+        assert moment_segment(datum) == seg
 
 
 class TestPhiPu:
@@ -131,7 +142,7 @@ class TestTwoRhoP:
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 13) for k in range(2, n + 1)])
     def test_c_family_formula(self, n, k):
         rs = build_root_system("C", n)
-        assert two_rho_P(rs, k, k - 1) == WeightExpr({k - 1: k, k: 2 * n - 2 * k + 2})
+        assert two_rho_P(rs, k - 1, k) == WeightExpr({k - 1: k, k: 2 * n - 2 * k + 2})
 
 
 class TestMomentSegment:

@@ -12,6 +12,7 @@ from grlb.engine import HorosphericalDatum
 from grlb.exactnum import Polynomial, integrate
 from grlb.oracle import (
     CROSSCHECK_MAX_N,
+    ZERO_MIN_LEVELS,
     EvaluationFailureError,
     NoConvergenceError,
     crosscheck,
@@ -59,6 +60,14 @@ class TestQuad:
     def test_zero_integrand_converges(self):
         res = quad(lambda ts: np.zeros_like(ts), 0.0, 1.0, 1e-9)
         assert res.estimate == 0.0
+        assert res.refinement_levels == ZERO_MIN_LEVELS
+
+    def test_narrow_peak_is_not_a_false_zero(self):
+        # No sample of the first levels reaches the peak, so each of their
+        # Simpson values is exactly 0.
+        sigma = 0.001
+        res = quad(lambda ts: np.exp(-0.5 * ((ts - 0.3) / sigma) ** 2), 0.0, 1.0, 1e-9)
+        assert res.estimate == pytest.approx(sigma * np.sqrt(2 * np.pi), rel=1e-9)
 
 
 def _evaluator(datum):
