@@ -13,14 +13,12 @@ from .engine import (
     HorosphericalDatum,
     InvalidDatumError,
     MomentSegment,
-    barycenter_t,
-    greatest_ricci_lower_bound,
     moment_segment,
     report,
     resolve,
 )
 from .exactnum import Polynomial, Rational, integrate, poly_product, to_decimal
-from .rootsystems import RootSystem, WeightExpr, build_root_system
+from .rootsystems import RootSystem, build_root_system
 
 __version__ = "0.1.0"
 
@@ -32,10 +30,7 @@ __all__ = [
     "Polynomial",
     "Rational",
     "RootSystem",
-    "WeightExpr",
-    "barycenter_t",
     "build_root_system",
-    "greatest_ricci_lower_bound",
     "integrate",
     "moment_segment",
     "poly_product",

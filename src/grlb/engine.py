@@ -37,13 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Polynomial, _int_mul, _linear_pow_int, poly_product
-from .rootsystems import (
-    RootSystem,
-    RootVector,
-    WeightExpr,
-    build_root_system,
-    weight_of_root_sum,
-)
+from .rootsystems import RootSystem, RootVector, build_root_system, weight_of_root_sum
 
 __all__ = [
     "DEFAULT_MAX_EXACT_N",
@@ -53,17 +47,14 @@ __all__ = [
     "HorosphericalDatum",
     "InvalidDatumError",
     "MomentSegment",
-    "barycenter_on",
-    "barycenter_t",
+    "ceiling_error",
     "dh_polynomial_on",
-    "greatest_ricci_lower_bound",
     "max_exact_n",
     "moment_segment",
     "phi_pu",
     "report",
     "resolve",
     "ricci_bound",
-    "two_rho_P",
 ]
 
 FAMILIES = ("X1", "X2", "X3", "X4", "X5")
@@ -99,12 +90,20 @@ def max_exact_n() -> int:
     return value
 
 
+def ceiling_error(n: int, ceiling: int) -> InvalidDatumError:
+    """The error for a size parameter n past the exact-computation ceiling."""
+    return InvalidDatumError(
+        f"n={n} exceeds the exact-computation ceiling {ceiling} (override with {_MAX_N_ENV})"
+    )
+
+
 @dataclass(frozen=True)
 class HorosphericalDatum:
     """Family tag plus the integer parameters the family takes.
 
     X1(n) needs n >= 3, X3(n, k) needs n >= k >= 2, and X2, X4, X5 are
-    parameter-free.  Violations raise InvalidDatumError at construction.
+    parameter-free.  Violations, and an n or k that is not an int (a bool
+    included), raise InvalidDatumError at construction.
     """
 
     family: str
@@ -117,6 +116,9 @@ class HorosphericalDatum:
             raise InvalidDatumError(
                 f"unknown family {f!r}: the classification lists X1..X5"
             )
+        for name, value in self.params.items():
+            if type(value) is not int:
+                raise InvalidDatumError(f"{name} must be an integer, got {value!r}")
         if f == "X1":
             if self.n is None or self.n < 3:
                 raise InvalidDatumError("family X1 requires n >= 3")
@@ -151,27 +153,13 @@ class MomentSegment:
     """The anticanonical moment polytope as a parametrized line segment.
 
     Points are gamma(t) = (a+t) w_i + (b-t) w_j for t in [-a, b], where
-    a and b are the coefficients of 2*rho_P on the marked indices i and j.
+    2*rho_P = a w_i + b w_j on the marked indices i and j.
     """
 
-    two_rho_P: WeightExpr
     i: int
     j: int
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self) -> None:
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("segment endpoints must have positive coefficients")
-        if self.two_rho_P.support != {self.i, self.j}:
-            raise ValueError(
-                "2*rho_P must be supported exactly on the marked indices "
-                f"{{{self.i}, {self.j}}}, got {self.two_rho_P!r}"
-            )
-
-    def point_at(self, t: Fraction) -> WeightExpr:
-        """gamma(t) in fundamental-weight coordinates."""
-        return WeightExpr({self.i: self.a + t, self.j: self.b - t})
+    a: int
+    b: int
 
 
 @dataclass(frozen=True)
@@ -184,7 +172,6 @@ class ComputationReport:
     dh_degree: int
     volume: Fraction
     barycenter_t: Fraction
-    barycenter_point: WeightExpr
     R: Fraction
 
 
@@ -198,9 +185,7 @@ def resolve(datum: HorosphericalDatum) -> tuple[RootSystem, int, int]:
     ceiling = max_exact_n()
     n = datum.n
     if n is not None and n > ceiling:
-        raise InvalidDatumError(
-            f"n={n} exceeds the exact-computation ceiling {ceiling} (override with {_MAX_N_ENV})"
-        )
+        raise ceiling_error(n, ceiling)
     f = datum.family
     if f == "X1":
         return build_root_system("B", n), n - 1, n
@@ -220,14 +205,14 @@ def phi_pu(rs: RootSystem, i: int, j: int) -> tuple[RootVector, ...]:
     return tuple(r for r in rs.positive_roots if r[i - 1] > 0 or r[j - 1] > 0)
 
 
-def two_rho_P(rs: RootSystem, i: int, j: int) -> WeightExpr:
-    """Sum of the roots of the unipotent radical, in fundamental-weight coordinates."""
-    return weight_of_root_sum(rs, phi_pu(rs, i, j))
-
-
 def _segment(rs: RootSystem, i: int, j: int, roots: tuple[RootVector, ...]) -> MomentSegment:
+    """The segment of 2*rho_P = a w_i + b w_j, the sum of `roots` (Phi_Pu)."""
     w = weight_of_root_sum(rs, roots)
-    return MomentSegment(two_rho_P=w, i=i, j=j, a=w.coefficient(i), b=w.coefficient(j))
+    if w.keys() != {i, j}:
+        raise ValueError(
+            f"2*rho_P must be supported exactly on the marked indices {{{i}, {j}}}, got {w}"
+        )
+    return MomentSegment(i, j, w[i], w[j])
 
 
 def moment_segment(datum: HorosphericalDatum) -> MomentSegment:
@@ -320,18 +305,7 @@ def _moments(
     return sum(forms.values()), volume, first
 
 
-def barycenter_on(rs: RootSystem, seg: MomentSegment) -> Fraction:
-    """Density-weighted mean parameter of the segment."""
-    _, volume, first = _moments(rs, seg, phi_pu(rs, seg.i, seg.j))
-    return first / volume
-
-
-def barycenter_t(datum: HorosphericalDatum) -> Fraction:
-    """Exact barycenter parameter tbar of the datum's moment segment."""
-    return report(datum).barycenter_t
-
-
-def ricci_bound(a: Fraction, b: Fraction, t_bar: Fraction) -> Fraction:
+def ricci_bound(a: int, b: int, t_bar: Fraction) -> Fraction:
     """Greatest Ricci lower bound from segment data.
 
     The distinguished interior point sits at t=0 and the barycenter at t_bar;
@@ -345,13 +319,11 @@ def ricci_bound(a: Fraction, b: Fraction, t_bar: Fraction) -> Fraction:
     return Fraction(1)
 
 
-def greatest_ricci_lower_bound(datum: HorosphericalDatum) -> Fraction:
-    """Exact greatest Ricci lower bound R(X) for the datum."""
-    return report(datum).R
-
-
 def report(datum: HorosphericalDatum) -> ComputationReport:
-    """Run the full pipeline once and collect every exact quantity."""
+    """Run the full pipeline once and collect every exact quantity.
+
+    This is the one entry point for R(X), tbar, the volume and the dimension.
+    """
     rs, i, j = resolve(datum)
     roots = phi_pu(rs, i, j)
     seg = _segment(rs, i, j, roots)
@@ -364,6 +336,5 @@ def report(datum: HorosphericalDatum) -> ComputationReport:
         dh_degree=degree,
         volume=volume,
         barycenter_t=t_bar,
-        barycenter_point=seg.point_at(t_bar),
         R=ricci_bound(seg.a, seg.b, t_bar),
     )

@@ -90,12 +90,11 @@ def record_for(
     elif route != "engine":
         raise ValueError(f"unknown route {route!r}")
     seg = rep.segment
-    coords = seg.two_rho_P.coords
     return OutputRecord(
         family=datum.family,
         params=datum.params,
         dim=rep.dimension,
-        two_rho_P=tuple(sorted(coords.items())),
+        two_rho_P=tuple(sorted(((seg.i, seg.a), (seg.j, seg.b)))),
         interval=(seg.a, seg.b),
         barycenter_t=rep.barycenter_t,
         R=r_value,

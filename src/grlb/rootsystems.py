@@ -26,14 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 RootVector = tuple[int, ...]
 
 __all__ = [
     "RootSystem",
     "UnsupportedRootSystemError",
-    "WeightExpr",
     "build_root_system",
     "cartan_matrix",
     "weight_of_root_sum",
@@ -42,49 +41,6 @@ __all__ = [
 
 class UnsupportedRootSystemError(ValueError):
     """Raised for a (type, rank) pair outside B(n>=2), C(n>=2), F4, G2."""
-
-
-class WeightExpr:
-    """Sparse vector in the fundamental-weight basis, keyed by 1-based index."""
-
-    __slots__ = ("_coords",)
-
-    def __init__(self, coords: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]] = ()):
-        items = coords.items() if isinstance(coords, Mapping) else coords
-        self._coords = {m: Fraction(c) for m, c in items if c}
-
-    @property
-    def coords(self) -> dict[int, Fraction]:
-        return dict(self._coords)
-
-    def coefficient(self, m: int) -> Fraction:
-        return self._coords.get(m, Fraction(0))
-
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(self._coords)
-
-    def __sub__(self, other: "WeightExpr") -> "WeightExpr":
-        if not isinstance(other, WeightExpr):
-            return NotImplemented
-        out = dict(self._coords)
-        for m, c in other._coords.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return WeightExpr(out)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, WeightExpr):
-            return self._coords == other._coords
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coords.items()))
-
-    def __repr__(self) -> str:
-        if not self._coords:
-            return "WeightExpr(0)"
-        parts = [f"{c}*w{m}" for m, c in sorted(self._coords.items())]
-        return "WeightExpr(" + " + ".join(parts) + ")"
 
 
 @dataclass(frozen=True)
@@ -184,13 +140,12 @@ def cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r) for r in rows)
 
 
-def weight_of_root_sum(rs: RootSystem, roots: Iterable[RootVector]) -> WeightExpr:
-    """Fundamental-weight coordinates of a sum of roots (summed before converting).
+def weight_of_root_sum(rs: RootSystem, roots: Iterable[RootVector]) -> dict[int, int]:
+    """Nonzero fundamental-weight coefficients of a sum of roots, by 1-based index.
 
     The coefficient of the l-th fundamental weight is <alpha_l^vee, sum>, a row
     of the Cartan matrix applied to the summed simple-root coefficients.
     """
     total = [sum(column) for column in zip(*roots)] or [0] * rs.rank
-    return WeightExpr(
-        {l + 1: sum(p * c for p, c in zip(row, total)) for l, row in enumerate(cartan_matrix(rs))}
-    )
+    pairings = (sum(p * c for p, c in zip(row, total)) for row in cartan_matrix(rs))
+    return {l: c for l, c in enumerate(pairings, 1) if c}

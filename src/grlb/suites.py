@@ -6,6 +6,7 @@ whose own computation raises one of the errors it can meet (an arithmetic or
 value error for the exact checks, a quadrature failure for the oracle) is
 reported as a failed check naming the exception; other exceptions propagate,
 an InvalidDatumError (an n past the ceiling, a bad GRLB_MAX_N) included.
+`run_suite` raises that error before any check runs.
 """
 
 from __future__ import annotations
@@ -96,12 +97,12 @@ def _suite_lemmas(max_n: int) -> list[CheckResult]:
 
 
 def _x1_engine_formula(n: int) -> tuple[bool, str]:
-    lhs = engine.greatest_ricci_lower_bound(HorosphericalDatum("X1", n=n))
+    lhs = engine.report(HorosphericalDatum("X1", n=n)).R
     return lhs == closedforms.r_x1_formula(n), f"R={lhs}"
 
 
 def _x3_engine_formula(n: int, k: int) -> tuple[bool, str]:
-    lhs = engine.greatest_ricci_lower_bound(HorosphericalDatum("X3", n=n, k=k))
+    lhs = engine.report(HorosphericalDatum("X3", n=n, k=k)).R
     return lhs == closedforms.r_x3_formula(n, k), f"R={lhs}"
 
 
@@ -160,13 +161,22 @@ def _suite_bounds(max_n: int) -> list[CheckResult]:
 
 
 def run_suite(suite: str, max_n: int) -> list[CheckResult]:
-    """Run one named suite up to parameter max_n."""
-    if suite == "lemmas":
-        return _suite_lemmas(max_n)
-    if suite == "closed-forms":
-        return _suite_closed_forms(max_n)
-    if suite == "oracle":
-        return _suite_oracle(max_n)
-    if suite == "bounds":
-        return _suite_bounds(max_n)
-    raise ValueError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
+    """Run one named suite up to parameter max_n.
+
+    The ceiling is read once, up front: if the suite's grid reaches an n past
+    it, this raises the InvalidDatumError that `engine.resolve` raises for the
+    first such n.  The oracle's grid stops at oracle.CROSSCHECK_MAX_N.
+    """
+    runners = {
+        "lemmas": _suite_lemmas,
+        "closed-forms": _suite_closed_forms,
+        "oracle": _suite_oracle,
+        "bounds": _suite_bounds,
+    }
+    if suite not in runners:
+        raise ValueError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
+    ceiling = engine.max_exact_n()
+    top = min(max_n, oracle.CROSSCHECK_MAX_N) if suite == "oracle" else max_n
+    if top > ceiling:
+        raise engine.ceiling_error(ceiling + 1, ceiling)
+    return runners[suite](max_n)

@@ -82,7 +82,7 @@ def table2_cells() -> list[dict]:
                 datum = HorosphericalDatum("X1", n=n)
             else:
                 datum = HorosphericalDatum("X3", n=n, k=k)
-            value = engine.greatest_ricci_lower_bound(datum)
+            value = engine.report(datum).R
             cells.append({"n": n, "R": value, "decimal": to_decimal(value, digits)})
         rows.append({"label": label, "k": k, "cells": cells})
     return rows
@@ -107,7 +107,7 @@ def table3_rows() -> list[dict]:
     """R(X3(n, n)) for n = 2..7, fraction plus decimal."""
     rows = []
     for n in range(2, 8):
-        value = engine.greatest_ricci_lower_bound(HorosphericalDatum("X3", n=n, k=n))
+        value = engine.report(HorosphericalDatum("X3", n=n, k=n)).R
         rows.append({"n": n, "R": value, "rendered": _table3_render(value)})
     return rows
 

@@ -6,12 +6,13 @@ through the verbose test names).
 """
 
 import time
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 from grlb import closedforms, engine, oracle, tables
 from grlb.engine import HorosphericalDatum
-from grlb.rootsystems import WeightExpr, weight_of_root_sum
+from grlb.rootsystems import weight_of_root_sum
 
 F = Fraction
 
@@ -44,11 +45,11 @@ def _within_one_ulp(value: Fraction, printed: str) -> bool:
 
 def test_criterion_1_exact_golden_fractions():
     start = time.perf_counter()
-    assert engine.greatest_ricci_lower_bound(HorosphericalDatum("X5")) == F(56, 67)
-    assert engine.greatest_ricci_lower_bound(HorosphericalDatum("X2")) == F(20, 21)
-    assert engine.greatest_ricci_lower_bound(HorosphericalDatum("X4")) == F(178992099, 243545402)
+    assert engine.report(HorosphericalDatum("X5")).R == F(56, 67)
+    assert engine.report(HorosphericalDatum("X2")).R == F(20, 21)
+    assert engine.report(HorosphericalDatum("X4")).R == F(178992099, 243545402)
     for n, expected in TABLE3_FRACTIONS.items():
-        assert engine.greatest_ricci_lower_bound(HorosphericalDatum("X3", n=n, k=n)) == expected
+        assert engine.report(HorosphericalDatum("X3", n=n, k=n)).R == expected
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"golden fractions took {elapsed:.2f}s, budget is 5s"
     _announce(1, "exact golden fractions")
@@ -78,9 +79,9 @@ def test_criterion_2_table2_reproduction():
 
 
 def test_criterion_3_barycenter_goldens():
-    assert engine.barycenter_t(HorosphericalDatum("X5")) == F(-11, 28)
-    assert engine.barycenter_t(HorosphericalDatum("X2")) == F(3, 20)
-    assert engine.barycenter_t(HorosphericalDatum("X4")) == F(64553303, 59664033)
+    assert engine.report(HorosphericalDatum("X5")).barycenter_t == F(-11, 28)
+    assert engine.report(HorosphericalDatum("X2")).barycenter_t == F(3, 20)
+    assert engine.report(HorosphericalDatum("X4")).barycenter_t == F(64553303, 59664033)
     _announce(3, "barycenter goldens")
 
 
@@ -95,33 +96,40 @@ def _grid_data(max_n: int):
             yield HorosphericalDatum("X3", n=n, k=k)
 
 
+def _minus(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+    """u - v as a dict of the nonzero coefficients."""
+    diff = Counter(u)
+    diff.subtract(v)
+    return {m: c for m, c in diff.items() if c}
+
+
 def test_criterion_4_cross_derivation():
     expected_two_rho_p = {
-        "X2": lambda d: WeightExpr({1: 3, 3: 4}),
-        "X4": lambda d: WeightExpr({2: 3, 3: 3}),
-        "X5": lambda d: WeightExpr({1: 2, 2: 2}),
-        "X1": lambda d: WeightExpr({d.n - 1: d.n, d.n: 2}),
-        "X3": lambda d: WeightExpr({d.k - 1: d.k, d.k: 2 * d.n - 2 * d.k + 2}),
+        "X2": lambda d: {1: 3, 3: 4},
+        "X4": lambda d: {2: 3, 3: 3},
+        "X5": lambda d: {1: 2, 2: 2},
+        "X1": lambda d: {d.n - 1: d.n, d.n: 2},
+        "X3": lambda d: {d.k - 1: d.k, d.k: 2 * d.n - 2 * d.k + 2},
     }
     for datum in _grid_data(12):
         rs, i, j = engine.resolve(datum)
-        unipotent_sum = engine.two_rho_P(rs, i, j)
+        unipotent_sum = weight_of_root_sum(rs, engine.phi_pu(rs, i, j))
         # Complementary derivation: all positive roots minus the Levi part.
         levi = [r for r in rs.positive_roots if r[i - 1] == 0 and r[j - 1] == 0]
         two_rho_g = weight_of_root_sum(rs, rs.positive_roots)
         two_rho_l = weight_of_root_sum(rs, levi)
-        assert unipotent_sum == two_rho_g - two_rho_l, datum.label()
+        assert unipotent_sum == _minus(two_rho_g, two_rho_l), datum.label()
         assert unipotent_sum == expected_two_rho_p[datum.family](datum), datum.label()
     _announce(4, "2*rho_P cross-derivation")
 
 
 def test_criterion_5_formula_equivalence():
     for n in range(3, 13):
-        lhs = engine.greatest_ricci_lower_bound(HorosphericalDatum("X1", n=n))
+        lhs = engine.report(HorosphericalDatum("X1", n=n)).R
         assert lhs == closedforms.r_x1_formula(n), f"X1({n})"
     for n in range(2, 13):
         for k in range(2, n + 1):
-            lhs = engine.greatest_ricci_lower_bound(HorosphericalDatum("X3", n=n, k=k))
+            lhs = engine.report(HorosphericalDatum("X3", n=n, k=k)).R
             assert lhs == closedforms.r_x3_formula(n, k), f"X3({n},{k})"
     _announce(5, "engine equals closed forms")
 
@@ -182,20 +190,26 @@ def test_criterion_9_property_suite():
         HorosphericalDatum("X4"),
         HorosphericalDatum("X5"),
     ]
+
+    def barycenter_on(rs, seg, roots):
+        _, volume, first = engine._moments(rs, seg, roots)
+        return first / volume
+
     for datum in small:
-        rs, _, _ = engine.resolve(datum)
+        rs, i, j = engine.resolve(datum)
+        roots = engine.phi_pu(rs, i, j)
         seg = engine.moment_segment(datum)
-        t_bar = engine.barycenter_on(rs, seg)
+        t_bar = barycenter_on(rs, seg, roots)
+        assert t_bar == engine.report(datum).barycenter_t, datum.label()
         r_value = engine.ricci_bound(seg.a, seg.b, t_bar)
-        count = len(engine.phi_pu(rs, seg.i, seg.j))
         for lam in (F(2), F(1, 3)):
             scaled = replace(rs, half_lengths=tuple(lam * d for d in rs.half_lengths))
             assert engine.dh_polynomial_on(scaled, seg) == (
-                lam**count * engine.dh_polynomial_on(rs, seg)
+                lam ** len(roots) * engine.dh_polynomial_on(rs, seg)
             ), datum.label()
-            assert engine.barycenter_on(scaled, seg) == t_bar, datum.label()
-        flipped = engine.MomentSegment(seg.two_rho_P, seg.j, seg.i, seg.b, seg.a)
-        t_bar_flipped = engine.barycenter_on(rs, flipped)
+            assert barycenter_on(scaled, seg, roots) == t_bar, datum.label()
+        flipped = engine.MomentSegment(seg.j, seg.i, seg.b, seg.a)
+        t_bar_flipped = barycenter_on(rs, flipped, roots)
         assert t_bar_flipped == -t_bar
         assert engine.ricci_bound(flipped.a, flipped.b, t_bar_flipped) == r_value
 

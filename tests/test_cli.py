@@ -240,11 +240,11 @@ class TestTable:
     def test_table1_numeric_cells_match_published_decimals(self):
         # Published: 0.952, 0.734, 0.8358; comparison at displayed precision
         # within one unit in the last place.
-        from grlb.engine import greatest_ricci_lower_bound
+        from grlb.engine import report
 
         published = {"X2": "0.952", "X4": "0.734", "X5": "0.8358"}
         for family, printed in published.items():
-            value = greatest_ricci_lower_bound(HorosphericalDatum(family))
+            value = report(HorosphericalDatum(family)).R
             digits = len(printed.split(".")[1])
             assert abs(value - F(printed)) <= F(1, 10**digits), family
 
@@ -343,6 +343,8 @@ INVALID_INPUTS = [
     ("1", "compute --family X1 --n 3", "GRLB_MAX_N must be at least 2, got 1"),
     ("abc", "compute --family X5", "GRLB_MAX_N must be an integer, got 'abc'"),
     ("abc", "table --id 1", "GRLB_MAX_N must be an integer, got 'abc'"),
+    ("abc", "verify --suite lemmas --max-n 4", "GRLB_MAX_N must be an integer, got 'abc'"),
+    ("5", "verify --suite bounds --max-n 8", "n=6 exceeds the exact-computation ceiling 5"),
 ]
 
 

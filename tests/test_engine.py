@@ -16,20 +16,16 @@ from grlb.engine import (
     HorosphericalDatum,
     InvalidDatumError,
     MomentSegment,
-    barycenter_on,
-    barycenter_t,
     dh_polynomial_on,
-    greatest_ricci_lower_bound,
     moment_segment,
     phi_pu,
     report,
     resolve,
     ricci_bound,
-    two_rho_P,
 )
-from grlb.engine import _form_moments
+from grlb.engine import _form_moments, _moments, _segment
 from grlb.exactnum import Polynomial, integrate, poly_product
-from grlb.rootsystems import WeightExpr, build_root_system
+from grlb.rootsystems import build_root_system, weight_of_root_sum
 
 F = Fraction
 
@@ -44,6 +40,16 @@ def dh_polynomial(datum):
 
 def dimension(datum):
     return report(datum).dimension
+
+
+def two_rho_P(rs, i, j):
+    return weight_of_root_sum(rs, phi_pu(rs, i, j))
+
+
+def barycenter_on(rs, seg):
+    """tbar of a segment over a given root system, Phi_Pu read from its marked pair."""
+    _, volume, first = _moments(rs, seg, phi_pu(rs, seg.i, seg.j))
+    return first / volume
 
 
 def small_grid():
@@ -74,6 +80,22 @@ class TestDatumValidation:
     )
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidDatumError):
+            HorosphericalDatum(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"family": "X1", "n": 3.0},
+            {"family": "X1", "n": "7"},
+            {"family": "X1", "n": True},
+            {"family": "X3", "n": 5, "k": 2.0},
+            {"family": "X3", "n": F(5), "k": 2},
+            {"family": "X3", "n": 5, "k": False},
+        ],
+    )
+    def test_parameters_must_be_int(self, kwargs):
+        # Caught at construction, not as a TypeError inside the root table.
+        with pytest.raises(InvalidDatumError, match="must be an integer"):
             HorosphericalDatum(**kwargs)
 
     def test_ceiling(self, monkeypatch):
@@ -130,34 +152,30 @@ class TestPhiPu:
 
 class TestTwoRhoP:
     def test_known_values(self):
-        assert two_rho_P(build_root_system("B", 3), 1, 3) == WeightExpr({1: 3, 3: 4})
-        assert two_rho_P(build_root_system("F4", 4), 2, 3) == WeightExpr({2: 3, 3: 3})
-        assert two_rho_P(build_root_system("G2", 2), 1, 2) == WeightExpr({1: 2, 2: 2})
+        assert two_rho_P(build_root_system("B", 3), 1, 3) == {1: 3, 3: 4}
+        assert two_rho_P(build_root_system("F4", 4), 2, 3) == {2: 3, 3: 3}
+        assert two_rho_P(build_root_system("G2", 2), 1, 2) == {1: 2, 2: 2}
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_b_family_formula(self, n):
         rs = build_root_system("B", n)
-        assert two_rho_P(rs, n - 1, n) == WeightExpr({n - 1: n, n: 2})
+        assert two_rho_P(rs, n - 1, n) == {n - 1: n, n: 2}
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 13) for k in range(2, n + 1)])
     def test_c_family_formula(self, n, k):
         rs = build_root_system("C", n)
-        assert two_rho_P(rs, k - 1, k) == WeightExpr({k - 1: k, k: 2 * n - 2 * k + 2})
+        assert two_rho_P(rs, k - 1, k) == {k - 1: k, k: 2 * n - 2 * k + 2}
 
 
 class TestMomentSegment:
     def test_x5_segment(self):
         seg = moment_segment(HorosphericalDatum("X5"))
         # Orientation puts the growing coefficient on the first weight.
-        assert (seg.i, seg.j, seg.a, seg.b) == (1, 2, 2, 2)
-        assert seg.point_at(seg.b) == WeightExpr({1: 4})
-        assert seg.point_at(-seg.a) == WeightExpr({2: 4})
+        assert seg == MomentSegment(1, 2, 2, 2)
 
     def test_x2_segment(self):
         seg = moment_segment(HorosphericalDatum("X2"))
-        assert (seg.i, seg.j, seg.a, seg.b) == (1, 3, 3, 4)
-        assert seg.point_at(seg.b) == WeightExpr({1: 7})
-        assert seg.point_at(-seg.a) == WeightExpr({3: 7})
+        assert seg == MomentSegment(1, 3, 3, 4)
 
     def test_x4_segment(self):
         seg = moment_segment(HorosphericalDatum("X4"))
@@ -175,10 +193,12 @@ class TestMomentSegment:
         assert (seg.i, seg.j, seg.a, seg.b) == (n - 1, n, n, 2)
 
     def test_segment_validation(self):
-        with pytest.raises(ValueError):
-            MomentSegment(WeightExpr({1: 2, 2: 2}), 1, 2, F(-2), F(2))
-        with pytest.raises(ValueError):
-            MomentSegment(WeightExpr({1: 2, 3: 2}), 1, 2, F(2), F(2))
+        # 2*rho_P must be supported exactly on the marked pair.
+        rs = build_root_system("B", 3)
+        assert _segment(rs, 1, 3, phi_pu(rs, 1, 3)) == MomentSegment(1, 3, 3, 4)
+        for roots in [rs.positive_roots, phi_pu(rs, 1, 2), [(1, 0, 0)]]:
+            with pytest.raises(ValueError, match="supported exactly on the marked indices"):
+                _segment(rs, 1, 3, tuple(roots))
 
 
 class TestDhPolynomial:
@@ -260,18 +280,18 @@ class TestDhPolynomial:
 
 class TestBarycenterAndBound:
     def test_barycenter_goldens(self):
-        assert barycenter_t(HorosphericalDatum("X5")) == F(-11, 28)
-        assert barycenter_t(HorosphericalDatum("X2")) == F(3, 20)
-        assert barycenter_t(HorosphericalDatum("X4")) == F(64553303, 59664033)
+        assert report(HorosphericalDatum("X5")).barycenter_t == F(-11, 28)
+        assert report(HorosphericalDatum("X2")).barycenter_t == F(3, 20)
+        assert report(HorosphericalDatum("X4")).barycenter_t == F(64553303, 59664033)
 
     def test_bound_goldens(self):
-        assert greatest_ricci_lower_bound(HorosphericalDatum("X5")) == F(56, 67)
-        assert greatest_ricci_lower_bound(HorosphericalDatum("X2")) == F(20, 21)
-        assert greatest_ricci_lower_bound(HorosphericalDatum("X4")) == F(178992099, 243545402)
-        assert greatest_ricci_lower_bound(HorosphericalDatum("X3", n=2, k=2)) == F(15, 16)
+        assert report(HorosphericalDatum("X5")).R == F(56, 67)
+        assert report(HorosphericalDatum("X2")).R == F(20, 21)
+        assert report(HorosphericalDatum("X4")).R == F(178992099, 243545402)
+        assert report(HorosphericalDatum("X3", n=2, k=2)).R == F(15, 16)
 
     def test_zero_barycenter_gives_one(self):
-        assert ricci_bound(F(3), F(4), F(0)) == 1
+        assert ricci_bound(3, 4, F(0)) == 1
 
     @pytest.mark.parametrize("datum", small_grid(), ids=lambda d: d.label())
     def test_barycenter_interior_and_bound_range(self, datum):
@@ -282,10 +302,10 @@ class TestBarycenterAndBound:
 
     def test_barycenter_signs(self):
         for n in range(3, 9):
-            assert barycenter_t(HorosphericalDatum("X1", n=n)) > 0
+            assert report(HorosphericalDatum("X1", n=n)).barycenter_t > 0
         for n in range(2, 7):
             for k in range(2, n + 1):
-                assert barycenter_t(HorosphericalDatum("X3", n=n, k=k)) < 0
+                assert report(HorosphericalDatum("X3", n=n, k=k)).barycenter_t < 0
 
     def test_degenerate_measure_guard(self):
         datum = HorosphericalDatum("X5")
@@ -296,22 +316,26 @@ class TestBarycenterAndBound:
             barycenter_on(crushed, seg)
 
 
+def barycenter_point(rep):
+    """gamma(tbar) = (a+tbar) w_i + (b-tbar) w_j as {i: a+tbar, j: b-tbar}."""
+    seg, t_bar = rep.segment, rep.barycenter_t
+    return {seg.i: seg.a + t_bar, seg.j: seg.b - t_bar}
+
+
 class TestReport:
     def test_x5_report(self):
         rep = report(HorosphericalDatum("X5"))
         assert rep.dimension == 7
         assert rep.volume == 9216
-        assert rep.barycenter_point == WeightExpr({1: F(45, 28), 2: F(67, 28)})
+        assert barycenter_point(rep) == {1: F(45, 28), 2: F(67, 28)}
 
     def test_x2_report(self):
         rep = report(HorosphericalDatum("X2"))
-        assert rep.barycenter_point == WeightExpr({1: F(63, 20), 3: F(77, 20)})
+        assert barycenter_point(rep) == {1: F(63, 20), 3: F(77, 20)}
 
     def test_x4_report(self):
         rep = report(HorosphericalDatum("X4"))
-        assert rep.barycenter_point == WeightExpr(
-            {2: F(243545402, 59664033), 3: F(114438796, 59664033)}
-        )
+        assert barycenter_point(rep) == {2: F(243545402, 59664033), 3: F(114438796, 59664033)}
 
     def test_x1_3_rendered(self):
         from grlb.exactnum import to_decimal
@@ -335,7 +359,7 @@ class TestInvariances:
     def test_orientation_flip(self, datum):
         rs, _, _ = resolve(datum)
         seg = moment_segment(datum)
-        flipped = MomentSegment(seg.two_rho_P, seg.j, seg.i, seg.b, seg.a)
+        flipped = MomentSegment(seg.j, seg.i, seg.b, seg.a)
         t_bar = barycenter_on(rs, seg)
         t_bar_flipped = barycenter_on(rs, flipped)
         assert t_bar_flipped == -t_bar
@@ -447,4 +471,4 @@ class TestFactorialForm:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_x3nn_engine_equals_factorial_expression(self, n):
         expected = F(2 * math.factorial(2 * n + 1), (n + 2) * (2**n * math.factorial(n)) ** 2)
-        assert greatest_ricci_lower_bound(HorosphericalDatum("X3", n=n, k=n)) == expected
+        assert report(HorosphericalDatum("X3", n=n, k=n)).R == expected

@@ -112,3 +112,23 @@ def test_invalid_datum_is_a_bad_argument(monkeypatch, suite, function, name):
     assert result.exit_code == 2
     assert "Error: forced" in result.output
     assert "FAIL" not in result.output
+
+
+@pytest.mark.parametrize("suite", ["lemmas", "closed-forms", "bounds", "oracle"])
+def test_ceiling_is_checked_before_any_check_runs(monkeypatch, suite):
+    monkeypatch.setenv("GRLB_MAX_N", "4")
+    assert run_suite(suite, 4)
+    # The error names the first n past the ceiling, whatever max_n is.
+    for max_n in (5, 9):
+        with pytest.raises(InvalidDatumError, match="^n=5 exceeds the exact-computation ceiling 4"):
+            run_suite(suite, max_n)
+    monkeypatch.setenv("GRLB_MAX_N", "abc")
+    with pytest.raises(InvalidDatumError, match="GRLB_MAX_N must be an integer"):
+        run_suite(suite, 4)
+
+
+def test_oracle_grid_stops_at_the_crosscheck_cap(monkeypatch):
+    # The oracle reaches only min(max_n, CROSSCHECK_MAX_N), so a larger max_n is no error.
+    monkeypatch.setenv("GRLB_MAX_N", "4")
+    monkeypatch.setattr(oracle, "CROSSCHECK_MAX_N", 3)
+    assert [r.name for r in run_suite("oracle", 101)] == [r.name for r in run_suite("oracle", 3)]
