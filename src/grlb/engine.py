@@ -14,11 +14,12 @@ exact rational arithmetic:
                  -> greatest Ricci lower bound R from the position of tbar.
 
 The density is never expanded to compute tbar.  Under sigma = (t+a)/(a+b) it
-factors as a content times a few coprime integer forms (c0 + c1 sigma)^m, and
-its moments are taken in the variable of the form of largest m, so only the
-short product of the others is expanded.  `dh_polynomial_on` still returns
-the dense polynomial in t over a given root system and segment, as a view for
-callers that want it; no computation of R uses it.
+is a positive constant, which cancels in tbar and is never formed, times a few
+coprime integer forms (c0 + c1 sigma)^m.  Its two moments are integers taken in
+the variable of the form of largest m, and tbar is one Fraction built from them.
+`dh_polynomial_on` still returns the dense polynomial in t over a given root
+system and segment, as a view for callers that want it; no computation of R
+uses it.
 
 Orientation convention: `resolve` returns the marked pair (i, j) with *i*
 the index whose fundamental-weight coefficient grows with t.  For X3 and X5
@@ -60,8 +61,8 @@ __all__ = [
 FAMILIES = ("X1", "X2", "X3", "X4", "X5")
 
 #: Default ceiling on the size parameter n for exact computation.  At the
-#: ceiling one X1 report takes about 0.015 s and the closed-form R about
-#: 0.007 s (Python 3.11, one core of a 2-CPU host); there is no floating-point
+#: ceiling one X1 report takes about 0.018 s and the closed-form R about
+#: 0.009 s (Python 3.11, one core of a 2-CPU host); there is no floating-point
 #: fallback.  Raising it waits for a committed benchmark trajectory (ROADMAP).
 DEFAULT_MAX_EXACT_N = 100
 
@@ -169,8 +170,6 @@ class ComputationReport:
     datum: HorosphericalDatum
     dimension: int
     segment: MomentSegment
-    dh_degree: int
-    volume: Fraction
     barycenter_t: Fraction
     R: Fraction
 
@@ -250,59 +249,56 @@ def dh_polynomial_on(rs: RootSystem, seg: MomentSegment) -> Polynomial:
     return poly_product(factors)
 
 
-def _form_moments(forms: Counter[tuple[int, int]]) -> tuple[Fraction, Fraction]:
-    """Integrals of P and sigma*P over [0, 1], P = prod (c0 + c1*sigma)^m over `forms`.
+def _form_moments(forms: Counter[tuple[int, int]]) -> tuple[int, int, int]:
+    """(c1, num0, num1) for P = prod (c0 + c1*sigma)^m over `forms`.
 
-    The form of largest multiplicity m becomes the variable tau = c0 + c1*sigma;
-    only the others are expanded, as c1*(d0 + d1*sigma) = (c1*d0 - c0*d1) + d1*tau.
-    Each term is Int tau^e dtau = (hi^(e+1) - lo^(e+1))/(e+1) over [c0, c0 + c1],
-    summed in integers over the lcm of the e+1, and dsigma = dtau/c1.
+    The form of largest multiplicity m becomes tau = c0 + c1*sigma, c1 its slope;
+    only the others are expanded, as c1*(d0 + d1*sigma) = (c1*d0 - c0*d1) + d1*tau,
+    into q.  For N the total multiplicity and den = lcm(m+1, ..., N+2), P and
+    sigma*P integrate over [0, 1] to num0/(den*c1^(N-m+1)) and num1/(den*c1^(N-m+2)),
+    num_k = den * Int tau^m q_k dtau over [c0, c0 + c1], q_0 = q, q_1 = q*(tau - c0).
+    Each is a Horner split hi^(m+1)*S(hi) - lo^(m+1)*S(lo) with
+    S(x) = sum_l q_l*(den/(m+1+l))*x^l.
     """
     (c0, c1), m = max(forms.items(), key=lambda item: item[1], default=((0, 1), 0))
     q = [1]
     for (d0, d1), mult in forms.items():
         if (d0, d1) != (c0, c1):
             q = _int_mul(q, _linear_pow_int(c1 * d0 - c0 * d1, d1, mult))
-    # w[j] = den * Int tau^(m+j) dtau, up to the degree of tau*Q(tau).
-    exponents = range(m + 1, m + len(q) + 2)
-    den = math.lcm(*exponents)
-    lo_p, hi_p, w = c0**m, (c0 + c1) ** m, []
-    for e in exponents:
-        lo_p *= c0
-        hi_p *= c0 + c1
-        w.append((hi_p - lo_p) * (den // e))
-    # sigma = (tau - c0)/c1, and the other forms contribute c1^-(their degree).
-    num0 = sum(qj * w[j] for j, qj in enumerate(q))
-    num1 = sum(qj * (w[j + 1] - c0 * w[j]) for j, qj in enumerate(q))
-    scale = den * c1 ** (sum(forms.values()) - m + 1)
-    return Fraction(num0, scale), Fraction(num1, scale * c1)
+    q1 = _int_mul(q, [-c0, 1])
+    den = math.lcm(*range(m + 1, m + len(q1) + 1))
+
+    def moment(coeffs: list[int]) -> int:
+        s_lo = s_hi = 0
+        for e in range(m + len(coeffs), m, -1):
+            w = coeffs[e - m - 1] * (den // e)
+            s_lo = s_lo * c0 + w
+            s_hi = s_hi * (c0 + c1) + w
+        return (c0 + c1) ** (m + 1) * s_hi - c0 ** (m + 1) * s_lo
+
+    return c1, moment(q), moment(q1)
 
 
-def _moments(
-    rs: RootSystem, seg: MomentSegment, roots: tuple[RootVector, ...]
-) -> tuple[int, Fraction, Fraction]:
-    """(degree, volume, first moment) of the density over [-a, b].
+def _barycenter(rs: RootSystem, seg: MomentSegment, roots: tuple[RootVector, ...]) -> Fraction:
+    """tbar = Int t P / Int P over [-a, b], for the density P of `roots`.
 
-    With sigma = (t+a)/(a+b) a root's factor u*(a+t) + v*(b-t) is
-    (a+b)*(g/den)*(c0 + c1*sigma) for coprime integers c0, c1; dt = (a+b) dsigma.
+    With sigma = (t+a)/(a+b) a root's factor u*(a+t) + v*(b-t) is a positive
+    constant times the coprime integer form c0 + c1*sigma, and t = (a+b)*sigma - a;
+    the constants cancel, so tbar = (a+b)*num1/(c1*num0) - a.
     """
-    content = Fraction(1)
     forms: Counter[tuple[int, int]] = Counter()
     for (u, v), mult in _marked_weights(rs, seg, roots).items():
         den = math.lcm(v.denominator, (u - v).denominator)
         c0, c1 = int(v * den), int((u - v) * den)
-        g = math.gcd(c0, c1)
-        content *= Fraction(g, den) ** mult
         if c1:
+            g = math.gcd(c0, c1)
             forms[c0 // g, c1 // g] += mult
-    i0, i1 = _form_moments(forms)
-    scale = content * (seg.a + seg.b) ** (len(roots) + 1)
-    volume = scale * i0
-    if volume == 0:
+        elif not c0:
+            raise DegenerateMeasureError("Duistermaat-Heckman density has a zero factor")
+    c1, num0, num1 = _form_moments(forms)
+    if not num0:
         raise DegenerateMeasureError("Duistermaat-Heckman density has zero volume")
-    # t = (a+b)*sigma - a
-    first = (seg.a + seg.b) * scale * i1 - seg.a * volume
-    return sum(forms.values()), volume, first
+    return Fraction((seg.a + seg.b) * num1 - seg.a * c1 * num0, c1 * num0)
 
 
 def ricci_bound(a: int, b: int, t_bar: Fraction) -> Fraction:
@@ -322,19 +318,16 @@ def ricci_bound(a: int, b: int, t_bar: Fraction) -> Fraction:
 def report(datum: HorosphericalDatum) -> ComputationReport:
     """Run the full pipeline once and collect every exact quantity.
 
-    This is the one entry point for R(X), tbar, the volume and the dimension.
+    This is the one entry point for R(X), tbar, the segment and the dimension.
     """
     rs, i, j = resolve(datum)
     roots = phi_pu(rs, i, j)
     seg = _segment(rs, i, j, roots)
-    degree, volume, first = _moments(rs, seg, roots)
-    t_bar = first / volume
+    t_bar = _barycenter(rs, seg, roots)
     return ComputationReport(
         datum=datum,
         dimension=len(roots) + 1,
         segment=seg,
-        dh_degree=degree,
-        volume=volume,
         barycenter_t=t_bar,
         R=ricci_bound(seg.a, seg.b, t_bar),
     )

@@ -43,6 +43,9 @@ __all__ = [
 #: any n; the cap bounds the run time of a cross-check and of the oracle suite.
 CROSSCHECK_MAX_N = 20
 
+#: crosscheck's relative tolerance on tbar and R against the exact values.
+CROSSCHECK_REL_TOL = 1e-9
+
 _CHUNK = 1 << 20
 
 #: A Simpson estimate of exactly zero counts as converged only from this
@@ -182,18 +185,18 @@ class CrosscheckReport:
     ok: bool
 
 
-def crosscheck(datum: HorosphericalDatum, rel_tol: float = 1e-9) -> CrosscheckReport:
+def crosscheck(datum: HorosphericalDatum) -> CrosscheckReport:
     """Quadrature recomputation of tbar and R versus the exact engine values.
 
-    The inner quadrature runs three decades tighter than the requested
-    comparison tolerance.  Parameters are capped at n <= CROSSCHECK_MAX_N.
+    The inner quadrature runs three decades tighter than the comparison
+    tolerance CROSSCHECK_REL_TOL.  Parameters are capped at n <= CROSSCHECK_MAX_N.
     """
     if datum.n is not None and datum.n > CROSSCHECK_MAX_N:
         raise ValueError(f"crosscheck supports n <= {CROSSCHECK_MAX_N}")
     rs, _, _ = engine.resolve(datum)
     exact = engine.report(datum)
     density, a, b = dh_density_evaluator(rs, exact.segment)
-    inner_tol = max(rel_tol * 1e-3, 1e-13)
+    inner_tol = CROSSCHECK_REL_TOL * 1e-3
     volume = quad(density, -a, b, inner_tol)
     first = quad(lambda ts: ts * density(ts), -a, b, inner_tol)
     t_bar_quad = first.estimate / volume.estimate
@@ -216,5 +219,5 @@ def crosscheck(datum: HorosphericalDatum, rel_tol: float = 1e-9) -> CrosscheckRe
         r_quad=r_quad,
         t_bar_rel_err=t_err,
         r_rel_err=r_err,
-        ok=bool(t_err <= rel_tol and r_err <= rel_tol),
+        ok=bool(t_err <= CROSSCHECK_REL_TOL and r_err <= CROSSCHECK_REL_TOL),
     )

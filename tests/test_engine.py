@@ -23,7 +23,7 @@ from grlb.engine import (
     resolve,
     ricci_bound,
 )
-from grlb.engine import _form_moments, _moments, _segment
+from grlb.engine import _barycenter, _form_moments, _segment
 from grlb.exactnum import Polynomial, integrate, poly_product
 from grlb.rootsystems import build_root_system, weight_of_root_sum
 
@@ -48,8 +48,17 @@ def two_rho_P(rs, i, j):
 
 def barycenter_on(rs, seg):
     """tbar of a segment over a given root system, Phi_Pu read from its marked pair."""
-    _, volume, first = _moments(rs, seg, phi_pu(rs, seg.i, seg.j))
-    return first / volume
+    return _barycenter(rs, seg, phi_pu(rs, seg.i, seg.j))
+
+
+def dense_moments(datum):
+    """(volume, first moment) of the dense density over the datum's segment."""
+    seg = moment_segment(datum)
+    density = dh_polynomial(datum)
+    return (
+        integrate(density, -seg.a, seg.b),
+        integrate(Polynomial((0, 1)) * density, -seg.a, seg.b),
+    )
 
 
 def small_grid():
@@ -315,6 +324,13 @@ class TestBarycenterAndBound:
         with pytest.raises(DegenerateMeasureError):
             barycenter_on(crushed, seg)
 
+    def test_zero_integral_guard(self):
+        # u = -1, v = 1 is the single form 1 - 2*sigma, whose integral over [0, 1] is 0.
+        rs, _, _ = resolve(HorosphericalDatum("X5"))
+        signed = replace(rs, half_lengths=(F(-1), F(1)))
+        with pytest.raises(DegenerateMeasureError):
+            _barycenter(signed, MomentSegment(1, 2, 1, 1), ((1, 1),))
+
 
 def barycenter_point(rep):
     """gamma(tbar) = (a+tbar) w_i + (b-tbar) w_j as {i: a+tbar, j: b-tbar}."""
@@ -324,9 +340,12 @@ def barycenter_point(rep):
 
 class TestReport:
     def test_x5_report(self):
-        rep = report(HorosphericalDatum("X5"))
+        datum = HorosphericalDatum("X5")
+        rep = report(datum)
         assert rep.dimension == 7
-        assert rep.volume == 9216
+        volume, first = dense_moments(datum)
+        assert volume == 9216
+        assert rep.barycenter_t == first / volume
         assert barycenter_point(rep) == {1: F(45, 28), 2: F(67, 28)}
 
     def test_x2_report(self):
@@ -383,11 +402,11 @@ class TestDimension:
         assert dimension(HorosphericalDatum("X3", n=n, k=k)) == k * (4 * n - 3 * k + 3) // 2
 
     def test_volume_consistency(self):
-        # Volume equals the plain integral of the density over the segment.
+        # The dense volume, pinned, and tbar as the dense first moment over it.
         datum = HorosphericalDatum("X3", n=4, k=3)
-        rep = report(datum)
-        density = dh_polynomial(datum)
-        assert rep.volume == integrate(density, -rep.segment.a, rep.segment.b)
+        volume, first = dense_moments(datum)
+        assert volume == F(9495123019886, 3)
+        assert report(datum).barycenter_t == first / volume
 
 
 #: SHA-256 of "p/q" for report(X1(100)), as computed by the earlier Beta-sum integration.
@@ -414,18 +433,19 @@ class TestFactoredMoments:
 
     @pytest.mark.parametrize("datum", dense_grid(), ids=lambda d: d.label())
     def test_moments_equal_dense_integrals(self, datum):
-        rep = report(datum)
-        density = dh_polynomial(datum)
-        lo, hi = -rep.segment.a, rep.segment.b
-        assert rep.volume == integrate(density, lo, hi)
-        assert rep.barycenter_t * rep.volume == integrate(Polynomial((0, 1)) * density, lo, hi)
-        assert rep.dh_degree == density.degree
+        volume, first = dense_moments(datum)
+        assert report(datum).barycenter_t == first / volume
 
     def test_x1_50_equals_closed_form(self):
         assert report(HorosphericalDatum("X1", n=50)).R == r_x1_formula(50)
 
     def test_x3_70_35_equals_closed_form(self):
         assert report(HorosphericalDatum("X3", n=70, k=35)).R == r_x3_formula(70, 35)
+
+    def test_past_default_ceiling(self, monkeypatch):
+        monkeypatch.setenv("GRLB_MAX_N", "200")
+        assert report(HorosphericalDatum("X1", n=150)).R == r_x1_formula(150)
+        assert report(HorosphericalDatum("X3", n=150, k=75)).R == r_x3_formula(150, 75)
 
     def test_x1_100_digests(self):
         rep = report(HorosphericalDatum("X1", n=100))
@@ -449,7 +469,10 @@ form_multisets = st.lists(st.tuples(coprime_forms, st.integers(1, 9)), max_size=
 
 
 class TestFormMoments:
-    """The dominant-form rule against the dense product integrated over [0, 1]."""
+    """The dominant-form rule against the dense product integrated over [0, 1]:
+    num0 and num1 are the two moments times den*c1^(N-m+1) and den*c1^(N-m+2),
+    den = lcm(m+1, ..., N+2), for m the largest multiplicity, c1 the slope of a
+    form with that multiplicity and N the total multiplicity."""
 
     @given(form_multisets)
     @settings(max_examples=150)
@@ -461,10 +484,12 @@ class TestFormMoments:
     @example(Counter({(-3, 2): 6, (1, -4): 2, (3, -1): 6}))
     def test_matches_dense_integrals(self, forms):
         dense = poly_product(Polynomial.linear(c0, c1) ** m for (c0, c1), m in forms.items())
-        assert _form_moments(forms) == (
-            integrate(dense, 0, 1),
-            integrate(Polynomial((0, 1)) * dense, 0, 1),
-        )
+        c1, num0, num1 = _form_moments(forms)
+        m, n = max(forms.values(), default=0), sum(forms.values())
+        assert c1 in ({d1 for (_, d1), k in forms.items() if k == m} if forms else {1})
+        norm = math.lcm(*range(m + 1, n + 3)) * c1 ** (n - m + 1)
+        assert num0 == norm * integrate(dense, 0, 1)
+        assert num1 == c1 * norm * integrate(Polynomial((0, 1)) * dense, 0, 1)
 
 
 class TestFactorialForm:

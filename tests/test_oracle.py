@@ -135,13 +135,13 @@ class TestCrosscheck:
         ids=lambda d: d.label(),
     )
     def test_agreement(self, datum):
-        rep = crosscheck(datum, 1e-9)
+        rep = crosscheck(datum)
         assert rep.ok
         assert rep.t_bar_rel_err <= 1e-9
         assert rep.r_rel_err <= 1e-9
 
     def test_x2_value(self):
-        rep = crosscheck(HorosphericalDatum("X2"), 1e-9)
+        rep = crosscheck(HorosphericalDatum("X2"))
         assert abs(rep.r_quad - 20.0 / 21.0) / (20.0 / 21.0) <= 1e-9
 
     def test_cap(self):

@@ -37,7 +37,7 @@ def test_bounds_suite_runs_without_mpmath():
 
 
 def test_oracle_no_convergence_is_a_failed_check(monkeypatch):
-    def crosscheck(datum, rel_tol=1e-9):
+    def crosscheck(datum):
         raise NoConvergenceError("no convergence within 30 halvings", QuadratureResult(1.0, 1.0, 30))
 
     monkeypatch.setattr(oracle, "crosscheck", crosscheck)
@@ -48,7 +48,7 @@ def test_oracle_no_convergence_is_a_failed_check(monkeypatch):
 
 
 def test_oracle_other_errors_propagate(monkeypatch):
-    def crosscheck(datum, rel_tol=1e-9):
+    def crosscheck(datum):
         raise ZeroDivisionError("not a quadrature failure")
 
     monkeypatch.setattr(oracle, "crosscheck", crosscheck)
