@@ -12,12 +12,11 @@ GRLB_MAX_N, or any n past the ceiling, is an invalid argument (exit 2).
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
 
-from . import __version__, records, suites, tables
+from . import __version__, records, suites
 from .engine import FAMILIES, HorosphericalDatum, InvalidDatumError
 
 VERIFY_FAILURE_EXIT = 3
@@ -64,13 +63,7 @@ def compute(family: str, n: int | None, k: int | None, digits: int, fmt: str, ro
     if digits < 1:
         raise click.UsageError("--digits must be at least 1")
     record = records.record_for(HorosphericalDatum(family, n=n, k=k), digits=digits, route=route)
-    if fmt == "json":
-        click.echo(records.record_to_json(record))
-    elif fmt == "csv":
-        click.echo(records.CSV_HEADER)
-        click.echo(records.record_to_csv_row(record))
-    else:
-        click.echo(records.record_to_text(record))
+    click.echo(records.render(records.record_rows(record), fmt))
 
 
 @cli.command()
@@ -80,7 +73,7 @@ def compute(family: str, n: int | None, k: int | None, digits: int, fmt: str, ro
 )
 def table(table_id: int, fmt: str) -> None:
     """Regenerate one of the published tables from the engine."""
-    click.echo(tables.render_table(table_id, fmt))
+    click.echo(records.render(records.table_rows(table_id), fmt))
 
 
 @cli.command()
@@ -93,23 +86,9 @@ def verify(suite: str, max_n: int, fmt: str) -> None:
     """Run a verification suite; exits 3 if any check fails."""
     if max_n < 2:
         raise click.UsageError("--max-n must be at least 2")
-    results = suites.run_suite(suite, max_n)
-    passed = all(r.passed for r in results)
-    if fmt == "json":
-        payload = {
-            "schema_version": records.SCHEMA_VERSION,
-            "suite": suite,
-            "max_n": max_n,
-            "passed": passed,
-            "checks": [r.to_dict() for r in results],
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        for r in results:
-            status = "ok  " if r.passed else "FAIL"
-            click.echo(f"{status} {r.name}: {r.detail}")
-        click.echo(f"{sum(r.passed for r in results)}/{len(results)} checks passed")
-    if not passed:
+    rows = records.verify_rows(suite, max_n, suites.run_suite(suite, max_n))
+    click.echo(records.render(rows, fmt))
+    if not rows.payload["passed"]:
         sys.exit(VERIFY_FAILURE_EXIT)
 
 

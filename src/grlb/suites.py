@@ -29,9 +29,6 @@ class CheckResult:
     passed: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 #: Exceptions an exact check may raise for its own parameters; each becomes
 #: that check's failure, bar the InvalidDatumError of a bad argument.

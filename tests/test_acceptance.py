@@ -10,8 +10,9 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
-from grlb import closedforms, engine, oracle, tables
+from grlb import closedforms, engine, oracle
 from grlb.engine import HorosphericalDatum
+from grlb.records import parse_frac, table_rows
 from grlb.rootsystems import weight_of_root_sum
 
 F = Fraction
@@ -27,10 +28,10 @@ TABLE3_FRACTIONS = {
 
 #: Printed decimal cells of the published n-grid table, keyed by row.
 TABLE2_PRINTED = {
-    None: ["0.8955", "0.8755", "0.8686", "0.8685", "0.8715", "0.8863", "0.9251", "0.9451", "0.9644", "0.9737"],
-    2: ["0.972", "0.984", "0.99", "0.993", "0.995", "0.9975", "0.9994", "0.9997", "0.9999", "0.99995"],
-    3: ["0.875", "0.9375", "0.9625", "0.975", "0.982", "0.9917", "0.9980", "0.9991", "0.9997", "0.99984"],
-    4: [None, "0.820", "0.902", "0.938", "0.958", "0.9813", "0.9958", "0.9982", "0.9994", "0.99968"],
+    "X1": ["0.8955", "0.8755", "0.8686", "0.8685", "0.8715", "0.8863", "0.9251", "0.9451", "0.9644", "0.9737"],
+    "X3(.,2)": ["0.972", "0.984", "0.99", "0.993", "0.995", "0.9975", "0.9994", "0.9997", "0.9999", "0.99995"],
+    "X3(.,3)": ["0.875", "0.9375", "0.9625", "0.975", "0.982", "0.9917", "0.9980", "0.9991", "0.9997", "0.99984"],
+    "X3(.,4)": [None, "0.820", "0.902", "0.938", "0.958", "0.9813", "0.9958", "0.9982", "0.9994", "0.99968"],
 }
 
 
@@ -57,19 +58,20 @@ def test_criterion_1_exact_golden_fractions():
 
 def test_criterion_2_table2_reproduction():
     start = time.perf_counter()
-    rows = tables.table2_cells()
+    rows = table_rows(2).payload["rows"]
+    assert [row["label"] for row in rows] == list(TABLE2_PRINTED)
     for row in rows:
-        printed_row = TABLE2_PRINTED[row["k"]]
+        printed_row = TABLE2_PRINTED[row["label"]]
         for cell, printed in zip(row["cells"], printed_row):
             if printed is None:
                 assert cell is None
                 continue
             assert cell is not None
-            assert _within_one_ulp(cell["R"], printed), (
+            assert _within_one_ulp(parse_frac(cell["R"]), printed), (
                 f"{row['label']} n={cell['n']}: computed {cell['decimal']} "
                 f"vs printed {printed}"
             )
-    x1_row = {c["n"]: c["R"] for c in rows[0]["cells"]}
+    x1_row = {c["n"]: parse_frac(c["R"]) for c in rows[0]["cells"]}
     # Non-monotone dip: decreasing from n=3 through n=6, then increasing.
     assert x1_row[3] > x1_row[4] > x1_row[5] > x1_row[6]
     assert x1_row[6] < x1_row[7]

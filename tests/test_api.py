@@ -13,7 +13,6 @@ MODULES = [
     "grlb.records",
     "grlb.rootsystems",
     "grlb.suites",
-    "grlb.tables",
 ]
 
 

@@ -15,12 +15,14 @@ import grlb
 from grlb.cli import cli
 from grlb.engine import HorosphericalDatum, InvalidDatumError, report
 from grlb.records import (
-    CSV_HEADER,
     frac_str,
+    parse_frac,
     record_for,
     record_from_json,
-    record_to_csv_row,
+    record_rows,
     record_to_json,
+    render,
+    table_rows,
 )
 
 F = Fraction
@@ -59,7 +61,7 @@ class TestCompute:
         result = runner.invoke(cli, ["compute", "--family", "X2", "--format", "csv"])
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
-        assert lines[0] == CSV_HEADER
+        assert lines[0] == "family,n,k,dim,R"
         assert lines[1] == "X2,,,9,0.9524"
 
     def test_digits(self, runner):
@@ -115,7 +117,9 @@ class TestCompute:
 
 #: SHA-256 of the full output of each command: the renderings recorded before
 #: the tables and records shared one row model, the verify reports before the
-#: segment orientation moved into `resolve`.  Every output stays byte-identical.
+#: segment orientation moved into `resolve`, and the X2, X4, closed-form X1(10)
+#: and 12-digit X5 records before every command wrote through `records.render`.
+#: Every output stays byte-identical.
 GOLDEN_OUTPUTS = [
     ("table --id 1 --format text", "d84b490ac9b217e14a79930cf71eb440def28ef195cb5d1997ce601e622de51a"),
     ("table --id 1 --format json", "38b23cb24703e82bdd79f6364f2a91f0fb9e2a021c80fe3e080404fd513c13ed"),
@@ -164,6 +168,34 @@ GOLDEN_OUTPUTS = [
         "verify --suite bounds --max-n 12 --format json",
         "ce7003623fdd13fb84647e1556dab6fddae3b72f804b259392d24753221f12d8",
     ),
+
+
+    ("compute --family X2 --format text", "cbf623c89b38110ad7377298e7a1fb2b4b03d329191cbe19184e35bae0b43d80"),
+    ("compute --family X2 --format json", "7b93e0e7251c84a77723ddc1a8c1069b28e48d640418d25f0434b8d0d566bd9a"),
+    ("compute --family X2 --format csv", "c2041168961720f5390e986e072df902b92a6123aa8caddb443a8642ace25fb2"),
+    ("compute --family X4 --format text", "32fa4393b4191cebb364392f2e032b3d910913211941e897322bd1e6e737e360"),
+    ("compute --family X4 --format json", "b28c114979fefed18b5c3af4b82ac6698c47a762058408c586228caab94338f2"),
+    ("compute --family X4 --format csv", "f92952fcd978fd616e9180ad4913622ebc1467a6c85edaefc2ba53ac3fe3c5b4"),
+    (
+        "compute --family X1 --n 10 --route closed-form --format text",
+        "6b1ff8f23fd982b12f52d33cef199ce33380d071eba26ad50a093b57f00f14b9",
+    ),
+    (
+        "compute --family X1 --n 10 --route closed-form --format csv",
+        "8340bed29014df462b07120b95993c0440e714d04d1a9a1bdb81a3f5c4274741",
+    ),
+    ("compute --family X5 --digits 12", "70aa3f26b8e999f9682d19d2f782ef80110ac103ea8194e0dfccf82718cc6b58"),
+]
+
+#: SHA-256 of a failing verify report, recorded before every command wrote
+#: through `records.render`: `run_suite` is replaced by one that returns a
+#: single failed check, and the command exits 3.
+GOLDEN_FAILING_VERIFY = [
+    ("verify --suite lemmas --max-n 3", "5e2d28d1f7668f4984d0e1a1437202b832006ac1ba2ce1a126057b81bf92863c"),
+    (
+        "verify --suite lemmas --max-n 3 --format json",
+        "7ccabe0bdafc6b540f616153c549503cd143f44b7b23432456f4534dba3c92d4",
+    ),
 ]
 
 
@@ -171,6 +203,21 @@ GOLDEN_OUTPUTS = [
 def test_output_is_byte_identical_to_golden(runner, command, digest):
     result = runner.invoke(cli, command.split(), env={"GRLB_MAX_N": None})
     assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command,digest", GOLDEN_FAILING_VERIFY)
+def test_failing_verify_is_byte_identical_to_golden(runner, monkeypatch, command, digest):
+    from grlb import cli as cli_module
+    from grlb.suites import CheckResult
+
+    monkeypatch.setattr(
+        cli_module.suites,
+        "run_suite",
+        lambda suite, max_n: [CheckResult("forced", False, "synthetic failure")],
+    )
+    result = runner.invoke(cli, command.split(), env={"GRLB_MAX_N": None})
+    assert result.exit_code == 3, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
@@ -205,7 +252,7 @@ class TestRecords:
     def test_csv_row(self):
         # dim = k(4n-3k+3)/2 = 38; 0.9576 rounds to the published 0.958.
         rec = record_for(HorosphericalDatum("X3", n=7, k=4))
-        assert record_to_csv_row(rec) == "X3,7,4,38,0.9576"
+        assert render(record_rows(rec), "csv").splitlines()[1] == "X3,7,4,38,0.9576"
 
 
 class TestTable:
@@ -249,13 +296,11 @@ class TestTable:
             assert abs(value - F(printed)) <= F(1, 10**digits), family
 
     def test_table3_cells_match_published_decimals(self):
-        from grlb.tables import table3_rows
-
         published = {2: "0.9375", 3: "0.875", 4: "0.820", 5: "0.773", 6: "0.733", 7: "0.698"}
-        for row in table3_rows():
+        for row in table_rows(3).payload["rows"]:
             printed = published[row["n"]]
             digits = len(printed.split(".")[1])
-            assert abs(row["R"] - F(printed)) <= F(1, 10**digits), row["n"]
+            assert abs(parse_frac(row["R"]) - F(printed)) <= F(1, 10**digits), row["n"]
 
     def test_table3_json(self, runner):
         result = runner.invoke(cli, ["table", "--id", "3", "--format", "json"])

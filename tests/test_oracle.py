@@ -39,6 +39,8 @@ class TestQuad:
             quad(lambda ts: ts, 1.0, 0.0, 1e-9)
         with pytest.raises(ValueError):
             quad(lambda ts: ts, 0.0, 1.0, -1e-9)
+        with pytest.raises(ValueError):
+            quad(lambda ts: ts, 0.0, 1.0, float("nan"))
 
     def test_nonfinite_value_raises(self):
         def f(ts):
@@ -56,6 +58,9 @@ class TestQuad:
             quad(chirp, 0.0, 3.0, 1e-14, max_levels=6)
         assert excinfo.value.best.refinement_levels == 6
         assert np.isfinite(excinfo.value.best.estimate)
+        with pytest.raises(NoConvergenceError) as excinfo:
+            quad(chirp, 0.0, 3.0, 1e-14)
+        assert excinfo.value.best.refinement_levels == 22
 
     def test_zero_integrand_converges(self):
         res = quad(lambda ts: np.zeros_like(ts), 0.0, 1.0, 1e-9)
