@@ -13,11 +13,10 @@ from .engine import (
     HorosphericalDatum,
     InvalidDatumError,
     MomentSegment,
-    moment_segment,
     report,
     resolve,
 )
-from .exactnum import Polynomial, Rational, integrate, poly_product, to_decimal
+from .exactnum import Rational, to_decimal
 from .rootsystems import RootSystem, build_root_system
 
 __version__ = "0.1.0"
@@ -27,13 +26,9 @@ __all__ = [
     "HorosphericalDatum",
     "InvalidDatumError",
     "MomentSegment",
-    "Polynomial",
     "Rational",
     "RootSystem",
     "build_root_system",
-    "integrate",
-    "moment_segment",
-    "poly_product",
     "report",
     "resolve",
     "to_decimal",

@@ -1,10 +1,11 @@
 """Floating-point verification oracle for the exact pipeline.
 
-`quad` is a composite Simpson integrator driven by interval halving: the
-trapezoid sum is refined by doubling the panel count (only new midpoints are
-evaluated) and the Simpson value is extrapolated from consecutive trapezoid
-sums.  Integrands are black-box vectorized callables over numpy arrays, so
-none of the exact antiderivative code is exercised here.
+`quad` is a Clenshaw-Curtis rule: one evaluation of a vectorized integrand
+at 2^L + 1 Chebyshev points, exact for polynomials of degree up to 2^L, with
+its weights taken by one FFT.  The density integrated here is a polynomial
+whose degree the oracle counts from its own linear forms, so the rule needs
+no refinement loop or tolerance, and none of the exact antiderivative code is
+exercised here.
 
 `crosscheck` evaluates a datum's Duistermaat-Heckman density pointwise from
 its multiset of linear forms, never expanded: the exponential of a sum of
@@ -32,7 +33,6 @@ if TYPE_CHECKING:
 __all__ = [
     "CrosscheckReport",
     "EvaluationFailureError",
-    "NoConvergenceError",
     "QuadratureResult",
     "crosscheck",
     "dh_density_evaluator",
@@ -40,117 +40,63 @@ __all__ = [
 ]
 
 #: crosscheck refuses larger n.  The scaled density stays in double range at
-#: any n; the cap bounds the run time of a cross-check and of the oracle suite.
+#: any n; the cap bounds the oracle suite's grid, not the cost of a quadrature.
 CROSSCHECK_MAX_N = 20
 
 #: crosscheck's relative tolerance on tbar and R against the exact values.
 CROSSCHECK_REL_TOL = 1e-9
-
-_CHUNK = 1 << 20
-
-#: A Simpson estimate of exactly zero counts as converged only from this
-#: level on (2^11 panels): a narrow peak that no earlier sample hit would
-#: otherwise pass as a zero integral.
-ZERO_MIN_LEVELS = 12
 
 
 class EvaluationFailureError(RuntimeError):
     """The integrand returned a non-finite value."""
 
 
-class NoConvergenceError(RuntimeError):
-    """Refinement hit the level cap; `.best` holds the last estimate."""
-
-    def __init__(self, message: str, best: "QuadratureResult"):
-        super().__init__(message)
-        self.best = best
-
-
 @dataclass(frozen=True)
 class QuadratureResult:
     estimate: float
-    error_estimate: float
+    #: L of the rule's 2^L + 1 nodes.
     refinement_levels: int
 
 
-def _midpoint_sum(f: Callable[[np.ndarray], np.ndarray], lo: float, step: float, count: int) -> float:
-    """Sum of f at the `count` points lo + step/2 + m*step, evaluated in chunks."""
-    import numpy as np
+def quad(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, degree: int) -> QuadratureResult:
+    """Clenshaw-Curtis integral of f over [lo, hi], exact for polynomials of `degree`.
 
-    total = 0.0
-    start = lo + step / 2.0
-    for offset in range(0, count, _CHUNK):
-        stop = min(offset + _CHUNK, count)
-        xs = start + step * np.arange(offset, stop, dtype=float)
-        vals = np.asarray(f(xs), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise EvaluationFailureError("integrand returned a non-finite value")
-        total += float(np.sum(vals))
-    return total
-
-
-def quad(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-9,
-    max_levels: int = 22,
-) -> QuadratureResult:
-    """Composite Simpson estimate of the integral of f over [lo, hi].
-
-    f must map a numpy array of sample points to the array of values.  The
-    panel count doubles per level until two successive Simpson values agree
-    to rel_tol (relatively, or absolutely for an estimate of exactly zero,
-    which is accepted only from level ZERO_MIN_LEVELS on), and the level cap
-    raises NoConvergenceError carrying the best estimate.  The default cap,
-    22 levels (about 4 M points), is above the 17 that every datum of the
-    oracle suite needs, and stops a cross-check that cannot converge before
-    the far costlier levels past it.
+    f must map a numpy array of points to the array of values; it is called
+    once, at the 2^L + 1 Chebyshev points of the least L >= 1 with
+    2^L > degree.  The endpoints are nodes, set exactly to lo and hi.  The
+    Chebyshev coefficients of the interpolant come from one real FFT of the
+    even extension of the values, and the estimate is their exact integral.
     """
     if not lo < hi:
         raise ValueError(f"quad requires lo < hi, got [{lo}, {hi}]")
-    if not rel_tol > 0:
-        raise ValueError("rel_tol must be positive")
-    if max_levels < 2:
-        raise ValueError("max_levels must be at least 2")
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+        raise ValueError(f"degree must be a nonnegative int, got {degree!r}")
     import numpy as np
 
-    ends = np.asarray(f(np.array([lo, hi], dtype=float)), dtype=float)
-    if not np.all(np.isfinite(ends)):
+    levels = max(1, degree.bit_length())
+    n = 1 << levels
+    half = 0.5 * (hi - lo)
+    ts = lo + half * (1.0 + np.cos(np.pi * np.arange(n + 1) / n))
+    ts[0], ts[n] = hi, lo
+    vals = np.asarray(f(ts), dtype=float)
+    if not np.all(np.isfinite(vals)):
         raise EvaluationFailureError("integrand returned a non-finite value")
-    width = hi - lo
-    trap = 0.5 * width * float(ends[0] + ends[1])
-    simpson_prev: float | None = None
-    diff = float("inf")
-    for level in range(1, max_levels + 1):
-        step = width / (1 << (level - 1))
-        mid = _midpoint_sum(f, lo, step, 1 << (level - 1))
-        trap_next = 0.5 * trap + 0.5 * step * mid
-        simpson = (4.0 * trap_next - trap) / 3.0
-        if simpson_prev is not None:
-            diff = abs(simpson - simpson_prev)
-            scale = abs(simpson)
-            if scale:
-                converged = diff <= rel_tol * scale
-            else:
-                converged = level >= ZERO_MIN_LEVELS and diff <= rel_tol
-            if converged:
-                return QuadratureResult(simpson, diff, level)
-        simpson_prev = simpson
-        trap = trap_next
-    best = QuadratureResult(simpson, diff, max_levels)
-    raise NoConvergenceError(
-        f"no convergence within {max_levels} halvings (last estimate {simpson!r})", best
-    )
+    coeffs = np.fft.rfft(np.concatenate([vals, vals[n - 1 : 0 : -1]])).real / n
+    coeffs[[0, n]] /= 2.0
+    # The integral of T_j over [-1, 1] is 2/(1 - j^2) for even j, 0 for odd j.
+    even = np.arange(0, n + 1, 2)
+    return QuadratureResult(half * float(coeffs[::2] @ (2.0 / (1.0 - even * even))), levels)
 
 
-def dh_density_evaluator(rs: RootSystem, seg: MomentSegment) -> tuple[Callable[[np.ndarray], np.ndarray], float, float]:
-    """Vectorized evaluator for the density on a segment, scaled into [0, 1], plus (a, b).
+def dh_density_evaluator(rs: RootSystem, seg: MomentSegment) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """Vectorized evaluator for the density on a segment, scaled into [0, 1], plus its degree.
 
     The roots are grouped into distinct linear forms u*(a+t) + v*(b-t), and
     each form is divided by its maximum (a+b)*max(u, v) on the segment before
     its logarithm is weighted by its multiplicity.  The constant factor this
-    drops cancels in tbar and R, and no value can leave double range.
+    drops cancels in tbar and R, and no value can leave double range.  The
+    degree returned is the sum of the multiplicities, |Phi_Pu|: a bound, as a
+    form with u == v is constant in t.
     """
     import numpy as np
 
@@ -173,7 +119,7 @@ def dh_density_evaluator(rs: RootSystem, seg: MomentSegment) -> tuple[Callable[[
                 log_acc += mult * np.log(u * (a + ts) + v * (b - ts))
         return np.exp(log_acc)
 
-    return density, a, b
+    return density, sum(marked.values())
 
 
 @dataclass(frozen=True)
@@ -191,17 +137,18 @@ class CrosscheckReport:
 def crosscheck(datum: HorosphericalDatum) -> CrosscheckReport:
     """Quadrature recomputation of tbar and R versus the exact engine values.
 
-    The inner quadrature runs three decades tighter than the comparison
-    tolerance CROSSCHECK_REL_TOL.  Parameters are capped at n <= CROSSCHECK_MAX_N.
+    The density and its first moment are integrated by `quad` at their
+    degrees, and the tbar and R they give must match the engine's within
+    CROSSCHECK_REL_TOL.  Parameters are capped at n <= CROSSCHECK_MAX_N.
     """
     if datum.n is not None and datum.n > CROSSCHECK_MAX_N:
         raise ValueError(f"crosscheck supports n <= {CROSSCHECK_MAX_N}")
     rs, _, _ = engine.resolve(datum)
     exact = engine.report(datum)
-    density, a, b = dh_density_evaluator(rs, exact.segment)
-    inner_tol = CROSSCHECK_REL_TOL * 1e-3
-    volume = quad(density, -a, b, inner_tol)
-    first = quad(lambda ts: ts * density(ts), -a, b, inner_tol)
+    density, degree = dh_density_evaluator(rs, exact.segment)
+    a, b = float(exact.segment.a), float(exact.segment.b)
+    volume = quad(density, -a, b, degree)
+    first = quad(lambda ts: ts * density(ts), -a, b, degree + 1)
     t_bar_quad = first.estimate / volume.estimate
     if t_bar_quad > 0:
         r_quad = a / (a + t_bar_quad)

@@ -12,83 +12,95 @@ from grlb.engine import HorosphericalDatum
 from grlb.exactnum import Polynomial, integrate
 from grlb.oracle import (
     CROSSCHECK_MAX_N,
-    ZERO_MIN_LEVELS,
     EvaluationFailureError,
-    NoConvergenceError,
     crosscheck,
     dh_density_evaluator,
     quad,
 )
+from grlb.suites import _oracle_data
 
 F = Fraction
 
 
 class TestQuad:
     def test_constant_one(self):
-        res = quad(lambda ts: np.ones_like(ts), 0.0, 1.0, 1e-12)
+        res = quad(lambda ts: np.ones_like(ts), 0.0, 1.0, 0)
         assert res.estimate == pytest.approx(1.0, rel=1e-12)
 
     def test_even_quartic(self):
-        res = quad(lambda ts: (1 - ts * ts) ** 2, 0.0, 1.0, 1e-12)
-        assert res.estimate == pytest.approx(8.0 / 15.0, rel=1e-10)
-        assert res.error_estimate >= 0.0
-        assert res.refinement_levels >= 2
+        res = quad(lambda ts: (1 - ts * ts) ** 2, 0.0, 1.0, 4)
+        assert res.estimate == pytest.approx(8.0 / 15.0, rel=1e-12)
+        assert res.refinement_levels == 3
+
+    def test_degree_255(self):
+        res = quad(lambda ts: (1 + ts) ** 255, 0.0, 1.0, 255)
+        assert res.estimate == pytest.approx((2.0**256 - 1) / 256, rel=1e-12)
+
+    @pytest.mark.parametrize(("degree", "levels"), [(0, 1), (1, 1), (4, 3), (7, 3), (8, 4)])
+    def test_one_evaluation_at_the_rule_nodes(self, degree, levels):
+        seen = []
+
+        def f(ts):
+            seen.append(ts)
+            return np.ones_like(ts)
+
+        res = quad(f, -2.0, 3.0, degree)
+        assert res.refinement_levels == levels
+        assert [len(ts) for ts in seen] == [2**levels + 1]
+        assert (seen[0].min(), seen[0].max()) == (-2.0, 3.0)
+        assert res.estimate == pytest.approx(5.0, rel=1e-14)
+
+    def test_zero_integrand_converges(self):
+        res = quad(lambda ts: np.zeros_like(ts), 0.0, 1.0, 0)
+        assert res.estimate == 0.0
+        assert res.refinement_levels == 1
 
     def test_interval_validation(self):
         with pytest.raises(ValueError):
-            quad(lambda ts: ts, 1.0, 0.0, 1e-9)
+            quad(lambda ts: ts, 1.0, 0.0, 1)
         with pytest.raises(ValueError):
-            quad(lambda ts: ts, 0.0, 1.0, -1e-9)
+            quad(lambda ts: ts, 1.0, 1.0, 1)
         with pytest.raises(ValueError):
-            quad(lambda ts: ts, 0.0, 1.0, float("nan"))
+            quad(lambda ts: ts, float("nan"), 1.0, 1)
+        with pytest.raises(ValueError):
+            quad(lambda ts: ts, 0.0, float("nan"), 1)
+
+    @pytest.mark.parametrize("degree", [-1, True, 2.0])
+    def test_degree_validation(self, degree):
+        with pytest.raises(ValueError):
+            quad(lambda ts: ts, 0.0, 1.0, degree)
 
     def test_nonfinite_value_raises(self):
+        # lo is a node of the rule, so 1/ts is evaluated at 0.
         def f(ts):
             with np.errstate(divide="ignore"):
                 return 1.0 / ts
 
         with pytest.raises(EvaluationFailureError):
-            quad(f, -1.0, 1.0, 1e-9)
-
-    def test_level_cap_reports_best(self):
-        def chirp(ts):
-            return np.sin(1e7 * ts * ts)
-
-        with pytest.raises(NoConvergenceError) as excinfo:
-            quad(chirp, 0.0, 3.0, 1e-14, max_levels=6)
-        assert excinfo.value.best.refinement_levels == 6
-        assert np.isfinite(excinfo.value.best.estimate)
-        with pytest.raises(NoConvergenceError) as excinfo:
-            quad(chirp, 0.0, 3.0, 1e-14)
-        assert excinfo.value.best.refinement_levels == 22
-
-    def test_zero_integrand_converges(self):
-        res = quad(lambda ts: np.zeros_like(ts), 0.0, 1.0, 1e-9)
-        assert res.estimate == 0.0
-        assert res.refinement_levels == ZERO_MIN_LEVELS
-
-    def test_narrow_peak_is_not_a_false_zero(self):
-        # No sample of the first levels reaches the peak, so each of their
-        # Simpson values is exactly 0.
-        sigma = 0.001
-        res = quad(lambda ts: np.exp(-0.5 * ((ts - 0.3) / sigma) ** 2), 0.0, 1.0, 1e-9)
-        assert res.estimate == pytest.approx(sigma * np.sqrt(2 * np.pi), rel=1e-9)
+            quad(f, 0.0, 1.0, 1)
 
 
 def _evaluator(datum):
     rs, _, _ = engine.resolve(datum)
-    return dh_density_evaluator(rs, engine.moment_segment(datum))
+    seg = engine.moment_segment(datum)
+    density, degree = dh_density_evaluator(rs, seg)
+    return density, degree, float(seg.a), float(seg.b)
 
 
 class TestDensityEvaluator:
     def test_x5_barycenter_by_quadrature(self):
-        density, a, b = _evaluator(HorosphericalDatum("X5"))
-        vol = quad(density, -a, b, 1e-13).estimate
-        first = quad(lambda ts: ts * density(ts), -a, b, 1e-13).estimate
-        assert first / vol == pytest.approx(-11.0 / 28.0, rel=1e-9)
+        density, degree, a, b = _evaluator(HorosphericalDatum("X5"))
+        vol = quad(density, -a, b, degree).estimate
+        first = quad(lambda ts: ts * density(ts), -a, b, degree + 1).estimate
+        assert first / vol == pytest.approx(-11.0 / 28.0, rel=1e-12)
+
+    def test_degree_is_dimension_minus_one(self):
+        for datum in _oracle_data(8):
+            _, degree, _, _ = _evaluator(datum)
+            assert degree == engine.report(datum).dimension - 1, datum.label()
 
     def test_endpoints_vanish(self):
-        density, a, b = _evaluator(HorosphericalDatum("X4"))
+        density, _, a, b = _evaluator(HorosphericalDatum("X4"))
         vals = density(np.array([-a, b]))
         assert vals == pytest.approx([0.0, 0.0], abs=1e-12)
 
@@ -97,7 +109,7 @@ class TestDensityEvaluator:
         # (a+b)*max(u, v) on the segment; the exact density divided by the
         # product of those maxima must match it pointwise.
         datum = HorosphericalDatum("X1", n=9)
-        density, a, b = _evaluator(datum)
+        density, degree, a, b = _evaluator(datum)
         rs, _, _ = engine.resolve(datum)
         seg = engine.moment_segment(datum)
         d_i = rs.half_lengths[seg.i - 1]
@@ -106,6 +118,8 @@ class TestDensityEvaluator:
         for root in engine.phi_pu(rs, seg.i, seg.j):
             scale *= (seg.a + seg.b) * max(root[seg.i - 1] * d_i, root[seg.j - 1] * d_j)
         exact_density = engine.dh_polynomial_on(rs, seg)
+        # Forms with u == v are constant in t, so |Phi_Pu| bounds the degree.
+        assert exact_density.degree <= degree
         ts = np.linspace(-float(a) + 0.25, float(b) - 0.25, 7)
         got = density(ts)
         want = np.array([float(exact_density(F(t).limit_denominator(10**12)) / scale) for t in ts])
@@ -117,7 +131,7 @@ class TestDensityEvaluator:
         ids=lambda d: d.label(),
     )
     def test_values_in_unit_interval_at_large_n(self, datum):
-        density, a, b = _evaluator(datum)
+        density, _, a, b = _evaluator(datum)
         vals = density(np.linspace(-a, b, 257))
         assert np.all(np.isfinite(vals))
         assert np.all((vals >= 0.0) & (vals <= 1.0))
@@ -145,6 +159,14 @@ class TestCrosscheck:
         assert rep.t_bar_rel_err <= 1e-9
         assert rep.r_rel_err <= 1e-9
 
+    def test_grid_at_the_cap_within_1e_12(self):
+        # Exact quadrature leaves only rounding: a degree too low for the
+        # rule could still pass the 1e-9 tolerance, but not this bound.
+        for datum in _oracle_data(CROSSCHECK_MAX_N):
+            rep = crosscheck(datum)
+            assert rep.t_bar_rel_err <= 1e-12, datum.label()
+            assert rep.r_rel_err <= 1e-12, datum.label()
+
     def test_x2_value(self):
         rep = crosscheck(HorosphericalDatum("X2"))
         assert abs(rep.r_quad - 20.0 / 21.0) / (20.0 / 21.0) <= 1e-9
@@ -168,12 +190,12 @@ class TestAgainstExactIntegration:
         p = Polynomial(coeffs)
         exact = float(integrate(p, 0, 2))
         float_coeffs = np.array([float(c) for c in reversed(p.coeffs)])
-        res = quad(lambda ts: np.polyval(float_coeffs, ts), 0.0, 2.0, 1e-11)
-        assert res.estimate == pytest.approx(exact, rel=1e-9)
+        res = quad(lambda ts: np.polyval(float_coeffs, ts), 0.0, 2.0, degree=len(coeffs) - 1)
+        assert res.estimate == pytest.approx(exact, rel=1e-12)
 
     def test_signed_fixed_case(self):
         p = Polynomial((3, -10, 0, 7, -1))
         exact = float(integrate(p, -1, 2))
         float_coeffs = np.array([float(c) for c in reversed(p.coeffs)])
-        res = quad(lambda ts: np.polyval(float_coeffs, ts), -1.0, 2.0, 1e-12)
-        assert res.estimate == pytest.approx(exact, rel=1e-9)
+        res = quad(lambda ts: np.polyval(float_coeffs, ts), -1.0, 2.0, degree=4)
+        assert res.estimate == pytest.approx(exact, rel=1e-12)

@@ -11,7 +11,7 @@ import grlb
 from grlb import closedforms, oracle
 from grlb.cli import cli
 from grlb.engine import InvalidDatumError
-from grlb.oracle import NoConvergenceError, QuadratureResult
+from grlb.oracle import EvaluationFailureError
 from grlb.suites import run_suite
 
 
@@ -38,13 +38,13 @@ def test_bounds_suite_runs_without_mpmath():
 
 def test_oracle_no_convergence_is_a_failed_check(monkeypatch):
     def crosscheck(datum):
-        raise NoConvergenceError("no convergence within 30 halvings", QuadratureResult(1.0, 1.0, 30))
+        raise EvaluationFailureError("integrand returned a non-finite value")
 
     monkeypatch.setattr(oracle, "crosscheck", crosscheck)
     results = run_suite("oracle", 3)
     assert len(results) == 7
     assert not any(r.passed for r in results)
-    assert results[0].detail == "NoConvergenceError: no convergence within 30 halvings"
+    assert results[0].detail == "EvaluationFailureError: integrand returned a non-finite value"
 
 
 def test_oracle_other_errors_propagate(monkeypatch):
