@@ -158,8 +158,8 @@ class Polynomial:
             return Polynomial.one()
         if self.degree == 1:
             # Binomial expansion beats repeated squaring for linear bases: the
-            # products of a few thousand linear factors this library builds
-            # would otherwise dominate the runtime.
+            # dense reference densities the tests build are products of a few
+            # thousand linear factors, which would otherwise dominate.
             ints, den = self._int_form()
             return _poly_from_int(_linear_pow_int(ints[0], ints[1], exponent), den**exponent)
         result, base = Polynomial.one(), self

@@ -1,12 +1,12 @@
 """Verification suites behind the `verify` command.
 
 Each suite runs a grid of checks and returns one result per check; the CLI
-prints them and converts any failure into a nonzero exit status.  A check
-whose own computation raises one of the errors it can meet (an arithmetic or
-value error for the exact checks, a quadrature failure for the oracle) is
-reported as a failed check naming the exception; other exceptions propagate,
-an InvalidDatumError (an n past the ceiling, a bad GRLB_MAX_N) included.
-`run_suite` raises that error before any check runs.
+prints them and converts any failure into a nonzero exit status.  Every suite
+is bounded by the one exact ceiling and fails a check the same way: an
+arithmetic or value error raised inside a check (a quadrature failure
+included) is reported as that check's failure naming the exception; other
+exceptions propagate, an InvalidDatumError (an n past the ceiling, a bad
+GRLB_MAX_N) included.  `run_suite` raises that error before any check runs.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from .exactnum import to_significant
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
-SUITES = ("lemmas", "closed-forms", "oracle", "bounds")
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -30,23 +28,18 @@ class CheckResult:
     detail: str
 
 
-#: Exceptions an exact check may raise for its own parameters; each becomes
-#: that check's failure, bar the InvalidDatumError of a bad argument.
+#: Exceptions a check may raise for its own parameters; each becomes that
+#: check's failure, bar the InvalidDatumError of a bad argument.
 _CHECK_ERRORS = (ArithmeticError, ValueError)
 
 
-def _check(
-    name: str,
-    evaluate: Callable[..., tuple[bool, str]],
-    *args,
-    errors: tuple[type[Exception], ...] = _CHECK_ERRORS,
-) -> CheckResult:
-    """evaluate(*args) -> (passed, detail); an exception in `errors` fails only this check."""
+def _check(name: str, evaluate: Callable[..., tuple[bool, str]], *args) -> CheckResult:
+    """evaluate(*args) -> (passed, detail); a _CHECK_ERRORS exception fails only this check."""
     try:
         passed, detail = evaluate(*args)
     except InvalidDatumError:
         raise
-    except errors as exc:
+    except _CHECK_ERRORS as exc:
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
     return CheckResult(name, passed, detail)
 
@@ -123,12 +116,10 @@ def _oracle_data(max_n: int):
     yield HorosphericalDatum("X2")
     yield HorosphericalDatum("X4")
     yield HorosphericalDatum("X5")
-    cap = min(max_n, oracle.CROSSCHECK_MAX_N)
-    for n in range(3, cap + 1):
+    for n in range(3, max_n + 1):
         yield HorosphericalDatum("X1", n=n)
-    for n in range(2, cap + 1):
-        for k in range(2, n + 1):
-            yield HorosphericalDatum("X3", n=n, k=k)
+    for n, k in _x3_pairs(max_n, strict=False):
+        yield HorosphericalDatum("X3", n=n, k=k)
 
 
 def _crosscheck(datum: HorosphericalDatum) -> tuple[bool, str]:
@@ -137,10 +128,7 @@ def _crosscheck(datum: HorosphericalDatum) -> tuple[bool, str]:
 
 
 def _suite_oracle(max_n: int) -> list[CheckResult]:
-    return [
-        _check(f"quadrature {datum.label()}", _crosscheck, datum, errors=(oracle.EvaluationFailureError,))
-        for datum in _oracle_data(max_n)
-    ]
+    return [_check(f"quadrature {datum.label()}", _crosscheck, datum) for datum in _oracle_data(max_n)]
 
 
 def _bound(family: str, n: int, k: int | None = None) -> tuple[bool, str]:
@@ -156,23 +144,26 @@ def _suite_bounds(max_n: int) -> list[CheckResult]:
     ]
 
 
+_RUNNERS = {
+    "lemmas": _suite_lemmas,
+    "closed-forms": _suite_closed_forms,
+    "oracle": _suite_oracle,
+    "bounds": _suite_bounds,
+}
+
+SUITES = tuple(_RUNNERS)
+
+
 def run_suite(suite: str, max_n: int) -> list[CheckResult]:
     """Run one named suite up to parameter max_n.
 
-    The ceiling is read once, up front: if the suite's grid reaches an n past
-    it, this raises the InvalidDatumError that `engine.resolve` raises for the
-    first such n.  The oracle's grid stops at oracle.CROSSCHECK_MAX_N.
+    The ceiling is read once, up front: every suite's grid reaches max_n, so
+    if max_n is past the ceiling this raises the InvalidDatumError that
+    `engine.resolve` raises for the first such n.
     """
-    runners = {
-        "lemmas": _suite_lemmas,
-        "closed-forms": _suite_closed_forms,
-        "oracle": _suite_oracle,
-        "bounds": _suite_bounds,
-    }
-    if suite not in runners:
+    if suite not in _RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
     ceiling = engine.max_exact_n()
-    top = min(max_n, oracle.CROSSCHECK_MAX_N) if suite == "oracle" else max_n
-    if top > ceiling:
+    if max_n > ceiling:
         raise engine.ceiling_error(ceiling + 1, ceiling)
-    return runners[suite](max_n)
+    return _RUNNERS[suite](max_n)

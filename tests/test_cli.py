@@ -332,7 +332,7 @@ class TestVerify:
         result = runner.invoke(cli, ["verify", "--suite", "oracle", "--max-n", "4"])
         assert result.exit_code == 0
 
-    def test_oracle_at_cap(self, runner):
+    def test_oracle_at_n20(self, runner):
         result = runner.invoke(cli, ["verify", "--suite", "oracle", "--max-n", "20"])
         assert result.exit_code == 0
         assert "211/211 checks passed" in result.output
@@ -390,6 +390,7 @@ INVALID_INPUTS = [
     ("abc", "table --id 1", "GRLB_MAX_N must be an integer, got 'abc'"),
     ("abc", "verify --suite lemmas --max-n 4", "GRLB_MAX_N must be an integer, got 'abc'"),
     ("5", "verify --suite bounds --max-n 8", "n=6 exceeds the exact-computation ceiling 5"),
+    ("100", "verify --suite oracle --max-n 101", "n=101 exceeds the exact-computation ceiling 100"),
 ]
 
 

@@ -8,10 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grlb import engine
-from grlb.engine import HorosphericalDatum
 from grlb.exactnum import Polynomial, integrate
+from grlb.engine import HorosphericalDatum, InvalidDatumError
 from grlb.oracle import (
-    CROSSCHECK_MAX_N,
     EvaluationFailureError,
     crosscheck,
     dh_density_evaluator,
@@ -147,22 +146,27 @@ class TestCrosscheck:
             HorosphericalDatum("X5"),
             HorosphericalDatum("X3", n=6, k=3),
             HorosphericalDatum("X1", n=5),
-            HorosphericalDatum("X1", n=CROSSCHECK_MAX_N),
+            HorosphericalDatum("X1", n=20),
             HorosphericalDatum("X3", n=20, k=10),
             HorosphericalDatum("X3", n=20, k=20),
+            HorosphericalDatum("X1", n=100),
+            HorosphericalDatum("X3", n=100, k=2),
+            HorosphericalDatum("X3", n=100, k=50),
+            HorosphericalDatum("X3", n=100, k=100),
         ],
         ids=lambda d: d.label(),
     )
     def test_agreement(self, datum):
+        # At the default ceiling too, exact quadrature leaves only rounding.
         rep = crosscheck(datum)
         assert rep.ok
-        assert rep.t_bar_rel_err <= 1e-9
-        assert rep.r_rel_err <= 1e-9
+        assert rep.t_bar_rel_err <= 1e-12
+        assert rep.r_rel_err <= 1e-12
 
-    def test_grid_at_the_cap_within_1e_12(self):
+    def test_grid_at_n20_within_1e_12(self):
         # Exact quadrature leaves only rounding: a degree too low for the
         # rule could still pass the 1e-9 tolerance, but not this bound.
-        for datum in _oracle_data(CROSSCHECK_MAX_N):
+        for datum in _oracle_data(20):
             rep = crosscheck(datum)
             assert rep.t_bar_rel_err <= 1e-12, datum.label()
             assert rep.r_rel_err <= 1e-12, datum.label()
@@ -171,9 +175,11 @@ class TestCrosscheck:
         rep = crosscheck(HorosphericalDatum("X2"))
         assert abs(rep.r_quad - 20.0 / 21.0) / (20.0 / 21.0) <= 1e-9
 
-    def test_cap(self):
-        with pytest.raises(ValueError):
-            crosscheck(HorosphericalDatum("X1", n=CROSSCHECK_MAX_N + 1))
+    def test_cap(self, monkeypatch):
+        # The exact ceiling is the oracle's only bound on n.
+        monkeypatch.setenv("GRLB_MAX_N", "4")
+        with pytest.raises(InvalidDatumError, match="^n=5 exceeds the exact-computation ceiling 4"):
+            crosscheck(HorosphericalDatum("X1", n=5))
 
 
 coeffs_strategy = st.lists(

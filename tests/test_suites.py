@@ -47,12 +47,34 @@ def test_oracle_no_convergence_is_a_failed_check(monkeypatch):
     assert results[0].detail == "EvaluationFailureError: integrand returned a non-finite value"
 
 
-def test_oracle_other_errors_propagate(monkeypatch):
+def test_evaluation_failure_is_an_arithmetic_error():
+    assert issubclass(EvaluationFailureError, ArithmeticError)
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError("float division by zero"), ValueError("forced")])
+def test_oracle_arithmetic_or_value_error_is_a_failed_check(monkeypatch, error):
+    # The oracle fails a check the way the exact suites do.
     def crosscheck(datum):
-        raise ZeroDivisionError("not a quadrature failure")
+        raise error
 
     monkeypatch.setattr(oracle, "crosscheck", crosscheck)
-    with pytest.raises(ZeroDivisionError):
+    results = run_suite("oracle", 3)
+    assert len(results) == 7
+    assert not any(r.passed for r in results)
+    detail = f"{type(error).__name__}: {error}"
+    assert {r.detail for r in results} == {detail}
+    result = CliRunner().invoke(cli, ["verify", "--suite", "oracle", "--max-n", "3"])
+    assert result.exit_code == 3
+    assert result.output.count(f"FAIL quadrature X2: {detail}") == 1
+    assert result.output.count("FAIL") == 7
+
+
+def test_oracle_other_errors_propagate(monkeypatch):
+    def crosscheck(datum):
+        raise RuntimeError("a defect, not a check failure")
+
+    monkeypatch.setattr(oracle, "crosscheck", crosscheck)
+    with pytest.raises(RuntimeError):
         run_suite("oracle", 3)
 
 
@@ -126,9 +148,3 @@ def test_ceiling_is_checked_before_any_check_runs(monkeypatch, suite):
     with pytest.raises(InvalidDatumError, match="GRLB_MAX_N must be an integer"):
         run_suite(suite, 4)
 
-
-def test_oracle_grid_stops_at_the_crosscheck_cap(monkeypatch):
-    # The oracle reaches only min(max_n, CROSSCHECK_MAX_N), so a larger max_n is no error.
-    monkeypatch.setenv("GRLB_MAX_N", "4")
-    monkeypatch.setattr(oracle, "CROSSCHECK_MAX_N", 3)
-    assert [r.name for r in run_suite("oracle", 101)] == [r.name for r in run_suite("oracle", 3)]
