@@ -6,12 +6,18 @@ the integer parameters the family takes.  The datum resolves to a root system
 with two marked simple roots (i, j); the computation then proceeds entirely in
 exact rational arithmetic:
 
-    marked roots -> Phi_Pu (roots of the unipotent radical)
+    marked roots -> Phi_Pu (roots of the unipotent radical), as the multiset
+                    of its marked coefficients (c_i, c_j)
                  -> 2*rho_P = sum of Phi_Pu, supported on the marked indices
                  -> moment segment gamma(t) = (a+t) w_i + (b-t) w_j, t in [-a, b]
                  -> Duistermaat-Heckman density P(t) = prod of linear factors
                  -> barycenter parameter tbar = Int t P / Int P
                  -> greatest Ricci lower bound R from the position of tbar.
+
+`report` builds no root table: `rootsystems.unipotent_radical` walks Phi_Pu
+in the orthonormal basis of B_n and C_n, in O(n^2) time and O(n) memory, and
+reads the fixed tables of F4 and G2.  `resolve` still builds the table, for the
+oracle and the tests, which check the walk against it.
 
 The density is never expanded to compute tbar.  Under sigma = (t+a)/(a+b) it
 is a positive constant, which cancels in tbar and is never formed, times a few
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Polynomial, _int_mul, _linear_pow_int, poly_product
-from .rootsystems import RootSystem, RootVector, build_root_system, weight_of_root_sum
+from .rootsystems import RootSystem, RootVector, build_root_system, half_length, unipotent_radical
 
 __all__ = [
     "DEFAULT_MAX_EXACT_N",
@@ -61,8 +67,8 @@ __all__ = [
 FAMILIES = ("X1", "X2", "X3", "X4", "X5")
 
 #: Default ceiling on the size parameter n for exact computation.  At the
-#: ceiling one X1 report takes about 0.018 s and the closed-form R about
-#: 0.009 s (Python 3.11, one core of a 2-CPU host); there is no floating-point
+#: ceiling one X1 report takes about 0.005 s and the closed-form R about
+#: 0.02 s (Python 3.11, one core of a 2-CPU host); there is no floating-point
 #: fallback.  Raising it waits for a committed benchmark trajectory (ROADMAP).
 DEFAULT_MAX_EXACT_N = 100
 
@@ -174,8 +180,8 @@ class ComputationReport:
     R: Fraction
 
 
-def resolve(datum: HorosphericalDatum) -> tuple[RootSystem, int, int]:
-    """Root system and oriented marked simple roots (i, j) for a datum.
+def _marked_pair(datum: HorosphericalDatum) -> tuple[str, int, int, int]:
+    """(type_label, rank, i, j): the datum's root system and oriented marked pair.
 
     i is the index whose coefficient grows with t (see module docstring).
     The ceiling is read for every datum, so a bad or too-low GRLB_MAX_N is an
@@ -187,14 +193,23 @@ def resolve(datum: HorosphericalDatum) -> tuple[RootSystem, int, int]:
         raise ceiling_error(n, ceiling)
     f = datum.family
     if f == "X1":
-        return build_root_system("B", n), n - 1, n
+        return "B", n, n - 1, n
     if f == "X2":
-        return build_root_system("B", 3), 1, 3
+        return "B", 3, 1, 3
     if f == "X3":
-        return build_root_system("C", n), datum.k - 1, datum.k
+        return "C", n, datum.k - 1, datum.k
     if f == "X4":
-        return build_root_system("F4", 4), 2, 3
-    return build_root_system("G2", 2), 1, 2
+        return "F4", 4, 2, 3
+    return "G2", 2, 1, 2
+
+
+def resolve(datum: HorosphericalDatum) -> tuple[RootSystem, int, int]:
+    """Root table and oriented marked simple roots (i, j) for a datum.
+
+    `report` does not call this; the oracle and the tests read the table.
+    """
+    type_label, rank, i, j = _marked_pair(datum)
+    return build_root_system(type_label, rank), i, j
 
 
 def phi_pu(rs: RootSystem, i: int, j: int) -> tuple[RootVector, ...]:
@@ -204,36 +219,40 @@ def phi_pu(rs: RootSystem, i: int, j: int) -> tuple[RootVector, ...]:
     return tuple(r for r in rs.positive_roots if r[i - 1] > 0 or r[j - 1] > 0)
 
 
-def _segment(rs: RootSystem, i: int, j: int, roots: tuple[RootVector, ...]) -> MomentSegment:
-    """The segment of 2*rho_P = a w_i + b w_j, the sum of `roots` (Phi_Pu)."""
-    w = weight_of_root_sum(rs, roots)
-    if w.keys() != {i, j}:
+def _segment(i: int, j: int, two_rho_p: dict[int, int]) -> MomentSegment:
+    """The segment of 2*rho_P = a w_i + b w_j, given as fundamental-weight coefficients."""
+    if two_rho_p.keys() != {i, j}:
         raise ValueError(
-            f"2*rho_P must be supported exactly on the marked indices {{{i}, {j}}}, got {w}"
+            f"2*rho_P must be supported exactly on the marked indices {{{i}, {j}}}, got {two_rho_p}"
         )
-    return MomentSegment(i, j, w[i], w[j])
+    return MomentSegment(i, j, two_rho_p[i], two_rho_p[j])
 
 
 def moment_segment(datum: HorosphericalDatum) -> MomentSegment:
     """Moment segment for a datum, oriented as `resolve` orients its marked pair."""
-    rs, i, j = resolve(datum)
-    return _segment(rs, i, j, phi_pu(rs, i, j))
+    type_label, rank, i, j = _marked_pair(datum)
+    _, two_rho_p = unipotent_radical(type_label, rank, i, j)
+    return _segment(i, j, two_rho_p)
 
 
 def _marked_weights(
-    rs: RootSystem, seg: MomentSegment, roots: tuple[RootVector, ...]
+    d_i: Fraction, d_j: Fraction, marked: Counter[tuple[int, int]]
 ) -> Counter[tuple[Fraction, Fraction]]:
-    """Multiset of (u, v) over the roots: the root contributes u*(a+t) + v*(b-t).
+    """Multiset of (u, v) over Phi_Pu: the root contributes u*(a+t) + v*(b-t).
 
-    u and v are its coefficients on the marked simple roots i and j times
-    their half squared lengths.
+    u and v are its coefficients (c_i, c_j) on the marked simple roots i and j
+    times their half squared lengths d_i and d_j.
     """
-    d_i = rs.half_lengths[seg.i - 1]
-    d_j = rs.half_lengths[seg.j - 1]
     out: Counter[tuple[Fraction, Fraction]] = Counter()
-    for (c_i, c_j), mult in Counter((r[seg.i - 1], r[seg.j - 1]) for r in roots).items():
+    for (c_i, c_j), mult in marked.items():
         out[c_i * d_i, c_j * d_j] += mult
     return out
+
+
+def _table_weights(rs: RootSystem, seg: MomentSegment) -> Counter[tuple[Fraction, Fraction]]:
+    """`_marked_weights` of Phi_Pu read from a root table."""
+    marked = Counter((r[seg.i - 1], r[seg.j - 1]) for r in phi_pu(rs, seg.i, seg.j))
+    return _marked_weights(rs.half_lengths[seg.i - 1], rs.half_lengths[seg.j - 1], marked)
 
 
 def dh_polynomial_on(rs: RootSystem, seg: MomentSegment) -> Polynomial:
@@ -244,7 +263,7 @@ def dh_polynomial_on(rs: RootSystem, seg: MomentSegment) -> Polynomial:
     the marked simple roots and d_m the half squared lengths.
     """
     factors = []
-    for (u, v), mult in _marked_weights(rs, seg, phi_pu(rs, seg.i, seg.j)).items():
+    for (u, v), mult in _table_weights(rs, seg).items():
         factors += [Polynomial.linear(u * seg.a + v * seg.b, u - v)] * mult
     return poly_product(factors)
 
@@ -279,15 +298,15 @@ def _form_moments(forms: Counter[tuple[int, int]]) -> tuple[int, int, int]:
     return c1, moment(q), moment(q1)
 
 
-def _barycenter(rs: RootSystem, seg: MomentSegment, roots: tuple[RootVector, ...]) -> Fraction:
-    """tbar = Int t P / Int P over [-a, b], for the density P of `roots`.
+def _barycenter(seg: MomentSegment, weights: Counter[tuple[Fraction, Fraction]]) -> Fraction:
+    """tbar = Int t P / Int P over [-a, b], P = prod of u*(a+t) + v*(b-t) over `weights`.
 
     With sigma = (t+a)/(a+b) a root's factor u*(a+t) + v*(b-t) is a positive
     constant times the coprime integer form c0 + c1*sigma, and t = (a+b)*sigma - a;
     the constants cancel, so tbar = (a+b)*num1/(c1*num0) - a.
     """
     forms: Counter[tuple[int, int]] = Counter()
-    for (u, v), mult in _marked_weights(rs, seg, roots).items():
+    for (u, v), mult in weights.items():
         den = math.lcm(v.denominator, (u - v).denominator)
         c0, c1 = int(v * den), int((u - v) * den)
         if c1:
@@ -320,13 +339,14 @@ def report(datum: HorosphericalDatum) -> ComputationReport:
 
     This is the one entry point for R(X), tbar, the segment and the dimension.
     """
-    rs, i, j = resolve(datum)
-    roots = phi_pu(rs, i, j)
-    seg = _segment(rs, i, j, roots)
-    t_bar = _barycenter(rs, seg, roots)
+    type_label, rank, i, j = _marked_pair(datum)
+    marked, two_rho_p = unipotent_radical(type_label, rank, i, j)
+    seg = _segment(i, j, two_rho_p)
+    d_i, d_j = half_length(type_label, rank, i), half_length(type_label, rank, j)
+    t_bar = _barycenter(seg, _marked_weights(d_i, d_j, marked))
     return ComputationReport(
         datum=datum,
-        dimension=len(roots) + 1,
+        dimension=sum(marked.values()) + 1,
         segment=seg,
         barycenter_t=t_bar,
         R=ricci_bound(seg.a, seg.b, t_bar),

@@ -135,8 +135,11 @@ def crosscheck(datum: HorosphericalDatum) -> CrosscheckReport:
 
     The density and its first moment are integrated by `quad` at their
     degrees, and the tbar and R they give must match the engine's within
-    CROSSCHECK_REL_TOL.  Its only bound on n is the exact ceiling, through
-    the InvalidDatumError of `engine.resolve`.
+    CROSSCHECK_REL_TOL.  The density comes from the root table that
+    `engine.resolve` builds, the one table of a cross-check; `engine.report`
+    walks Phi_Pu without a table, so the two stay independent.  The only
+    bound on n is the exact ceiling, through the InvalidDatumError of
+    `engine.resolve`.
     """
     rs, _, _ = engine.resolve(datum)
     exact = engine.report(datum)

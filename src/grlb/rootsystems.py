@@ -16,14 +16,31 @@ simple-root coordinates:
         2 L_i      ->  2(alpha_i + ... + alpha_{n-1}) + alpha_n
         L_i + L_j  ->  alpha_i + ... + alpha_{j-1} + 2(alpha_j + ... + alpha_{n-1}) + alpha_n
 
-F4 and G2 are small fixed tables.  `half_lengths[m-1]` is half the squared
-length of alpha_m under the bilinear form normalization in which the pairing
-of a simple root with its own fundamental weight equals that half length;
-these are the factors the Duistermaat-Heckman densities are built from.
+Each of these roots is at most three constant runs of nonzero coefficients,
+so the engine never tabulates them.  Write minus(p, q) for the root with
+coefficient 1 on alpha_p..alpha_{q-1} and 0 elsewhere (L_p - L_q), and
+plus(p, q) for the root that also has coefficient 2 on alpha_q..alpha_n,
+except 1 on alpha_n for C_n (L_p + L_q).  Then the positive roots are
+
+    B_n: minus(p, q) for p < q <= n+1 (q = n+1 is L_p), plus(p, q) for p < q <= n;
+    C_n: minus(p, q) for p < q <= n, plus(p, q) for p <= q <= n (q = p is 2 L_p).
+
+`unipotent_radical` walks the (p, q) pairs, finds each root's marked
+coefficients by integer comparisons, and keeps the column sums of the roots
+it counts in a difference array: O(n^2) time and O(n) memory, with no root
+tuple built.
+
+F4 and G2 are small fixed tables.  `half_length(type_label, rank, m)` is half
+the squared length of alpha_m under the bilinear form normalization in which
+the pairing of a simple root with its own fundamental weight equals that half
+length; these are the factors the Duistermaat-Heckman densities are built
+from.  Every supported Dynkin diagram is the path 1 - 2 - ... - rank, so each
+Cartan matrix is 2 on the diagonal and -1 beside it, but for one entry.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -35,6 +52,8 @@ __all__ = [
     "UnsupportedRootSystemError",
     "build_root_system",
     "cartan_matrix",
+    "half_length",
+    "unipotent_radical",
     "weight_of_root_sum",
 ]
 
@@ -71,6 +90,7 @@ _F4_POSITIVE_ROOTS: tuple[RootVector, ...] = (
     (2, 3, 4, 2),
 )
 
+_ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 
@@ -91,52 +111,60 @@ def _type_bc_roots(rank: int, long_last: bool) -> tuple[RootVector, ...]:
     return tuple(roots)
 
 
+def _check_supported(type_label: str, rank: int) -> None:
+    bc = type_label in ("B", "C") and rank >= 2
+    if not (bc or (type_label, rank) in (("F4", 4), ("G2", 2))):
+        raise UnsupportedRootSystemError(
+            f"unsupported root system ({type_label!r}, rank {rank})"
+        )
+
+
+def half_length(type_label: str, rank: int, m: int) -> Fraction:
+    """Half the squared length of alpha_m, for m in 1..rank."""
+    _check_supported(type_label, rank)
+    if not 1 <= m <= rank:
+        raise ValueError(f"simple root index must be in 1..{rank}, got {m}")
+    if type_label == "F4":
+        return (_ONE, _ONE, _HALF, _HALF)[m - 1]
+    if type_label == "G2":
+        return (_HALF, Fraction(3, 2))[m - 1]
+    if m < rank:
+        return _ONE
+    return _HALF if type_label == "B" else Fraction(2)
+
+
 def build_root_system(type_label: str, rank: int) -> RootSystem:
     """Construct the positive-root table for (type_label, rank).
 
     Supported pairs: ("B", n>=2), ("C", n>=2), ("F4", 4), ("G2", 2).
     """
-    if type_label == "B" and rank >= 2:
-        roots = _type_bc_roots(rank, long_last=False)
-        half = (Fraction(1),) * (rank - 1) + (_HALF,)
-    elif type_label == "C" and rank >= 2:
-        roots = _type_bc_roots(rank, long_last=True)
-        half = (Fraction(1),) * (rank - 1) + (Fraction(2),)
-    elif type_label == "F4" and rank == 4:
-        roots = _F4_POSITIVE_ROOTS
-        half = (Fraction(1), Fraction(1), _HALF, _HALF)
-    elif type_label == "G2" and rank == 2:
-        roots = _G2_POSITIVE_ROOTS
-        half = (_HALF, Fraction(3, 2))
+    _check_supported(type_label, rank)
+    if type_label in ("B", "C"):
+        roots = _type_bc_roots(rank, long_last=type_label == "C")
     else:
-        raise UnsupportedRootSystemError(
-            f"unsupported root system ({type_label!r}, rank {rank})"
-        )
+        roots = _F4_POSITIVE_ROOTS if type_label == "F4" else _G2_POSITIVE_ROOTS
+    half = tuple(half_length(type_label, rank, m) for m in range(1, rank + 1))
     return RootSystem(type_label=type_label, rank=rank, positive_roots=roots, half_lengths=half)
+
+
+def _off_path_entry(type_label: str, rank: int) -> tuple[int, int, int]:
+    """(l, m, <alpha_l^vee, alpha_m>) for the one Cartan entry that is not 2, -1 or 0."""
+    if type_label == "B":
+        return rank, rank - 1, -2
+    if type_label == "C":
+        return rank - 1, rank, -2
+    if type_label == "F4":
+        return 3, 2, -2
+    return 1, 2, -3
 
 
 def cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """Pairing matrix with entry [l][m] = <alpha_{l+1}^vee, alpha_{m+1}> (0-based rows/cols)."""
     n = rs.rank
-    if rs.type_label == "F4":
-        return ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -2, 2, -1), (0, 0, -1, 2))
-    if rs.type_label == "G2":
-        return ((2, -3), (-1, 2))
-    rows = []
-    for l in range(n):
-        row = [0] * n
-        row[l] = 2
-        if l > 0:
-            row[l - 1] = -1
-        if l < n - 1:
-            row[l + 1] = -1
-        rows.append(row)
-    if rs.type_label == "B":
-        rows[n - 1][n - 2] = -2
-    elif rs.type_label == "C":
-        rows[n - 2][n - 1] = -2
-    else:
-        raise UnsupportedRootSystemError(f"unknown type label {rs.type_label!r}")
+    _check_supported(rs.type_label, n)
+    rows = [[2 if l == m else -1 if abs(l - m) == 1 else 0 for m in range(n)] for l in range(n)]
+    l, m, entry = _off_path_entry(rs.type_label, n)
+    rows[l - 1][m - 1] = entry
     return tuple(tuple(r) for r in rows)
 
 
@@ -149,3 +177,84 @@ def weight_of_root_sum(rs: RootSystem, roots: Iterable[RootVector]) -> dict[int,
     total = [sum(column) for column in zip(*roots)] or [0] * rs.rank
     pairings = (sum(p * c for p, c in zip(row, total)) for row in cartan_matrix(rs))
     return {l: c for l, c in enumerate(pairings, 1) if c}
+
+
+def _bc_walk(n: int, long_last: bool, i: int, j: int) -> tuple[Counter[tuple[int, int]], list[int]]:
+    """(c_i, c_j) multiset and column sums t of Phi_Pu in B_n, or C_n if long_last.
+
+    t[m] is the sum of the coefficients of alpha_m for m in 1..n, and
+    t[0] = t[n+1] = 0.  A root with p > max(i, j) has no marked coefficient.
+    diff holds the differences of t: each root adds 1 from alpha_p on, then
+    falls back by 1 (minus) or rises by 1 (plus) from alpha_q on; for C_n a
+    plus root falls back by 1 at alpha_n.
+    """
+    marked: Counter[tuple[int, int]] = Counter()
+    diff = [0] * (n + 2)
+    top_i = 1 if long_last and i == n else 2
+    top_j = 1 if long_last and j == n else 2
+    for p in range(1, max(i, j) + 1):
+        for q in range(p + 1, n + 2 - long_last):  # minus(p, q)
+            c_i = 1 if p <= i < q else 0
+            c_j = 1 if p <= j < q else 0
+            if c_i or c_j:
+                marked[c_i, c_j] += 1
+                diff[p] += 1
+                diff[q] -= 1
+        for q in range(p + 1 - long_last, n + 1):  # plus(p, q)
+            c_i = 0 if i < p else 1 if i < q else top_i
+            c_j = 0 if j < p else 1 if j < q else top_j
+            marked[c_i, c_j] += 1
+            diff[p] += 1
+            diff[q] += 1
+        if long_last:
+            diff[n] -= n + 1 - p  # one for each plus(p, q), q = p..n
+    t = [0] * (n + 2)
+    for m in range(1, n + 1):
+        t[m] = t[m - 1] + diff[m]
+    return marked, t
+
+
+def _table_walk(
+    roots: tuple[RootVector, ...], i: int, j: int
+) -> tuple[Counter[tuple[int, int]], list[int]]:
+    """`_bc_walk`'s multiset and column sums, read from a fixed table."""
+    marked: Counter[tuple[int, int]] = Counter()
+    t = [0] * (len(roots[0]) + 2)
+    for r in roots:
+        if r[i - 1] or r[j - 1]:
+            marked[r[i - 1], r[j - 1]] += 1
+            for m, c in enumerate(r, 1):
+                t[m] += c
+    return marked, t
+
+
+def unipotent_radical(
+    type_label: str, rank: int, i: int, j: int
+) -> tuple[Counter[tuple[int, int]], dict[int, int]]:
+    """Phi_Pu for the marked simple roots i != j, without a root table.
+
+    Phi_Pu is the set of positive roots with a nonzero coefficient on alpha_i
+    or alpha_j.  Returns the multiset of their coefficients (c_i, c_j), and the
+    nonzero fundamental-weight coefficients of their sum 2*rho_P by 1-based
+    index, as `weight_of_root_sum` gives them.  B_n and C_n are walked in the
+    orthonormal basis (module docstring); F4 and G2 read their fixed tables.
+    """
+    _check_supported(type_label, rank)
+    if i == j or not (1 <= i <= rank and 1 <= j <= rank):
+        raise ValueError(f"marked indices must be distinct and in 1..{rank}")
+    if type_label in ("B", "C"):
+        marked, t = _bc_walk(rank, type_label == "C", i, j)
+    elif type_label == "F4":
+        marked, t = _table_walk(_F4_POSITIVE_ROOTS, i, j)
+    else:
+        marked, t = _table_walk(_G2_POSITIVE_ROOTS, i, j)
+    # <alpha_l^vee, sum> = 2 t_l - t_{l-1} - t_{l+1}, but for the one entry off that pattern.
+    off_l, off_m, entry = _off_path_entry(type_label, rank)
+    weight = {}
+    for l in range(1, rank + 1):
+        c = 2 * t[l] - t[l - 1] - t[l + 1]
+        if l == off_l:
+            c += (entry + 1) * t[off_m]
+        if c:
+            weight[l] = c
+    return marked, weight

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grlb import engine, oracle, rootsystems
 from grlb.closedforms import r_x1_formula, r_x3_formula
 from grlb.engine import (
     DegenerateMeasureError,
@@ -23,9 +24,9 @@ from grlb.engine import (
     resolve,
     ricci_bound,
 )
-from grlb.engine import _barycenter, _form_moments, _segment
+from grlb.engine import _barycenter, _form_moments, _segment, _table_weights
 from grlb.exactnum import Polynomial, integrate, poly_product
-from grlb.rootsystems import build_root_system, weight_of_root_sum
+from grlb.rootsystems import build_root_system, unipotent_radical, weight_of_root_sum
 
 F = Fraction
 
@@ -48,7 +49,7 @@ def two_rho_P(rs, i, j):
 
 def barycenter_on(rs, seg):
     """tbar of a segment over a given root system, Phi_Pu read from its marked pair."""
-    return _barycenter(rs, seg, phi_pu(rs, seg.i, seg.j))
+    return _barycenter(seg, _table_weights(rs, seg))
 
 
 def dense_moments(datum):
@@ -145,6 +146,47 @@ class TestResolve:
         assert moment_segment(datum) == seg
 
 
+class TestNoRootTable:
+    """`report` walks Phi_Pu; only `resolve`, which the oracle calls, builds a table."""
+
+    TABLE_WORK = ("build_root_system", "cartan_matrix", "weight_of_root_sum", "phi_pu")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for module in (engine, rootsystems):
+            for name in self.TABLE_WORK:
+                if name in vars(module):
+
+                    def counted(*args, _fn=getattr(module, name), _name=name):
+                        calls[_name] += 1
+                        return _fn(*args)
+
+                    monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "datum",
+        [HorosphericalDatum("X1", n=n) for n in (3, 30, 100)]
+        + [HorosphericalDatum("X3", n=n, k=k) for n, k in ((2, 2), (70, 8), (100, 50), (100, 100))]
+        + FIXED,
+        ids=str,
+    )
+    def test_report_builds_no_table(self, calls, datum):
+        report(datum)
+        moment_segment(datum)
+        assert calls == {}
+
+    @pytest.mark.parametrize(
+        "datum",
+        [HorosphericalDatum("X1", n=7), HorosphericalDatum("X3", n=6, k=3), *FIXED],
+        ids=str,
+    )
+    def test_crosscheck_builds_one_table(self, calls, datum):
+        assert oracle.crosscheck(datum).ok
+        assert calls["build_root_system"] == 1
+
+
 class TestPhiPu:
     def test_sizes(self):
         assert len(phi_pu(build_root_system("G2", 2), 2, 1)) == 6
@@ -204,10 +246,15 @@ class TestMomentSegment:
     def test_segment_validation(self):
         # 2*rho_P must be supported exactly on the marked pair.
         rs = build_root_system("B", 3)
-        assert _segment(rs, 1, 3, phi_pu(rs, 1, 3)) == MomentSegment(1, 3, 3, 4)
+        assert _segment(1, 3, two_rho_P(rs, 1, 3)) == MomentSegment(1, 3, 3, 4)
         for roots in [rs.positive_roots, phi_pu(rs, 1, 2), [(1, 0, 0)]]:
             with pytest.raises(ValueError, match="supported exactly on the marked indices"):
-                _segment(rs, 1, 3, tuple(roots))
+                _segment(1, 3, weight_of_root_sum(rs, roots))
+        # The walk's 2*rho_P for B_3's pair (1, 2) is {1: 2, 2: 3}, off {1, 3}.
+        _, off_support = unipotent_radical("B", 3, 1, 2)
+        assert off_support == {1: 2, 2: 3}
+        with pytest.raises(ValueError, match="supported exactly on the marked indices"):
+            _segment(1, 3, off_support)
 
 
 class TestDhPolynomial:
@@ -326,10 +373,8 @@ class TestBarycenterAndBound:
 
     def test_zero_integral_guard(self):
         # u = -1, v = 1 is the single form 1 - 2*sigma, whose integral over [0, 1] is 0.
-        rs, _, _ = resolve(HorosphericalDatum("X5"))
-        signed = replace(rs, half_lengths=(F(-1), F(1)))
         with pytest.raises(DegenerateMeasureError):
-            _barycenter(signed, MomentSegment(1, 2, 1, 1), ((1, 1),))
+            _barycenter(MomentSegment(1, 2, 1, 1), Counter({(F(-1), F(1)): 1}))
 
 
 def barycenter_point(rep):

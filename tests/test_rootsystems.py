@@ -1,13 +1,18 @@
 """Tests for root-system construction, conversions and count invariants."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from grlb.engine import phi_pu
 from grlb.rootsystems import (
     UnsupportedRootSystemError,
+    _bc_walk,
     build_root_system,
     cartan_matrix,
+    half_length,
+    unipotent_radical,
     weight_of_root_sum,
 )
 
@@ -206,3 +211,51 @@ class TestWeights:
         rs = build_root_system("B", 3)
         assert weight_of_root_sum(rs, [(1, 0, 0)]) == {1: 2, 2: -1}
         assert weight_of_root_sum(rs, []) == {}
+
+
+class TestUnipotentRadical:
+    """The epsilon-basis walk against the root table, pair by pair."""
+
+    @pytest.mark.parametrize("type_label,n", [(t, n) for t in "BC" for n in range(2, 25)])
+    def test_walk_equals_table_for_every_ordered_pair(self, type_label, n):
+        rs = build_root_system(type_label, n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                roots = phi_pu(rs, i, j)
+                marked, two_rho_p = unipotent_radical(type_label, n, i, j)
+                assert marked == Counter((r[i - 1], r[j - 1]) for r in roots), (i, j)
+                assert two_rho_p == weight_of_root_sum(rs, roots), (i, j)
+                assert two_rho_p.keys() == {i, j}
+                walked, column_sums = _bc_walk(n, type_label == "C", i, j)
+                assert walked == marked
+                assert column_sums[1 : n + 1] == [sum(c) for c in zip(*roots)], (i, j)
+                assert column_sums[0] == column_sums[n + 1] == 0
+
+    @pytest.mark.parametrize("type_label,n", [("F4", 4), ("G2", 2)])
+    def test_fixed_tables(self, type_label, n):
+        rs = build_root_system(type_label, n)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i != j:
+                    roots = phi_pu(rs, i, j)
+                    marked, two_rho_p = unipotent_radical(type_label, n, i, j)
+                    assert marked == Counter((r[i - 1], r[j - 1]) for r in roots), (i, j)
+                    assert two_rho_p == weight_of_root_sum(rs, roots), (i, j)
+
+    def test_validation(self):
+        for args in [("B", 3, 2, 2), ("B", 3, 0, 1), ("C", 3, 1, 4), ("G2", 2, 1, 3)]:
+            with pytest.raises(ValueError, match="marked indices"):
+                unipotent_radical(*args)
+        for args in [("A", 3, 1, 2), ("B", 1, 1, 2), ("F4", 3, 1, 2)]:
+            with pytest.raises(UnsupportedRootSystemError):
+                unipotent_radical(*args)
+
+    @pytest.mark.parametrize("type_label,n", SUPPORTED)
+    def test_half_length_is_the_table_entry(self, type_label, n):
+        rs = build_root_system(type_label, n)
+        assert tuple(half_length(type_label, n, m) for m in range(1, n + 1)) == rs.half_lengths
+        for m in (0, n + 1):
+            with pytest.raises(ValueError):
+                half_length(type_label, n, m)
