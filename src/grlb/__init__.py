@@ -14,10 +14,8 @@ from .engine import (
     InvalidDatumError,
     MomentSegment,
     report,
-    resolve,
 )
 from .exactnum import Rational, to_decimal
-from .rootsystems import RootSystem, build_root_system
 
 __version__ = "0.1.0"
 
@@ -27,9 +25,6 @@ __all__ = [
     "InvalidDatumError",
     "MomentSegment",
     "Rational",
-    "RootSystem",
-    "build_root_system",
     "report",
-    "resolve",
     "to_decimal",
 ]

@@ -62,8 +62,8 @@ def compute(family: str, n: int | None, k: int | None, digits: int, fmt: str, ro
     """Compute the exact greatest Ricci lower bound of one manifold."""
     if digits < 1:
         raise click.UsageError("--digits must be at least 1")
-    record = records.record_for(HorosphericalDatum(family, n=n, k=k), digits=digits, route=route)
-    click.echo(records.render(records.record_rows(record), fmt))
+    rows = records.record_for(HorosphericalDatum(family, n=n, k=k), digits=digits, route=route)
+    click.echo(records.render(rows, fmt))
 
 
 @cli.command()

@@ -229,10 +229,8 @@ def _segment(i: int, j: int, two_rho_p: dict[int, int]) -> MomentSegment:
 
 
 def moment_segment(datum: HorosphericalDatum) -> MomentSegment:
-    """Moment segment for a datum, oriented as `resolve` orients its marked pair."""
-    type_label, rank, i, j = _marked_pair(datum)
-    _, two_rho_p = unipotent_radical(type_label, rank, i, j)
-    return _segment(i, j, two_rho_p)
+    """Moment segment for a datum: `report(datum).segment`, built on its one path."""
+    return report(datum).segment
 
 
 def _marked_weights(

@@ -1,29 +1,32 @@
 """Every output of the command line, in one row model, and its one writer.
 
 A command's output is a `Rows`: the JSON payload, the text rows and the CSV
-rows of one result.  `record_rows` builds them for one computed manifold,
-`table_rows` for one of the three published summary tables and
-`verify_rows` for one verification report; `render` writes any of them as
-text (left-aligned columns), JSON (the payload after `schema_version`) or CSV.
+rows of one result.  Three builders make them: `record_for` for one computed
+manifold, straight from `engine.report`; `table_rows` for one of the three
+published summary tables; and `verify_rows` for one verification report.
+`render` writes any of them as text (left-aligned columns), JSON (the payload
+after `schema_version`) or CSV.
 
 Fractions are rendered as "p/q" strings in JSON so consumers never lose
-precision to floating point or fixed-width integers; the coefficients of
-2*rho_P are small and are kept as explicit (index, numerator, denominator)
-triples.  `record_to_json` is canonical: re-serializing a parsed record
-reproduces the bytes.  Every numeric table cell is recomputed from the
-engine; only formatting metadata (the displayed digit count of each cell,
-the symbolic formula strings for the parametric rows) is stored here.
+precision to floating point or fixed-width integers; `parse_frac` reads them
+back.  The coefficients of 2*rho_P are small and are kept as explicit (index,
+numerator, denominator) triples.  A record renders R, tbar and the segment's
+endpoints once each, and its text rows reuse those strings.  The JSON is
+canonical: re-serializing the parsed payload with indent 2 reproduces the
+bytes.  Every numeric table cell is recomputed from the engine; only
+formatting metadata (the displayed digit count of each cell, the symbolic
+formula strings for the parametric rows) is stored here.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import closedforms, engine
-from .engine import ComputationReport, HorosphericalDatum, InvalidDatumError
+from .engine import HorosphericalDatum, InvalidDatumError
 from .exactnum import int_to_str, str_to_int, to_decimal
 
 if TYPE_CHECKING:
@@ -35,13 +38,10 @@ __all__ = [
     "SCHEMA_VERSION",
     "TABLE2_GRID",
     "TABLE2_ROWS",
-    "OutputRecord",
     "Rows",
     "frac_str",
     "parse_frac",
     "record_for",
-    "record_from_json",
-    "record_rows",
     "record_to_json",
     "render",
     "table_rows",
@@ -92,32 +92,15 @@ def render(rows: Rows, fmt: str) -> str:
     return text_columns(rows.text)
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One computed manifold, ready for text/JSON/CSV output."""
-
-    family: str
-    params: dict[str, int]
-    dim: int
-    two_rho_P: tuple[tuple[int, Fraction], ...]
-    interval: tuple[Fraction, Fraction]
-    barycenter_t: Fraction
-    R: Fraction
-    R_decimal: str
-    provenance: str
-
-
-def record_for(
-    datum: HorosphericalDatum,
-    digits: int = 4,
-    route: str = "engine",
-) -> OutputRecord:
-    """Build a record from the exact pipeline.
+def record_for(datum: HorosphericalDatum, digits: int = 4, route: str = "engine") -> Rows:
+    """One computed manifold: every field as text; CSV carries the decimal R only.
 
     route "closed-form" recomputes R from the family's integral formula
-    (X1 and X3 only); everything else always comes from the engine.
+    (X1 and X3 only); everything else always comes from the engine.  R, tbar
+    and the segment's endpoints are each rendered once, and every format
+    reuses those strings.
     """
-    rep: ComputationReport = engine.report(datum)
+    rep = engine.report(datum)
     r_value = rep.R
     if route == "closed-form":
         if datum.family == "X1":
@@ -129,72 +112,39 @@ def record_for(
     elif route != "engine":
         raise ValueError(f"unknown route {route!r}")
     seg = rep.segment
-    return OutputRecord(
-        family=datum.family,
-        params=datum.params,
-        dim=rep.dimension,
-        two_rho_P=tuple(sorted(((seg.i, seg.a), (seg.j, seg.b)))),
-        interval=(seg.a, seg.b),
-        barycenter_t=rep.barycenter_t,
-        R=r_value,
-        R_decimal=to_decimal(r_value, digits),
-        provenance=route,
-    )
-
-
-def _record_payload(rec: OutputRecord) -> dict:
-    return {
-        "family": rec.family,
-        "params": rec.params,
-        "dim": rec.dim,
-        "two_rho_P": [[m, c.numerator, c.denominator] for m, c in rec.two_rho_P],
-        "interval": [frac_str(rec.interval[0]), frac_str(rec.interval[1])],
-        "barycenter_t": frac_str(rec.barycenter_t),
-        "R": frac_str(rec.R),
-        "R_decimal": rec.R_decimal,
-        "provenance": rec.provenance,
+    a, b, t_bar, r = (frac_str(x) for x in (seg.a, seg.b, rep.barycenter_t, r_value))
+    r_decimal = to_decimal(r_value, digits)
+    rho = sorted(((seg.i, seg.a, a), (seg.j, seg.b, b)))
+    payload = {
+        "family": datum.family,
+        "params": datum.params,
+        "dim": rep.dimension,
+        "two_rho_P": [[m, c, 1] for m, c, _ in rho],
+        "interval": [a, b],
+        "barycenter_t": t_bar,
+        "R": r,
+        "R_decimal": r_decimal,
+        "provenance": route,
     }
-
-
-def record_to_json(rec: OutputRecord) -> str:
-    return _json(_record_payload(rec))
-
-
-def record_from_json(text: str) -> OutputRecord:
-    data = json.loads(text)
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {data.get('schema_version')!r}")
-    return OutputRecord(
-        family=data["family"],
-        params={k: int(v) for k, v in data["params"].items()},
-        dim=int(data["dim"]),
-        two_rho_P=tuple((int(m), Fraction(int(p), int(q))) for m, p, q in data["two_rho_P"]),
-        interval=(parse_frac(data["interval"][0]), parse_frac(data["interval"][1])),
-        barycenter_t=parse_frac(data["barycenter_t"]),
-        R=parse_frac(data["R"]),
-        R_decimal=data["R_decimal"],
-        provenance=data["provenance"],
-    )
-
-
-def record_rows(rec: OutputRecord) -> Rows:
-    """One manifold: every field as text; CSV carries the decimal R only."""
-    params = ", ".join(f"{k}={v}" for k, v in rec.params.items()) or "-"
-    rho = " + ".join(f"({frac_str(c)})*w{m}" for m, c in rec.two_rho_P)
     text = [
-        ["family", rec.family],
-        ["params", params],
-        ["dim", str(rec.dim)],
-        ["2*rho_P", rho],
-        ["interval", f"t in [-{frac_str(rec.interval[0])}, {frac_str(rec.interval[1])}]"],
-        ["barycenter_t", frac_str(rec.barycenter_t)],
-        ["R", frac_str(rec.R)],
-        ["R_decimal", rec.R_decimal],
-        ["provenance", rec.provenance],
+        ["family", datum.family],
+        ["params", ", ".join(f"{k}={v}" for k, v in datum.params.items()) or "-"],
+        ["dim", str(rep.dimension)],
+        ["2*rho_P", " + ".join(f"({c})*w{m}" for m, _, c in rho)],
+        ["interval", f"t in [-{a}, {b}]"],
+        ["barycenter_t", t_bar],
+        ["R", r],
+        ["R_decimal", r_decimal],
+        ["provenance", route],
     ]
-    n, k = (str(rec.params.get(p, "")) for p in ("n", "k"))
-    csv = [["family", "n", "k", "dim", "R"], [rec.family, n, k, str(rec.dim), rec.R_decimal]]
-    return Rows(_record_payload(rec), text, csv)
+    n, k = (str(datum.params.get(p, "")) for p in ("n", "k"))
+    csv = [["family", "n", "k", "dim", "R"], [datum.family, n, k, str(rep.dimension), r_decimal]]
+    return Rows(payload, text, csv)
+
+
+def record_to_json(rows: Rows) -> str:
+    """A record's JSON; canonical, so re-serializing the parsed text gives the same bytes."""
+    return render(rows, "json")
 
 
 TABLE2_GRID = (3, 4, 5, 6, 7, 10, 20, 30, 50, 70)

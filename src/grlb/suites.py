@@ -158,8 +158,8 @@ def run_suite(suite: str, max_n: int) -> list[CheckResult]:
     """Run one named suite up to parameter max_n.
 
     The ceiling is read once, up front: every suite's grid reaches max_n, so
-    if max_n is past the ceiling this raises the InvalidDatumError that
-    `engine.resolve` raises for the first such n.
+    if max_n is past the ceiling this raises `engine.ceiling_error(ceiling + 1,
+    ceiling)` itself, the error for the first n past it, before any check runs.
     """
     if suite not in _RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")

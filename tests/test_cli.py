@@ -18,14 +18,25 @@ from grlb.records import (
     frac_str,
     parse_frac,
     record_for,
-    record_from_json,
-    record_rows,
     record_to_json,
     render,
     table_rows,
 )
 
 F = Fraction
+
+
+def exact_fields(payload: dict) -> tuple:
+    """The exact values a record's JSON carries, parsed back."""
+    return (
+        parse_frac(payload["R"]),
+        parse_frac(payload["barycenter_t"]),
+        tuple(parse_frac(x) for x in payload["interval"]),
+    )
+
+
+def report_fields(rep) -> tuple:
+    return (rep.R, rep.barycenter_t, (rep.segment.a, rep.segment.b))
 
 
 @pytest.fixture
@@ -105,11 +116,11 @@ class TestCompute:
         args = ["compute", "--family", "X1", "--n", "165"]
         result = runner.invoke(cli, args + ["--format", "json"])
         assert result.exit_code == 0, result.output
-        rec = record_from_json(result.output)
-        assert record_to_json(rec) == result.output.rstrip("\n")
+        out = result.output.rstrip("\n")
+        assert json.dumps(json.loads(out), indent=2) == out
         rep = report(HorosphericalDatum("X1", n=165))
         assert rep.R.denominator > 10**4300
-        assert (rec.R, rec.barycenter_t) == (rep.R, rep.barycenter_t)
+        assert exact_fields(json.loads(out)) == report_fields(rep)
         text = runner.invoke(cli, args)
         assert text.exit_code == 0
         assert f"R             {frac_str(rep.R)}" in text.output.splitlines()
@@ -223,15 +234,13 @@ def test_failing_verify_is_byte_identical_to_golden(runner, monkeypatch, command
 
 class TestRecords:
     def test_json_roundtrip_is_byte_identical(self):
-        rec = record_for(HorosphericalDatum("X4"), digits=6)
-        serialized = record_to_json(rec)
-        reparsed = record_from_json(serialized)
-        assert reparsed == rec
-        assert record_to_json(reparsed) == serialized
+        datum = HorosphericalDatum("X4")
+        serialized = record_to_json(record_for(datum, digits=6))
+        assert json.dumps(json.loads(serialized), indent=2) == serialized
+        assert exact_fields(json.loads(serialized)) == report_fields(report(datum))
 
     def test_fraction_fields_reduced(self):
-        rec = record_for(HorosphericalDatum("X3", n=4, k=2))
-        data = json.loads(record_to_json(rec))
+        data = json.loads(record_to_json(record_for(HorosphericalDatum("X3", n=4, k=2))))
         for field in ("barycenter_t", "R"):
             num, den = data[field].split("/")
             from math import gcd
@@ -240,10 +249,10 @@ class TestRecords:
             assert int(den) > 0
 
     def test_decimal_matches_requested_digits(self):
-        rec = record_for(HorosphericalDatum("X5"), digits=4)
+        payload = record_for(HorosphericalDatum("X5"), digits=4).payload
         from grlb.exactnum import to_decimal
 
-        assert rec.R_decimal == to_decimal(rec.R, 4)
+        assert payload["R_decimal"] == to_decimal(parse_frac(payload["R"]), 4)
 
     def test_closed_form_route_of_a_fixed_family_is_an_invalid_datum(self):
         with pytest.raises(InvalidDatumError):
@@ -251,8 +260,25 @@ class TestRecords:
 
     def test_csv_row(self):
         # dim = k(4n-3k+3)/2 = 38; 0.9576 rounds to the published 0.958.
-        rec = record_for(HorosphericalDatum("X3", n=7, k=4))
-        assert render(record_rows(rec), "csv").splitlines()[1] == "X3,7,4,38,0.9576"
+        rows = record_for(HorosphericalDatum("X3", n=7, k=4))
+        assert render(rows, "csv").splitlines()[1] == "X3,7,4,38,0.9576"
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_compute_renders_r_and_tbar_once(self, runner, monkeypatch, fmt):
+        from grlb import records
+
+        rendered = []
+
+        def counted(f):
+            rendered.append(f)
+            return frac_str(f)
+
+        monkeypatch.setattr(records, "frac_str", counted)
+        result = runner.invoke(cli, ["compute", "--family", "X3", "--n", "7", "--k", "4", "--format", fmt])
+        assert result.exit_code == 0, result.output
+        rep = report(HorosphericalDatum("X3", n=7, k=4))
+        assert rendered.count(rep.R) == 1
+        assert rendered.count(rep.barycenter_t) == 1
 
 
 class TestTable:
