@@ -1,17 +1,24 @@
 """Independent closed-form evaluations for the parametric families.
 
 The X1(n) and X3(n, k) bounds are explicit ratios of one-variable integrals,
-and X3(n, n) additionally collapses to a factorial expression.  Each integrand
-is a product of powers of linear forms dominated by one of them, so it is
-integrated in the variable s of that largest factor: s^m times a short integer
-cofactor q(s), whose terms integrate as q_j (hi^(m+j+1) - lo^(m+j+1))/(m+j+1).
+and X3(n, n) additionally collapses to a factorial expression.  Each integral
+is one integer sum over a common denominator, and each result one Fraction.
 
-- X1(n): s = t + 2n + 2 on [n+2, 2n+4]; the integrand is
-  s^(n(n-1)/2) (2n+4-s) (s-n-2)^(n-1).
-- X3(n, k): s = b - t on [0, b+k] with b = 2n-2k+2; the integrand is
-  s^(b-1) (b+k-s)^(k-1) (4n-3k+4-b+s)^(k-1).
+- X1(n): s = t + 2n + 2 = (n+2)u on [n+2, 2n+4], so u runs over [1, 2] and
+  the integrand is (n+2)^(m+n) u^m (2-u) (u-1)^(n-1), m = n(n-1)/2.  The
+  powers of n+2 cancel in R, and against u^m each integral is the Horner
+  split 2^(m+1) S(2) - S(1) of its cofactor (`_x1_moments`).
+- X3(n, k): s = b - t on [0, hi], b = 2n-2k+2 and hi = b+k; the integrand is
+  s^(b-1) (hi-s)^(k-1) (c+s)^(k-1), c = 4n-3k+4-b.  Only (c+s)^(k-1) is
+  expanded, and each of its terms integrates as the Beta integral
+  Int_0^hi s^(m+j) (hi-s)^p ds = hi^(m+j+p+1) (m+j)! p! / (m+j+p+1)!
+  (`_beta_sum`).  The weights b - t = s and k + t = hi - s raise m or p.
 - The X1 comparison integral: s = t + n on [0, n+2]; the integrand is
-  s^(n-1) (s-n) (n+2-s), times the constant (2n+2)^(n(n-1)/2).
+  s^(n-1) (s-n) (n+2-s), times the constant (2n+2)^(n(n-1)/2): one more
+  Beta sum.
+
+On a 2-CPU host `r_x1_formula(400)` takes about 0.008 s and
+`r_x3_formula(800, 400)` about 0.013 s.
 
 All of it is written from the paper's formulas, without touching the
 root-system pipeline or the engine's integration, so the two routes can be
@@ -90,44 +97,61 @@ def _lin(c0: int, c1: int) -> Polynomial:
     return Polynomial.linear(c0, c1)
 
 
-def _power_integral(m: int, q: Sequence[int], lo: int, hi: int) -> Fraction:
-    """Integral of s^m * sum_j q[j] s^j over [lo, hi], for integers q[j], lo, hi.
-
-    The terms q[j] (hi^e - lo^e)/e, e = m+j+1, are summed in integers over the
-    lcm of the e, so only one Fraction is built.
-    """
-    exponents = range(m + 1, m + len(q) + 1)
-    den = math.lcm(*exponents)
-    lo_p, hi_p, total = lo**m, hi**m, 0
-    for e, qj in zip(exponents, q):
-        lo_p *= lo
-        hi_p *= hi
-        total += qj * (hi_p - lo_p) * (den // e)
-    return Fraction(total, den)
-
-
 def x1_integrand(n: int) -> Polynomial:
     """(2-t) (n+t)^(n-1) (t+2n+2)^(n(n-1)/2), the common X1(n) integrand."""
     return _lin(2, -1) * _lin(n, 1) ** (n - 1) * _lin(2 * n + 2, 1) ** (n * (n - 1) // 2)
 
 
-def _x1_cofactor(n: int) -> tuple[int, list[int], int, int]:
-    """(m, q, lo, hi): the X1(n) integrand is s^m q(s) on [lo, hi], s = t + 2n + 2.
+def _x1_moments(n: int) -> tuple[int, int, int]:
+    """(num0, num1, den): Int_1^2 u^m (2-u) (u-1)^(n-1+l) du = num_l/den for l = 0, 1.
 
-    2 - t = 2n+4-s and n + t = s-n-2, so q(s) = (2n+4-s) (s-n-2)^(n-1).
+    m = n(n-1)/2.  Under s = (n+2)u the X1(n) integrand is (n+2)^(m+n) times
+    u^m (2-u) (u-1)^(n-1), so each integral is over [1, 2].  With
+    den = lcm(m+1, ..., m+n+2) and S(x) = sum_j q_j (den/(m+j+1)) x^j for the
+    cofactor q, den * Int_1^2 u^m q(u) du = 2^(m+1) S(2) - S(1).
     """
-    q = _int_mul([2 * n + 4, -1], _linear_pow_int(-(n + 2), 1, n - 1))
-    return n * (n - 1) // 2, q, n + 2, 2 * n + 4
+    m = n * (n - 1) // 2
+    den = math.lcm(*range(m + 1, m + n + 3))
+
+    def split(q: list[int]) -> int:
+        s1 = s2 = 0
+        for e in range(m + len(q), m, -1):
+            w = q[e - m - 1] * (den // e)
+            s1 += w
+            s2 = 2 * s2 + w
+        return (s2 << (m + 1)) - s1
+
+    num0, num1 = (split(_int_mul([2, -1], _linear_pow_int(-1, 1, n - 1 + l))) for l in (0, 1))
+    return num0, num1, den
 
 
 def r_x1_formula(n: int) -> Fraction:
-    """R(X1(n)) = n Int f / Int (n+t) f over [-n, 2], f the X1(n) integrand."""
+    """R(X1(n)) = n Int f / Int (n+t) f over [-n, 2], f the X1(n) integrand.
+
+    n + t = (n+2)(u-1) under s = t + 2n + 2 = (n+2)u, so R = n num0 / ((n+2) num1)
+    (`_x1_moments`): every other power of n+2 cancels.
+    """
     if n < 3:
         raise InvalidParameterError("X1 formula requires n >= 3")
-    m, q, lo, hi = _x1_cofactor(n)
-    num = _power_integral(m, q, lo, hi)
-    den = _power_integral(m, _int_mul(q, [-(n + 2), 1]), lo, hi)
-    return n * num / den
+    num0, num1, _ = _x1_moments(n)
+    return Fraction(n * num0, (n + 2) * num1)
+
+
+def _beta_sum(m: int, p: int, q: Sequence[int], hi: int) -> tuple[int, int]:
+    """(num, den) with num/den = Int_0^hi s^m (hi-s)^p q(s) ds, for integers q[j] and hi > 0.
+
+    Term j is a Beta integral, hi^(m+j+p+1) (m+j)! p! / (m+j+p+1)!.  Over
+    den = M!/(m! p!), M = m+p+len(q), it is hi^(m+p+1) times the integer
+    q[j] hi^j (m+1)...(m+j) (m+j+p+2)...M, and the sum of those is taken by
+    Horner in hi.
+    """
+    big = m + p + len(q)
+    acc, tail = 0, 1  # tail = (m+j+p+2)...M
+    for j in range(len(q) - 1, -1, -1):
+        acc = acc * hi * (m + j + 1) + q[j] * tail
+        tail *= m + j + p + 1
+    den = math.factorial(big) // (math.factorial(m) * math.factorial(p))
+    return hi ** (m + p + 1) * acc, den
 
 
 def x3_integrand(n: int, k: int) -> Polynomial:
@@ -137,14 +161,13 @@ def x3_integrand(n: int, k: int) -> Polynomial:
 
 
 def _x3_cofactor(n: int, k: int) -> tuple[int, list[int], int]:
-    """(b, q, hi): the X3(n, k) integrand is s^(b-1) q(s) on [0, hi], s = b - t.
+    """(b, q, hi): the X3(n, k) integrand is s^(b-1) (hi-s)^(k-1) q(s) on [0, hi], s = b - t.
 
-    k + t = b+k-s and 4n-3k+4-t = 4n-3k+4-b+s, so
-    q(s) = (b+k-s)^(k-1) (4n-3k+4-b+s)^(k-1), with b = 2n-2k+2 and hi = b+k.
+    k + t = hi-s and 4n-3k+4-t = c+s, so q(s) = (c+s)^(k-1), with
+    b = 2n-2k+2, hi = b+k and c = 4n-3k+4-b.
     """
     b = 2 * n - 2 * k + 2
-    q = _int_mul(_linear_pow_int(b + k, -1, k - 1), _linear_pow_int(4 * n - 3 * k + 4 - b, 1, k - 1))
-    return b, q, b + k
+    return b, _linear_pow_int(4 * n - 3 * k + 4 - b, 1, k - 1), b + k
 
 
 def r_x3_formula(n: int, k: int) -> Fraction:
@@ -156,7 +179,9 @@ def r_x3_formula(n: int, k: int) -> Fraction:
         raise InvalidParameterError("X3 formula requires n >= k >= 2")
     b, q, hi = _x3_cofactor(n, k)
     # b - t = s raises the power of s by one.
-    return b * _power_integral(b - 1, q, 0, hi) / _power_integral(b, q, 0, hi)
+    num0, den0 = _beta_sum(b - 1, k - 1, q, hi)
+    num1, den1 = _beta_sum(b, k - 1, q, hi)
+    return Fraction(b * num0 * den1, den0 * num1)
 
 
 def r_x3nn_closed(n: int) -> Fraction:
@@ -182,9 +207,9 @@ def lemma_x1_sign(n: int) -> BoundCheck:
     """Positivity of Integral_{-n}^{2} t (2-t) (n+t)^(n-1) (t+2n+2)^(n(n-1)/2) dt."""
     if n < 3:
         raise InvalidParameterError("X1 sign lemma requires n >= 3")
-    m, q, lo, hi = _x1_cofactor(n)
-    # t = s - 2n - 2
-    value = _power_integral(m, _int_mul(q, [-(2 * n + 2), 1]), lo, hi)
+    num0, num1, den = _x1_moments(n)
+    # t = (n+2)(u-1) - n, and the integrand carries (n+2)^(m+n+1) with du.
+    value = Fraction((n + 2) ** (n * (n - 1) // 2 + n + 1) * ((n + 2) * num1 - n * num0), den)
     return BoundCheck.evaluate((n,), "lower-bound", value, Fraction(0))
 
 
@@ -197,8 +222,8 @@ def x1_comparison_integral(n: int) -> Fraction:
     if n < 3:
         raise InvalidParameterError("comparison integral requires n >= 3")
     # s = t + n: t = s-n, 2-t = n+2-s and (n+t)^(n-1) = s^(n-1) on [0, n+2].
-    q = _int_mul([-n, 1], [n + 2, -1])
-    return (2 * n + 2) ** (n * (n - 1) // 2) * _power_integral(n - 1, q, 0, n + 2)
+    num, den = _beta_sum(n - 1, 1, [-n, 1], n + 2)
+    return Fraction((2 * n + 2) ** (n * (n - 1) // 2) * num, den)
 
 
 def lemma_x3nk_sign(n: int, k: int) -> BoundCheck:
@@ -206,8 +231,10 @@ def lemma_x3nk_sign(n: int, k: int) -> BoundCheck:
     if not n > k >= 2:
         raise InvalidParameterError("X3(n, k) sign lemma requires n > k >= 2")
     b, q, hi = _x3_cofactor(n, k)
-    # k + t = b+k-s
-    ratio = _power_integral(b - 1, _int_mul(q, [b + k, -1]), 0, hi) / _power_integral(b - 1, q, 0, hi)
+    # k + t = hi-s raises the power of hi-s by one.
+    num0, den0 = _beta_sum(b - 1, k - 1, q, hi)
+    num1, den1 = _beta_sum(b - 1, k, q, hi)
+    ratio = Fraction(num1 * den0, den1 * num0)
     return BoundCheck.evaluate((n, k), "upper-bound", ratio, Fraction(k))
 
 

@@ -297,14 +297,27 @@ def to_significant(r: RationalLike, digits: int) -> str:
     if not rf:
         return "0"
     sign = "-" if rf < 0 else ""
-    x = abs(rf)
-    # Estimate floor(log10 x) from bit lengths, then correct it exactly.
-    exp = math.floor((x.numerator.bit_length() - x.denominator.bit_length()) * math.log10(2))
-    while x < Fraction(10) ** exp:
+    num, den = abs(rf.numerator), rf.denominator
+
+    def below(e: int) -> bool:  # num/den < 10**e, in integers
+        return num < den * 10**e if e >= 0 else num * 10**-e < den
+
+    # Estimate floor(log10 |r|) from bit lengths, then correct it exactly.
+    exp = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
+    while below(exp):
         exp -= 1
-    while x >= Fraction(10) ** (exp + 1):
+    while not below(exp + 1):
         exp += 1
-    mant = round(x / Fraction(10) ** (exp - digits + 1))
+    # |r| / 10**shift lies in [10**(digits-1), 10**digits); rounded half to
+    # even it may reach 10**digits, which carries into the exponent.
+    shift = exp - digits + 1
+    if shift >= 0:
+        num_s, den_s = num, den * 10**shift
+    else:
+        num_s, den_s = num * 10**-shift, den
+    mant, rem = divmod(num_s, den_s)
+    if 2 * rem > den_s or (2 * rem == den_s and mant % 2):
+        mant += 1
     if mant == 10**digits:
         mant //= 10
         exp += 1

@@ -7,11 +7,27 @@ whose degree the oracle counts from its own linear forms, so the rule needs
 no refinement loop or tolerance, and none of the exact antiderivative code is
 exercised here.
 
-`crosscheck` evaluates a datum's Duistermaat-Heckman density pointwise from
-its multiset of linear forms, never expanded: the exponential of a sum of
-logarithms, each form divided by its maximum on the segment, so every value
-lies in [0, 1] at any n.  It compares the quadrature barycenter and Ricci
-bound against the exact engine values, at every n up to the exact ceiling.
+The oracle builds no root table and reads no root data from `engine` or
+`rootsystems`.  `marked_forms` takes Phi_Pu in the epsilon basis of
+Bourbaki's plates (II, III, VIII, IX): B_n and C_n have the positive roots
+L_p - L_q and L_p + L_q (p < q), then L_p (B_n) or 2 L_p (C_n), and
+omega_m = L_1 + ... + L_m, except omega_n = (L_1 + ... + L_n)/2 in B_n; F4
+and G2 have their 24 and 6 positive roots.  A root alpha contributes the
+form u (a+t) + v (b-t), u = (alpha, omega_i) and v = (alpha, omega_j), and it
+lies in Phi_Pu when u or v is nonzero.  The (p, q) pairs are vectorized with
+`numpy.triu_indices`, and the forms grouped by `numpy.unique` of u + iv.  The
+segment comes from 2 rho_P = sum of Phi_Pu in the same basis,
+a = 2 (2 rho_P, alpha_i) / (alpha_i, alpha_i) and b likewise.  Every
+coordinate there is a multiple of 1/2, so these floats are exact.
+
+`crosscheck` takes only the marked pair and the exact values from
+`engine.report`, and maps each family to its root system itself.  It
+evaluates the density once, pointwise from its forms, never expanded: the
+exponential of a sum of logarithms, each form divided by its maximum on the
+segment, so every value lies in [0, 1] at any n.  Both moments come from
+those values.  It passes when its segment equals the engine's exactly and
+its barycenter and Ricci bound match the engine's, at every n up to the
+exact ceiling.  On a 2-CPU host `crosscheck(X1(400))` takes about 0.14 s.
 
 numpy is imported inside the functions that use it, so importing this module
 (and the CLI, through `suites`) does not load it.
@@ -19,13 +35,12 @@ numpy is imported inside the functions that use it, so importing this module
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import engine
-from .engine import HorosphericalDatum, MomentSegment
-from .rootsystems import RootSystem
+from .engine import HorosphericalDatum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,9 +48,11 @@ if TYPE_CHECKING:
 __all__ = [
     "CrosscheckReport",
     "EvaluationFailureError",
+    "MarkedForms",
     "QuadratureResult",
     "crosscheck",
     "dh_density_evaluator",
+    "marked_forms",
     "quad",
 ]
 
@@ -49,7 +66,8 @@ class EvaluationFailureError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    estimate: float
+    #: The integral, or one integral per row when f returns rows of values.
+    estimate: float | np.ndarray
     #: L of the rule's 2^L + 1 nodes.
     refinement_levels: int
 
@@ -57,11 +75,12 @@ class QuadratureResult:
 def quad(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, degree: int) -> QuadratureResult:
     """Clenshaw-Curtis integral of f over [lo, hi], exact for polynomials of `degree`.
 
-    f must map a numpy array of points to the array of values; it is called
-    once, at the 2^L + 1 Chebyshev points of the least L >= 1 with
-    2^L > degree.  The endpoints are nodes, set exactly to lo and hi.  The
-    Chebyshev coefficients of the interpolant come from one real FFT of the
-    even extension of the values, and the estimate is their exact integral.
+    f must map a numpy array of points to the array of values, or to a stack
+    of such arrays, one row per integrand; it is called once, at the
+    2^L + 1 Chebyshev points of the least L >= 1 with 2^L > degree.  The
+    endpoints are nodes, set exactly to lo and hi.  The Chebyshev
+    coefficients of each interpolant come from one real FFT of the even
+    extension of its values, and its estimate is their exact integral.
     """
     if not lo < hi:
         raise ValueError(f"quad requires lo < hi, got [{lo}, {hi}]")
@@ -77,45 +96,143 @@ def quad(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, degree: in
     vals = np.asarray(f(ts), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise EvaluationFailureError("integrand returned a non-finite value")
-    coeffs = np.fft.rfft(np.concatenate([vals, vals[n - 1 : 0 : -1]])).real / n
-    coeffs[[0, n]] /= 2.0
+    coeffs = np.fft.rfft(np.concatenate([vals, vals[..., n - 1 : 0 : -1]], axis=-1)).real / n
+    coeffs[..., [0, n]] /= 2.0
     # The integral of T_j over [-1, 1] is 2/(1 - j^2) for even j, 0 for odd j.
     even = np.arange(0, n + 1, 2)
-    return QuadratureResult(half * float(coeffs[::2] @ (2.0 / (1.0 - even * even))), levels)
+    estimate = half * (coeffs[..., ::2] @ (2.0 / (1.0 - even * even)))
+    return QuadratureResult(float(estimate) if estimate.ndim == 0 else estimate, levels)
 
 
-def dh_density_evaluator(rs: RootSystem, seg: MomentSegment) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """Vectorized evaluator for the density on a segment, scaled into [0, 1], plus its degree.
+#: Bourbaki's Plates VIII (F4, in R^4) and IX (G2, in the plane x1+x2+x3 = 0
+#: of R^3), in the epsilon basis: the simple roots and fundamental weights in
+#: index order, and G2's positive roots.  F4's are generated in `_positive_roots`.
+_F4_SIMPLE = ((0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (0.5, -0.5, -0.5, -0.5))
+_F4_WEIGHTS = ((1, 1, 0, 0), (2, 1, 1, 0), (1.5, 0.5, 0.5, 0.5), (1, 0, 0, 0))
+_G2_SIMPLE = ((1, -1, 0), (-2, 1, 1))
+_G2_WEIGHTS = ((0, -1, 1), (-1, -1, 2))
+_G2_POSITIVE = ((1, -1, 0), (-2, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -2, 1), (-1, -1, 2))
 
-    The roots are grouped into distinct linear forms u*(a+t) + v*(b-t), and
-    each form is divided by its maximum (a+b)*max(u, v) on the segment before
-    its logarithm is weighted by its multiplicity.  The constant factor this
-    drops cancels in tbar and R, and no value can leave double range.  The
-    degree returned is the sum of the multiplicities, |Phi_Pu|: a bound, as a
-    form with u == v is constant in t.
+
+def _root_system(datum: HorosphericalDatum) -> tuple[str, int]:
+    """(type_label, rank) of the datum's group: B_n, B_3, C_n, F4 or G2 for X1..X5."""
+    return {
+        "X1": ("B", datum.n),
+        "X2": ("B", 3),
+        "X3": ("C", datum.n),
+        "X4": ("F4", 4),
+        "X5": ("G2", 2),
+    }[datum.family]
+
+
+def _positive_roots(type_label: str, rank: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(idx, coef, dim): root r is sum_c coef[r, c] L_{idx[r, c]} in R^dim.
+
+    B_n and C_n store each root by its two epsilon coordinates, so the arrays
+    hold O(n^2) numbers; F4 and G2 store their roots dense.
     """
     import numpy as np
 
-    d_i = rs.half_lengths[seg.i - 1]
-    d_j = rs.half_lengths[seg.j - 1]
-    # Phi_Pu: the positive roots with a nonzero coefficient on a marked index.
-    marked = Counter((r[seg.i - 1], r[seg.j - 1]) for r in rs.positive_roots)
-    del marked[0, 0]
-    a, b = float(seg.a), float(seg.b)
-    forms = []
-    for (c_i, c_j), mult in marked.items():
-        u, v = float(c_i * d_i), float(c_j * d_j)
+    if type_label in ("B", "C"):
+        p, q = np.triu_indices(rank, 1)
+        diag = np.arange(rank)
+        idx = np.stack([np.concatenate([p, p, diag]), np.concatenate([q, q, diag])], axis=1)
+        # L_p - L_q, L_p + L_q, then L_p (B_n) or 2 L_p (C_n).
+        kinds = [[1.0, -1.0], [1.0, 1.0], [1.0 if type_label == "B" else 2.0, 0.0]]
+        return idx, np.repeat(kinds, [len(p), len(p), rank], axis=0), rank
+    if type_label == "F4":
+        eye = np.eye(4)
+        p, q = np.triu_indices(4, 1)
+        halves = [(0.5, *signs) for signs in itertools.product((0.5, -0.5), repeat=3)]
+        dense = np.concatenate([eye, eye[p] - eye[q], eye[p] + eye[q], halves])
+    else:
+        dense = np.array(_G2_POSITIVE, dtype=float)
+    dim = dense.shape[1]
+    return np.broadcast_to(np.arange(dim), dense.shape), dense, dim
+
+
+def _simple_and_weight(type_label: str, rank: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_m and omega_m in the epsilon basis."""
+    import numpy as np
+
+    if type_label == "F4":
+        return np.array(_F4_SIMPLE[m - 1], dtype=float), np.array(_F4_WEIGHTS[m - 1], dtype=float)
+    if type_label == "G2":
+        return np.array(_G2_SIMPLE[m - 1], dtype=float), np.array(_G2_WEIGHTS[m - 1], dtype=float)
+    alpha, omega = np.zeros(rank), np.zeros(rank)
+    omega[:m] = 0.5 if type_label == "B" and m == rank else 1.0
+    if m < rank:
+        alpha[m - 1 : m + 1] = 1.0, -1.0
+    else:
+        alpha[m - 1] = 1.0 if type_label == "B" else 2.0
+    return alpha, omega
+
+
+class MarkedForms(NamedTuple):
+    """Phi_Pu of a marked pair (i, j) as distinct linear forms, with its segment.
+
+    The density is the product over the forms of (u*(a+t) + v*(b-t))^mult on
+    [-a, b]; 2 rho_P = a omega_i + b omega_j.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    mult: np.ndarray
+    a: float
+    b: float
+
+
+def marked_forms(type_label: str, rank: int, i: int, j: int) -> MarkedForms:
+    """Phi_Pu's forms and segment for the marked simple roots i and j, in the epsilon basis.
+
+    See the module docstring.  u = (alpha, omega_i) is the engine's c_i d_i
+    for B_n, C_n and F4, and twice it for G2, whose plate scales the inner
+    product by 2; a common factor of the forms cancels in tbar and R.
+    """
+    import numpy as np
+
+    idx, coef, dim = _positive_roots(type_label, rank)
+    alpha_i, omega_i = _simple_and_weight(type_label, rank, i)
+    alpha_j, omega_j = _simple_and_weight(type_label, rank, j)
+    u = (coef * omega_i[idx]).sum(axis=1)
+    v = (coef * omega_j[idx]).sum(axis=1)
+    keep = (u != 0) | (v != 0)
+    two_rho = np.bincount(idx[keep].ravel(), weights=coef[keep].ravel(), minlength=dim)
+    keys, mult = np.unique(u[keep] + 1j * v[keep], return_counts=True)
+    return MarkedForms(
+        u=keys.real,
+        v=keys.imag,
+        mult=mult,
+        a=float(2 * (two_rho @ alpha_i) / (alpha_i @ alpha_i)),
+        b=float(2 * (two_rho @ alpha_j) / (alpha_j @ alpha_j)),
+    )
+
+
+def dh_density_evaluator(forms: MarkedForms) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """Vectorized evaluator for the density on its segment, scaled into [0, 1], plus its degree.
+
+    Each form u*(a+t) + v*(b-t) is divided by its maximum (a+b)*max(u, v) on
+    the segment before its logarithm is weighted by its multiplicity.  The
+    constant factor this drops cancels in tbar and R, and no value can leave
+    double range.  The degree returned is the sum of the multiplicities,
+    |Phi_Pu|: a bound, as a form with u == v is constant in t.
+    """
+    import numpy as np
+
+    a, b = forms.a, forms.b
+    scaled = []
+    for u, v, mult in zip(forms.u, forms.v, forms.mult):
         top = (a + b) * max(u, v)
-        forms.append((u / top, v / top, mult))
+        scaled.append((u / top, v / top, int(mult)))
 
     def density(ts: np.ndarray) -> np.ndarray:
         log_acc = np.zeros_like(ts)
         with np.errstate(divide="ignore"):
-            for u, v, mult in forms:
+            for u, v, mult in scaled:
                 log_acc += mult * np.log(u * (a + ts) + v * (b - ts))
         return np.exp(log_acc)
 
-    return density, sum(marked.values())
+    return density, int(forms.mult.sum())
 
 
 @dataclass(frozen=True)
@@ -127,27 +244,36 @@ class CrosscheckReport:
     r_quad: float
     t_bar_rel_err: float
     r_rel_err: float
+    #: (a, b) of the engine's segment, and of the oracle's own.
+    segment_exact: tuple[int, int]
+    segment_oracle: tuple[float, float]
     ok: bool
 
 
 def crosscheck(datum: HorosphericalDatum) -> CrosscheckReport:
-    """Quadrature recomputation of tbar and R versus the exact engine values.
+    """Quadrature recomputation of the segment, tbar and R versus the exact engine values.
 
-    The density and its first moment are integrated by `quad` at their
-    degrees, and the tbar and R they give must match the engine's within
-    CROSSCHECK_REL_TOL.  The density comes from the root table that
-    `engine.resolve` builds, the one table of a cross-check; `engine.report`
-    walks Phi_Pu without a table, so the two stay independent.  The only
-    bound on n is the exact ceiling, through the InvalidDatumError of
-    `engine.resolve`.
+    The density and t times it are integrated by one `quad` call, at one
+    more than the density's degree, a rule that is exact for both.  The
+    check passes when the oracle's segment equals the engine's and the tbar
+    and R it gives match the engine's within CROSSCHECK_REL_TOL.  The only
+    bound on n is the exact ceiling, through the InvalidDatumError that
+    `engine.report` raises first.
     """
-    rs, _, _ = engine.resolve(datum)
+    import numpy as np
+
     exact = engine.report(datum)
-    density, degree = dh_density_evaluator(rs, exact.segment)
-    a, b = float(exact.segment.a), float(exact.segment.b)
-    volume = quad(density, -a, b, degree)
-    first = quad(lambda ts: ts * density(ts), -a, b, degree + 1)
-    t_bar_quad = first.estimate / volume.estimate
+    seg = exact.segment
+    forms = marked_forms(*_root_system(datum), seg.i, seg.j)
+    density, degree = dh_density_evaluator(forms)
+    a, b = forms.a, forms.b
+
+    def moments(ts: np.ndarray) -> np.ndarray:
+        values = density(ts)
+        return np.stack((values, ts * values))
+
+    volume, first = quad(moments, -a, b, degree + 1).estimate
+    t_bar_quad = float(first / volume)
     if t_bar_quad > 0:
         r_quad = a / (a + t_bar_quad)
     elif t_bar_quad < 0:
@@ -159,6 +285,7 @@ def crosscheck(datum: HorosphericalDatum) -> CrosscheckReport:
     r_exact = float(exact.R)
     t_err = abs(t_bar_quad - t_bar_exact) / (abs(t_bar_exact) or 1.0)
     r_err = abs(r_quad - r_exact) / r_exact
+    segment_ok = (a, b) == (seg.a, seg.b)
     return CrosscheckReport(
         datum=datum,
         t_bar_exact=t_bar_exact,
@@ -167,5 +294,7 @@ def crosscheck(datum: HorosphericalDatum) -> CrosscheckReport:
         r_quad=r_quad,
         t_bar_rel_err=t_err,
         r_rel_err=r_err,
-        ok=bool(t_err <= CROSSCHECK_REL_TOL and r_err <= CROSSCHECK_REL_TOL),
+        segment_exact=(seg.a, seg.b),
+        segment_oracle=(a, b),
+        ok=bool(segment_ok and t_err <= CROSSCHECK_REL_TOL and r_err <= CROSSCHECK_REL_TOL),
     )

@@ -124,7 +124,10 @@ def _oracle_data(max_n: int):
 
 def _crosscheck(datum: HorosphericalDatum) -> tuple[bool, str]:
     rep = oracle.crosscheck(datum)
-    return rep.ok, f"tbar_err={rep.t_bar_rel_err:.2e} R_err={rep.r_rel_err:.2e}"
+    detail = f"tbar_err={rep.t_bar_rel_err:.2e} R_err={rep.r_rel_err:.2e}"
+    if rep.segment_oracle != rep.segment_exact:
+        detail += f" segment={rep.segment_oracle} engine={rep.segment_exact}"
+    return rep.ok, detail
 
 
 def _suite_oracle(max_n: int) -> list[CheckResult]:

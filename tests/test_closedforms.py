@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from grlb import closedforms
+from grlb import closedforms, engine
 from grlb.closedforms import (
     PI_UPPER,
     InvalidParameterError,
@@ -68,13 +68,13 @@ class TestDenseReference:
     """The formulas integrate in the variable of the largest factor; the dense
     expansion of the same integrands is an independent route to each value."""
 
-    @pytest.mark.parametrize("n", range(3, 26))
+    @pytest.mark.parametrize("n", range(3, 31))
     def test_x1(self, n):
         base = x1_integrand(n)
         assert r_x1_formula(n) == n * integrate(base, -n, 2) / integrate(base * Polynomial((n, 1)), -n, 2)
         assert lemma_x1_sign(n).lhs == integrate(base * Polynomial((0, 1)), -n, 2)
 
-    @pytest.mark.parametrize("n", range(2, 21))
+    @pytest.mark.parametrize("n", range(2, 31))
     def test_x3(self, n):
         for k in range(2, n + 1):
             b = 2 * n - 2 * k + 2
@@ -89,6 +89,21 @@ class TestDenseReference:
         base = Polynomial((0, 1)) * Polynomial((2, -1)) * Polynomial((n, 1)) ** (n - 1)
         scale = (2 * n + 2) ** (n * (n - 1) // 2)
         assert x1_comparison_integral(n) == scale * integrate(base, -n, 2)
+
+
+@pytest.mark.parametrize(
+    "datum",
+    [
+        engine.HorosphericalDatum("X1", n=200),
+        engine.HorosphericalDatum("X1", n=400),
+        engine.HorosphericalDatum("X3", n=800, k=400),
+    ],
+    ids=lambda d: d.label(),
+)
+def test_engine_r_past_the_default_ceiling(monkeypatch, datum):
+    monkeypatch.setenv("GRLB_MAX_N", "800")
+    closed = r_x1_formula(datum.n) if datum.family == "X1" else r_x3_formula(datum.n, datum.k)
+    assert closed == engine.report(datum).R
 
 
 class TestX3nnClosed:

@@ -1,5 +1,6 @@
 """Tests for rationals, polynomials, exact integration and decimal rendering."""
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -131,6 +132,31 @@ class TestIntegrate:
         assert integrate(Polynomial.zero(), -5, 5) == 0
 
 
+def _to_significant_by_fractions(r, digits):
+    """The earlier to_significant, which scaled by Fraction powers of ten: the reference."""
+    rf = Fraction(r)
+    if not rf:
+        return "0"
+    sign = "-" if rf < 0 else ""
+    x = abs(rf)
+    exp = math.floor((x.numerator.bit_length() - x.denominator.bit_length()) * math.log10(2))
+    while x < Fraction(10) ** exp:
+        exp -= 1
+    while x >= Fraction(10) ** (exp + 1):
+        exp += 1
+    mant = round(x / Fraction(10) ** (exp - digits + 1))
+    if mant == 10**digits:
+        mant //= 10
+        exp += 1
+    ds = str(mant)
+    if -4 <= exp < digits:
+        whole, frac = (ds[: exp + 1], ds[exp + 1 :]) if exp >= 0 else ("0", "0" * (-exp - 1) + ds)
+        frac = frac.rstrip("0")
+        return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
+    frac = ds[1:].rstrip("0")
+    return f"{sign}{ds[0]}{'.' + frac if frac else ''}e{exp:+03d}"
+
+
 class TestToSignificant:
     @pytest.mark.parametrize(
         "value",
@@ -148,6 +174,33 @@ class TestToSignificant:
     def test_digits_validation(self):
         with pytest.raises(ValueError):
             to_significant(F(1, 2), 0)
+
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(min_value=1, max_value=17))
+    @settings(max_examples=300, deadline=None)
+    def test_any_float_matches_g_format(self, x, digits):
+        # Fraction(x) is x exactly, and format() rounds a float exactly, half
+        # to even.  A Fraction has no -0, so zero is compared unsigned.
+        x = x or 0.0
+        assert to_significant(F(x), digits) == format(x, f".{digits}g")
+
+    @pytest.mark.parametrize(
+        "value,digits",
+        [(F(125, 1000), 2), (F(135, 1000), 2), (F(-25, 10), 1), (F(35, 10), 1), (F(5, 8), 2), (F(15, 16), 3)],
+    )
+    def test_exact_ties_round_half_even(self, value, digits):
+        assert to_significant(value, digits) == format(float(value), f".{digits}g")
+
+    @given(
+        st.integers(min_value=1, max_value=10**40),
+        st.integers(min_value=1, max_value=10**40),
+        st.integers(min_value=1450, max_value=1550),
+        st.booleans(),
+        st.integers(min_value=1, max_value=15),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_fraction_algorithm_far_outside_float_range(self, p, q, e, small, digits):
+        value = F(p, q) * F(10) ** (-e if small else e)
+        assert to_significant(value, digits) == _to_significant_by_fractions(value, digits)
 
 
 class TestToDecimal:

@@ -1,5 +1,6 @@
 """Tests for the quadrature oracle and its engine cross-checks."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,16 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grlb import engine
+from grlb import engine, oracle, rootsystems
 from grlb.exactnum import Polynomial, integrate
 from grlb.engine import HorosphericalDatum, InvalidDatumError
 from grlb.oracle import (
     EvaluationFailureError,
+    _root_system,
     crosscheck,
     dh_density_evaluator,
+    marked_forms,
     quad,
 )
-from grlb.suites import _oracle_data
+from grlb.suites import _crosscheck, _oracle_data
 
 F = Fraction
 
@@ -69,6 +72,17 @@ class TestQuad:
         with pytest.raises(ValueError):
             quad(lambda ts: ts, 0.0, 1.0, degree)
 
+    def test_rows_share_one_evaluation(self):
+        seen = []
+
+        def f(ts):
+            seen.append(ts)
+            return np.stack((ts**3, ts**4, np.ones_like(ts)))
+
+        res = quad(f, -1.0, 2.0, 4)
+        assert len(seen) == 1
+        assert res.estimate == pytest.approx([15.0 / 4.0, 33.0 / 5.0, 3.0], rel=1e-14)
+
     def test_nonfinite_value_raises(self):
         # lo is a node of the rule, so 1/ts is evaluated at 0.
         def f(ts):
@@ -79,11 +93,66 @@ class TestQuad:
             quad(f, 0.0, 1.0, 1)
 
 
+def _forms(datum):
+    seg = engine.report(datum).segment
+    return marked_forms(*_root_system(datum), seg.i, seg.j)
+
+
 def _evaluator(datum):
-    rs, _, _ = engine.resolve(datum)
-    seg = engine.moment_segment(datum)
-    density, degree = dh_density_evaluator(rs, seg)
-    return density, degree, float(seg.a), float(seg.b)
+    forms = _forms(datum)
+    density, degree = dh_density_evaluator(forms)
+    return density, degree, forms.a, forms.b
+
+
+def _table_forms(rs, i, j):
+    """The (c_i d_i, c_j d_j) multiset of Phi_Pu and 2*rho_P's (a, b), read from the root table."""
+    d_i, d_j = rs.half_lengths[i - 1], rs.half_lengths[j - 1]
+    roots = engine.phi_pu(rs, i, j)
+    two_rho = rootsystems.weight_of_root_sum(rs, roots)
+    marked = Counter((r[i - 1], r[j - 1]) for r in roots)
+    forms = Counter({(c_i * d_i, c_j * d_j): m for (c_i, c_j), m in marked.items()})
+    return forms, (two_rho.get(i, 0), two_rho.get(j, 0))
+
+
+def _as_multiset(forms, scale=1):
+    return Counter(
+        {(F(float(u)) / scale, F(float(v)) / scale): int(m) for u, v, m in zip(forms.u, forms.v, forms.mult)}
+    )
+
+
+def _check_every_ordered_pair(type_label, rank, scale=1):
+    rs = rootsystems.build_root_system(type_label, rank)
+    for i in range(1, rank + 1):
+        for j in range(1, rank + 1):
+            if i != j:
+                forms = marked_forms(type_label, rank, i, j)
+                want, segment = _table_forms(rs, i, j)
+                assert _as_multiset(forms, scale) == want, (i, j)
+                assert (forms.a, forms.b) == segment, (i, j)
+
+
+class TestMarkedForms:
+    """The epsilon-basis forms and segment against the simple-root table."""
+
+    @pytest.mark.parametrize("type_label", ["B", "C"])
+    @pytest.mark.parametrize("rank", range(2, 25))
+    def test_bc_every_ordered_pair(self, type_label, rank):
+        _check_every_ordered_pair(type_label, rank)
+
+    def test_f4_every_ordered_pair(self):
+        _check_every_ordered_pair("F4", 4)
+
+    def test_g2_every_ordered_pair_up_to_plate_ix_scale(self):
+        # Plate IX's inner product is twice the one of the half lengths.
+        _check_every_ordered_pair("G2", 2, scale=2)
+
+    def test_segment_is_the_engines_over_the_oracle_grid(self):
+        for datum in _oracle_data(30):
+            exact = engine.report(datum)
+            seg = exact.segment
+            forms = marked_forms(*_root_system(datum), seg.i, seg.j)
+            assert (forms.a, forms.b) == (seg.a, seg.b), datum.label()
+            assert int(forms.mult.sum()) == exact.dimension - 1, datum.label()
 
 
 class TestDensityEvaluator:
@@ -174,6 +243,32 @@ class TestCrosscheck:
     def test_x2_value(self):
         rep = crosscheck(HorosphericalDatum("X2"))
         assert abs(rep.r_quad - 20.0 / 21.0) / (20.0 / 21.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "datum", [HorosphericalDatum("X1", n=400), HorosphericalDatum("X3", n=400, k=200)], ids=lambda d: d.label()
+    )
+    def test_past_the_default_ceiling(self, monkeypatch, datum):
+        monkeypatch.setenv("GRLB_MAX_N", "400")
+        rep = crosscheck(datum)
+        assert rep.ok
+        assert rep.t_bar_rel_err <= 1e-12
+        assert rep.r_rel_err <= 1e-12
+
+    def test_segment_mismatch_fails_the_check(self, monkeypatch):
+        real = oracle.marked_forms
+
+        def shifted(*args):
+            forms = real(*args)
+            return forms._replace(b=forms.b + 1)
+
+        monkeypatch.setattr(oracle, "marked_forms", shifted)
+        datum = HorosphericalDatum("X3", n=6, k=3)
+        rep = crosscheck(datum)
+        assert rep.segment_oracle == (3.0, 9.0) and rep.segment_exact == (3, 8)
+        assert not rep.ok
+        passed, detail = _crosscheck(datum)
+        assert not passed
+        assert detail.endswith(" segment=(3.0, 9.0) engine=(3, 8)")
 
     def test_cap(self, monkeypatch):
         # The exact ceiling is the oracle's only bound on n.
