@@ -182,9 +182,18 @@ class TestNoRootTable:
         [HorosphericalDatum("X1", n=7), HorosphericalDatum("X3", n=6, k=3), *FIXED],
         ids=str,
     )
-    def test_crosscheck_builds_no_table(self, calls, datum):
+    def test_crosscheck_builds_one_table(self, calls, monkeypatch, datum):
+        """The one table a cross-check builds is the oracle's epsilon-basis root list."""
+        built = Counter()
+
+        def counted(*args, _fn=oracle._positive_roots):
+            built[args] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(oracle, "_positive_roots", counted)
         assert oracle.crosscheck(datum).ok
         assert calls == {}
+        assert built == {oracle._root_system(datum): 1}
 
 
 class TestPhiPu:
