@@ -16,8 +16,9 @@ exact rational arithmetic:
 
 `report` builds no root table: `rootsystems.unipotent_radical` walks Phi_Pu
 in the orthonormal basis of B_n and C_n, in O(n^2) time and O(n) memory, and
-reads the fixed tables of F4 and G2.  `resolve` still builds the table, for the
-oracle and the tests, which check the walk against it.
+reads the fixed tables of F4 and G2.  `resolve` still builds the table; only
+the tests read it, to check the walk against it, and perfbench traces the
+table functions by name.
 
 The density is never expanded to compute tbar.  Under sigma = (t+a)/(a+b) it
 is a positive constant, which cancels in tbar and is never formed, times a few
@@ -206,7 +207,8 @@ def _marked_pair(datum: HorosphericalDatum) -> tuple[str, int, int, int]:
 def resolve(datum: HorosphericalDatum) -> tuple[RootSystem, int, int]:
     """Root table and oriented marked simple roots (i, j) for a datum.
 
-    `report` does not call this; the oracle and the tests read the table.
+    Neither `report` nor the oracle calls this; only the tests read the table,
+    and perfbench traces the table functions by name.
     """
     type_label, rank, i, j = _marked_pair(datum)
     return build_root_system(type_label, rank), i, j

@@ -9,10 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import grlb
-from grlb.cli import cli
 from grlb.engine import HorosphericalDatum, InvalidDatumError, report
 from grlb.records import (
     frac_str,
@@ -39,89 +37,83 @@ def report_fields(rep) -> tuple:
     return (rep.R, rep.barycenter_t, (rep.segment.a, rep.segment.b))
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
 class TestCompute:
-    def test_x5_text(self, runner):
-        result = runner.invoke(cli, ["compute", "--family", "X5"])
+    def test_x5_text(self, run_grlb):
+        result = run_grlb(["compute", "--family", "X5"])
         assert result.exit_code == 0
         assert "56/67" in result.output
         assert "0.8358" in result.output
 
-    def test_x3_77_json(self, runner):
-        result = runner.invoke(cli, ["compute", "--family", "X3", "--n", "7", "--k", "7", "--format", "json"])
+    def test_x3_77_json(self, run_grlb):
+        result = run_grlb(["compute", "--family", "X3", "--n", "7", "--k", "7", "--format", "json"])
         assert result.exit_code == 0
         data = json.loads(result.output)
         assert data["R"] == "715/1024"
         assert data["schema_version"] == 1
 
-    def test_invalid_n_exits_2(self, runner):
-        result = runner.invoke(cli, ["compute", "--family", "X1", "--n", "2"])
+    def test_invalid_n_exits_2(self, run_grlb):
+        result = run_grlb(["compute", "--family", "X1", "--n", "2"])
         assert result.exit_code == 2
         assert "n >= 3" in result.output
 
-    def test_invalid_x3_exits_2(self, runner):
-        result = runner.invoke(cli, ["compute", "--family", "X3", "--n", "2", "--k", "3"])
+    def test_invalid_x3_exits_2(self, run_grlb):
+        result = run_grlb(["compute", "--family", "X3", "--n", "2", "--k", "3"])
         assert result.exit_code == 2
         assert "n >= k >= 2" in result.output
 
-    def test_csv(self, runner):
-        result = runner.invoke(cli, ["compute", "--family", "X2", "--format", "csv"])
+    def test_csv(self, run_grlb):
+        result = run_grlb(["compute", "--family", "X2", "--format", "csv"])
         assert result.exit_code == 0
         lines = result.output.strip().splitlines()
         assert lines[0] == "family,n,k,dim,R"
         assert lines[1] == "X2,,,9,0.9524"
 
-    def test_digits(self, runner):
-        result = runner.invoke(cli, ["compute", "--family", "X5", "--digits", "8"])
+    def test_digits(self, run_grlb):
+        result = run_grlb(["compute", "--family", "X5", "--digits", "8"])
         assert "0.83582090" in result.output
 
-    def test_closed_form_route(self, runner):
-        result = runner.invoke(
-            cli,
-            ["compute", "--family", "X1", "--n", "4", "--route", "closed-form", "--format", "json"],
+    def test_closed_form_route(self, run_grlb):
+        result = run_grlb(
+            ["compute", "--family", "X1", "--n", "4", "--route", "closed-form", "--format", "json"]
         )
         assert result.exit_code == 0
         data = json.loads(result.output)
         assert data["provenance"] == "closed-form"
-        engine_result = runner.invoke(cli, ["compute", "--family", "X1", "--n", "4", "--format", "json"])
+        engine_result = run_grlb(["compute", "--family", "X1", "--n", "4", "--format", "json"])
         assert json.loads(engine_result.output)["R"] == data["R"]
 
-    def test_closed_form_route_at_ceiling(self, runner):
+    def test_closed_form_route_at_ceiling(self, run_grlb):
         args = ["compute", "--family", "X1", "--n", "100", "--format", "json"]
-        closed = runner.invoke(cli, [*args, "--route", "closed-form"])
+        closed = run_grlb([*args, "--route", "closed-form"])
         assert closed.exit_code == 0
-        engine_result = runner.invoke(cli, [*args, "--route", "engine"])
+        engine_result = run_grlb([*args, "--route", "engine"])
         assert json.loads(closed.output)["R"] == json.loads(engine_result.output)["R"]
 
-    def test_closed_form_route_rejected_for_fixed_families(self, runner):
-        result = runner.invoke(cli, ["compute", "--family", "X5", "--route", "closed-form"])
+    def test_closed_form_route_rejected_for_fixed_families(self, run_grlb):
+        result = run_grlb(["compute", "--family", "X5", "--route", "closed-form"])
         assert result.exit_code == 2
 
-    def test_max_n_env_override(self, runner):
+    def test_max_n_env_override(self, run_grlb):
         # Fails at the default ceiling, succeeds when raised via GRLB_MAX_N.
         args = ["compute", "--family", "X3", "--n", "120", "--k", "2"]
-        blocked = runner.invoke(cli, args, env={"GRLB_MAX_N": None})
+        blocked = run_grlb(args, env={"GRLB_MAX_N": None})
         assert blocked.exit_code == 2
         assert "ceiling" in blocked.output
-        allowed = runner.invoke(cli, args, env={"GRLB_MAX_N": "150"})
+        allowed = run_grlb(args, env={"GRLB_MAX_N": "150"})
         assert allowed.exit_code == 0
 
-    def test_x1_165_renders_past_str_limit(self, runner, monkeypatch):
+    def test_x1_165_renders_past_str_limit(self, run_grlb, monkeypatch):
         # R(X1(165)) has more than the 4300 digits str(int) allows.
         monkeypatch.setenv("GRLB_MAX_N", "200")
         args = ["compute", "--family", "X1", "--n", "165"]
-        result = runner.invoke(cli, args + ["--format", "json"])
+        result = run_grlb(args + ["--format", "json"])
         assert result.exit_code == 0, result.output
         out = result.output.rstrip("\n")
         assert json.dumps(json.loads(out), indent=2) == out
         rep = report(HorosphericalDatum("X1", n=165))
         assert rep.R.denominator > 10**4300
         assert exact_fields(json.loads(out)) == report_fields(rep)
-        text = runner.invoke(cli, args)
+        text = run_grlb(args)
         assert text.exit_code == 0
         assert f"R             {frac_str(rep.R)}" in text.output.splitlines()
 
@@ -211,14 +203,14 @@ GOLDEN_FAILING_VERIFY = [
 
 
 @pytest.mark.parametrize("command,digest", GOLDEN_OUTPUTS)
-def test_output_is_byte_identical_to_golden(runner, command, digest):
-    result = runner.invoke(cli, command.split(), env={"GRLB_MAX_N": None})
+def test_output_is_byte_identical_to_golden(run_grlb, command, digest):
+    result = run_grlb(command.split(), env={"GRLB_MAX_N": None})
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command,digest", GOLDEN_FAILING_VERIFY)
-def test_failing_verify_is_byte_identical_to_golden(runner, monkeypatch, command, digest):
+def test_failing_verify_is_byte_identical_to_golden(run_grlb, monkeypatch, command, digest):
     from grlb import cli as cli_module
     from grlb.suites import CheckResult
 
@@ -227,7 +219,7 @@ def test_failing_verify_is_byte_identical_to_golden(runner, monkeypatch, command
         "run_suite",
         lambda suite, max_n: [CheckResult("forced", False, "synthetic failure")],
     )
-    result = runner.invoke(cli, command.split(), env={"GRLB_MAX_N": None})
+    result = run_grlb(command.split(), env={"GRLB_MAX_N": None})
     assert result.exit_code == 3, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == digest
 
@@ -264,7 +256,7 @@ class TestRecords:
         assert render(rows, "csv").splitlines()[1] == "X3,7,4,38,0.9576"
 
     @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
-    def test_compute_renders_r_and_tbar_once(self, runner, monkeypatch, fmt):
+    def test_compute_renders_r_and_tbar_once(self, run_grlb, monkeypatch, fmt):
         from grlb import records
 
         rendered = []
@@ -274,7 +266,7 @@ class TestRecords:
             return frac_str(f)
 
         monkeypatch.setattr(records, "frac_str", counted)
-        result = runner.invoke(cli, ["compute", "--family", "X3", "--n", "7", "--k", "4", "--format", fmt])
+        result = run_grlb(["compute", "--family", "X3", "--n", "7", "--k", "4", "--format", fmt])
         assert result.exit_code == 0, result.output
         rep = report(HorosphericalDatum("X3", n=7, k=4))
         assert rendered.count(rep.R) == 1
@@ -282,29 +274,29 @@ class TestRecords:
 
 
 class TestTable:
-    def test_table1_text(self, runner):
-        result = runner.invoke(cli, ["table", "--id", "1"])
+    def test_table1_text(self, run_grlb):
+        result = run_grlb(["table", "--id", "1"])
         assert result.exit_code == 0
         assert "20/21" in result.output
         assert "178992099/243545402" in result.output
         assert "n(n+3)/2" in result.output
 
-    def test_table2_text(self, runner):
-        result = runner.invoke(cli, ["table", "--id", "2"])
+    def test_table2_text(self, run_grlb):
+        result = run_grlb(["table", "--id", "2"])
         assert result.exit_code == 0
         assert "0.8955" in result.output
         assert "0.99995" in result.output
         row_x34 = next(l for l in result.output.splitlines() if l.startswith("X3(.,4)"))
         assert row_x34.split()[1] == "-"
 
-    def test_table3_text(self, runner):
-        result = runner.invoke(cli, ["table", "--id", "3"])
+    def test_table3_text(self, run_grlb):
+        result = run_grlb(["table", "--id", "3"])
         assert result.exit_code == 0
         assert "3003/4096 ≈ 0.733" in result.output
         assert "15/16 = 0.9375" in result.output
 
-    def test_table2_csv(self, runner):
-        result = runner.invoke(cli, ["table", "--id", "2", "--format", "csv"])
+    def test_table2_csv(self, run_grlb):
+        result = run_grlb(["table", "--id", "2", "--format", "csv"])
         lines = result.output.strip().splitlines()
         assert lines[0] == "row,3,4,5,6,7,10,20,30,50,70"
         assert lines[1].startswith("X1,0.8955,")
@@ -328,42 +320,40 @@ class TestTable:
             digits = len(printed.split(".")[1])
             assert abs(parse_frac(row["R"]) - F(printed)) <= F(1, 10**digits), row["n"]
 
-    def test_table3_json(self, runner):
-        result = runner.invoke(cli, ["table", "--id", "3", "--format", "json"])
+    def test_table3_json(self, run_grlb):
+        result = run_grlb(["table", "--id", "3", "--format", "json"])
         data = json.loads(result.output)
         assert data["table"] == 3
         assert data["rows"][0] == {"n": 2, "R": "15/16", "rendered": "15/16 = 0.9375"}
 
-    def test_bad_id(self, runner):
-        result = runner.invoke(cli, ["table", "--id", "4"])
+    def test_bad_id(self, run_grlb):
+        result = run_grlb(["table", "--id", "4"])
         assert result.exit_code == 2
 
 
 class TestVerify:
-    def test_lemmas_pass(self, runner):
-        result = runner.invoke(cli, ["verify", "--suite", "lemmas", "--max-n", "6"])
+    def test_lemmas_pass(self, run_grlb):
+        result = run_grlb(["verify", "--suite", "lemmas", "--max-n", "6"])
         assert result.exit_code == 0
         assert "checks passed" in result.output
 
-    def test_closed_forms_json(self, runner):
-        result = runner.invoke(
-            cli, ["verify", "--suite", "closed-forms", "--max-n", "5", "--format", "json"]
-        )
+    def test_closed_forms_json(self, run_grlb):
+        result = run_grlb(["verify", "--suite", "closed-forms", "--max-n", "5", "--format", "json"])
         assert result.exit_code == 0
         data = json.loads(result.output)
         assert data["passed"] is True
         assert all(c["passed"] for c in data["checks"])
 
-    def test_oracle_small(self, runner):
-        result = runner.invoke(cli, ["verify", "--suite", "oracle", "--max-n", "4"])
+    def test_oracle_small(self, run_grlb):
+        result = run_grlb(["verify", "--suite", "oracle", "--max-n", "4"])
         assert result.exit_code == 0
 
-    def test_oracle_at_n20(self, runner):
-        result = runner.invoke(cli, ["verify", "--suite", "oracle", "--max-n", "20"])
+    def test_oracle_at_n20(self, run_grlb):
+        result = run_grlb(["verify", "--suite", "oracle", "--max-n", "20"])
         assert result.exit_code == 0
         assert "211/211 checks passed" in result.output
 
-    def test_oracle_evaluation_failure_is_a_failed_check(self, runner, monkeypatch):
+    def test_oracle_evaluation_failure_is_a_failed_check(self, run_grlb, monkeypatch):
         from grlb import oracle
 
         real = oracle.crosscheck
@@ -374,24 +364,24 @@ class TestVerify:
             return real(datum)
 
         monkeypatch.setattr(oracle, "crosscheck", crosscheck)
-        result = runner.invoke(cli, ["verify", "--suite", "oracle", "--max-n", "3"])
+        result = run_grlb(["verify", "--suite", "oracle", "--max-n", "3"])
         assert result.exit_code == 3
         assert "FAIL quadrature X4: EvaluationFailureError: integrand returned a non-finite value" in result.output
         assert "ok   quadrature X5" in result.output
 
-    def test_bounds_small(self, runner):
-        result = runner.invoke(cli, ["verify", "--suite", "bounds", "--max-n", "5"])
+    def test_bounds_small(self, run_grlb):
+        result = run_grlb(["verify", "--suite", "bounds", "--max-n", "5"])
         assert result.exit_code == 0
 
-    def test_unknown_suite_exits_2(self, runner):
-        result = runner.invoke(cli, ["verify", "--suite", "nonsense"])
+    def test_unknown_suite_exits_2(self, run_grlb):
+        result = run_grlb(["verify", "--suite", "nonsense"])
         assert result.exit_code == 2
 
-    def test_bad_max_n(self, runner):
-        result = runner.invoke(cli, ["verify", "--suite", "lemmas", "--max-n", "1"])
+    def test_bad_max_n(self, run_grlb):
+        result = run_grlb(["verify", "--suite", "lemmas", "--max-n", "1"])
         assert result.exit_code == 2
 
-    def test_failing_check_exits_3(self, runner, monkeypatch):
+    def test_failing_check_exits_3(self, run_grlb, monkeypatch):
         from grlb import cli as cli_module
         from grlb.suites import CheckResult
 
@@ -400,12 +390,13 @@ class TestVerify:
             "run_suite",
             lambda suite, max_n: [CheckResult("forced", False, "synthetic failure")],
         )
-        result = runner.invoke(cli, ["verify", "--suite", "lemmas", "--max-n", "3"])
+        result = run_grlb(["verify", "--suite", "lemmas", "--max-n", "3"])
         assert result.exit_code == 3
         assert "FAIL forced" in result.output
 
 
-#: (GRLB_MAX_N, command, error): each is an invalid argument under its command.
+#: (GRLB_MAX_N, command, error): each is an invalid argument under its command,
+#: or under `grlb` itself when there is none.  None leaves GRLB_MAX_N unset.
 INVALID_INPUTS = [
     ("abc", "table --id 2", "GRLB_MAX_N must be an integer, got 'abc'"),
     ("50", "table --id 2", "n=70 exceeds the exact-computation ceiling 50"),
@@ -417,30 +408,77 @@ INVALID_INPUTS = [
     ("abc", "verify --suite lemmas --max-n 4", "GRLB_MAX_N must be an integer, got 'abc'"),
     ("5", "verify --suite bounds --max-n 8", "n=6 exceeds the exact-computation ceiling 5"),
     ("100", "verify --suite oracle --max-n 101", "n=101 exceeds the exact-computation ceiling 100"),
+    (None, "compute --family X6", "argument --family: invalid choice: 'X6'"),
+    (None, "compute --family X1 --n abc", "argument --n: invalid int value: 'abc'"),
+    (None, "compute", "the following arguments are required: --family"),
+    (None, "table --id 4", "argument --id: invalid choice: 4"),
+    (None, "verify --suite nonsense", "argument --suite: invalid choice: 'nonsense'"),
+    (None, "compute --family X5 --bogus", "unrecognized arguments: --bogus"),
+    (None, "compute --fam X5", "the following arguments are required: --family"),
+    (None, "", "the following arguments are required: command"),
 ]
+
+
+def _grlb_process(command: str, **env: str | None) -> subprocess.CompletedProcess:
+    """Run `python -m grlb.cli` on a command line, with `env` set or, where None, unset."""
+    src = str(Path(grlb.__file__).resolve().parents[1])
+    merged = {**os.environ, "PYTHONPATH": src, **env}
+    merged = {name: value for name, value in merged.items() if value is not None}
+    args = [sys.executable, "-m", "grlb.cli", *command.split()]
+    return subprocess.run(args, capture_output=True, env=merged, timeout=120)
 
 
 @pytest.mark.parametrize("max_n,command,error", INVALID_INPUTS)
 def test_invalid_input_exits_2_with_one_error_line(max_n, command, error):
-    src = str(Path(grlb.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "GRLB_MAX_N": max_n}
-    args = [sys.executable, "-m", "grlb.cli", *command.split()]
-    out = subprocess.run(args, capture_output=True, text=True, env=env, timeout=120)
-    assert out.returncode == 2, out.stderr
-    assert out.stdout == ""
-    lines = out.stderr.splitlines()
-    assert f"{command.split()[0]} [OPTIONS]" in lines[0]
-    errors = [line for line in lines if "Error" in line]
-    assert len(errors) == 1 and errors[0].startswith(f"Error: {error}"), out.stderr
-    assert "Traceback" not in out.stderr and "FAIL" not in out.stderr
+    out = _grlb_process(command, GRLB_MAX_N=max_n)
+    stderr = out.stderr.decode()
+    assert out.returncode == 2, stderr
+    assert out.stdout == b""
+    lines = stderr.splitlines()
+    prog = " ".join(["grlb", *command.split()[:1]])
+    assert lines[0].startswith(f"usage: {prog} ")
+    assert [line for line in lines if line.startswith("usage:")] == lines[:1]
+    errors = [line for line in lines if "error" in line.lower()]
+    assert len(errors) == 1 and errors[0].startswith(f"{prog}: error: {error}"), stderr
+    assert "Traceback" not in stderr and "FAIL" not in stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_output_is_utf8_under_an_ascii_locale(fmt):
+    # Table 1 prints "≈", which an ASCII stdout cannot encode.
+    command = f"table --id 1 --format {fmt}"
+    out = _grlb_process(command, GRLB_MAX_N=None, PYTHONIOENCODING="ascii")
+    assert out.returncode == 0, out.stderr.decode()
+    assert hashlib.sha256(out.stdout).hexdigest() == dict(GOLDEN_OUTPUTS)[command]
+
+
+def test_version_exits_0(run_grlb):
+    assert run_grlb(["--version"]) == (0, f"grlb, version {grlb.__version__}\n", "")
+
+
+#: What each help lists: the commands and options of `grlb`, and each command's options.
+HELP_ENTRIES = {
+    "": ["compute", "table", "verify", "--version"],
+    "compute": ["--family", "--n", "--k", "--digits", "--format", "--route"],
+    "table": ["--id", "--format"],
+    "verify": ["--suite", "--max-n", "--format"],
+}
+
+
+@pytest.mark.parametrize("command,entries", HELP_ENTRIES.items())
+def test_help_exits_0_and_lists_every_option(run_grlb, command, entries):
+    result = run_grlb([*command.split(), "--help"])
+    assert result.exit_code == 0 and result.stderr == ""
+    listed = {line.split()[0] for line in result.stdout.splitlines() if line.startswith("  ")}
+    assert {"-h,", *entries} <= listed, result.stdout
 
 
 def test_cli_import_leaves_out_numpy_and_mpmath():
-    # compute and table need neither; the oracle imports numpy on use, and
-    # mpmath is only a test dependency.
+    # compute and table need neither; the oracle imports numpy on use,
+    # mpmath is only a test dependency, and the parser is argparse's.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import grlb.cli; "
-        "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))"
+        "print(sorted({'numpy', 'mpmath', 'click'} & set(sys.modules)))"
     )
     src = str(Path(grlb.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)

@@ -5,11 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import grlb
 from grlb import closedforms, oracle
-from grlb.cli import cli
 from grlb.engine import InvalidDatumError
 from grlb.oracle import EvaluationFailureError
 from grlb.suites import run_suite
@@ -52,7 +50,7 @@ def test_evaluation_failure_is_an_arithmetic_error():
 
 
 @pytest.mark.parametrize("error", [ZeroDivisionError("float division by zero"), ValueError("forced")])
-def test_oracle_arithmetic_or_value_error_is_a_failed_check(monkeypatch, error):
+def test_oracle_arithmetic_or_value_error_is_a_failed_check(run_grlb, monkeypatch, error):
     # The oracle fails a check the way the exact suites do.
     def crosscheck(datum):
         raise error
@@ -63,7 +61,7 @@ def test_oracle_arithmetic_or_value_error_is_a_failed_check(monkeypatch, error):
     assert not any(r.passed for r in results)
     detail = f"{type(error).__name__}: {error}"
     assert {r.detail for r in results} == {detail}
-    result = CliRunner().invoke(cli, ["verify", "--suite", "oracle", "--max-n", "3"])
+    result = run_grlb(["verify", "--suite", "oracle", "--max-n", "3"])
     assert result.exit_code == 3
     assert result.output.count(f"FAIL quadrature X2: {detail}") == 1
     assert result.output.count("FAIL") == 7
@@ -98,11 +96,11 @@ def _raise_at_n4(monkeypatch, function, error):
 
 
 @pytest.mark.parametrize("suite,function,name", EXACT_CHECKS)
-def test_exact_check_error_is_a_failed_check(monkeypatch, suite, function, name):
+def test_exact_check_error_is_a_failed_check(run_grlb, monkeypatch, suite, function, name):
     expected = len(run_suite(suite, 5))
     _raise_at_n4(monkeypatch, function, ArithmeticError("forced"))
     assert len(run_suite(suite, 5)) == expected
-    result = CliRunner().invoke(cli, ["verify", "--suite", suite, "--max-n", "5"])
+    result = run_grlb(["verify", "--suite", suite, "--max-n", "5"])
     assert result.exit_code == 3
     assert f"FAIL {name}: ArithmeticError: forced" in result.output
     assert result.output.count("FAIL") == 1
@@ -116,23 +114,23 @@ def test_exact_check_other_errors_propagate(monkeypatch, suite, function, name):
 
 
 @pytest.mark.parametrize("suite,function,name", EXACT_CHECKS)
-def test_exact_check_value_error_is_a_failed_check(monkeypatch, suite, function, name):
+def test_exact_check_value_error_is_a_failed_check(run_grlb, monkeypatch, suite, function, name):
     # A ValueError of the check's own computation is a failed check, not a bad argument.
     _raise_at_n4(monkeypatch, function, ValueError("forced"))
-    result = CliRunner().invoke(cli, ["verify", "--suite", suite, "--max-n", "5"])
+    result = run_grlb(["verify", "--suite", suite, "--max-n", "5"])
     assert result.exit_code == 3
     assert f"FAIL {name}: ValueError: forced" in result.output
     assert result.output.count("FAIL") == 1
 
 
 @pytest.mark.parametrize("suite,function,name", EXACT_CHECKS)
-def test_invalid_datum_is_a_bad_argument(monkeypatch, suite, function, name):
+def test_invalid_datum_is_a_bad_argument(run_grlb, monkeypatch, suite, function, name):
     _raise_at_n4(monkeypatch, function, InvalidDatumError("forced"))
     with pytest.raises(InvalidDatumError):
         run_suite(suite, 5)
-    result = CliRunner().invoke(cli, ["verify", "--suite", suite, "--max-n", "5"])
+    result = run_grlb(["verify", "--suite", suite, "--max-n", "5"])
     assert result.exit_code == 2
-    assert "Error: forced" in result.output
+    assert "grlb verify: error: forced" in result.output
     assert "FAIL" not in result.output
 
 
