@@ -22,11 +22,12 @@ table functions by name.
 
 The density is never expanded to compute tbar.  Under sigma = (t+a)/(a+b) it
 is a positive constant, which cancels in tbar and is never formed, times a few
-coprime integer forms (c0 + c1 sigma)^m.  Its two moments are integers taken in
-the variable of the form of largest m, and tbar is one Fraction built from them.
-`dh_polynomial_on` still returns the dense polynomial in t over a given root
-system and segment, as a view for callers that want it; no computation of R
-uses it.
+coprime integer forms (c0 + c1 sigma)^m, built in integers straight from the
+walk's multiset of (c_i, c_j).  Its two moments are integers taken in the
+variable of the form of largest m, and tbar is the one Fraction, built from
+them.  `dh_polynomial_on` returns the dense polynomial in t over a given root
+system and segment: it is the tests' dense reference, which perfbench traces
+by name, and no computation of R uses it.
 
 Orientation convention: `resolve` returns the marked pair (i, j) with *i*
 the index whose fundamental-weight coefficient grows with t.  For X3 and X5
@@ -68,8 +69,8 @@ __all__ = [
 FAMILIES = ("X1", "X2", "X3", "X4", "X5")
 
 #: Default ceiling on the size parameter n for exact computation.  At the
-#: ceiling one X1 report takes about 0.005 s and the closed-form R about
-#: 0.02 s (Python 3.11, one core of a 2-CPU host); there is no floating-point
+#: ceiling one X1 report takes about 0.003 s and the closed-form R about
+#: 0.0003 s (Python 3.11, one core of a 2-CPU host); there is no floating-point
 #: fallback.  Raising it waits for a committed benchmark trajectory (ROADMAP).
 DEFAULT_MAX_EXACT_N = 100
 
@@ -235,26 +236,6 @@ def moment_segment(datum: HorosphericalDatum) -> MomentSegment:
     return report(datum).segment
 
 
-def _marked_weights(
-    d_i: Fraction, d_j: Fraction, marked: Counter[tuple[int, int]]
-) -> Counter[tuple[Fraction, Fraction]]:
-    """Multiset of (u, v) over Phi_Pu: the root contributes u*(a+t) + v*(b-t).
-
-    u and v are its coefficients (c_i, c_j) on the marked simple roots i and j
-    times their half squared lengths d_i and d_j.
-    """
-    out: Counter[tuple[Fraction, Fraction]] = Counter()
-    for (c_i, c_j), mult in marked.items():
-        out[c_i * d_i, c_j * d_j] += mult
-    return out
-
-
-def _table_weights(rs: RootSystem, seg: MomentSegment) -> Counter[tuple[Fraction, Fraction]]:
-    """`_marked_weights` of Phi_Pu read from a root table."""
-    marked = Counter((r[seg.i - 1], r[seg.j - 1]) for r in phi_pu(rs, seg.i, seg.j))
-    return _marked_weights(rs.half_lengths[seg.i - 1], rs.half_lengths[seg.j - 1], marked)
-
-
 def dh_polynomial_on(rs: RootSystem, seg: MomentSegment) -> Polynomial:
     """Duistermaat-Heckman density restricted to a segment over a given root system.
 
@@ -262,10 +243,35 @@ def dh_polynomial_on(rs: RootSystem, seg: MomentSegment) -> Polynomial:
     c_i*d_i*(a+t) + c_j*d_j*(b-t) where (c_i, c_j) are its coefficients on
     the marked simple roots and d_m the half squared lengths.
     """
+    d_i, d_j = rs.half_lengths[seg.i - 1], rs.half_lengths[seg.j - 1]
     factors = []
-    for (u, v), mult in _table_weights(rs, seg).items():
-        factors += [Polynomial.linear(u * seg.a + v * seg.b, u - v)] * mult
+    for r in phi_pu(rs, seg.i, seg.j):
+        u, v = r[seg.i - 1] * d_i, r[seg.j - 1] * d_j
+        factors.append(Polynomial.linear(u * seg.a + v * seg.b, u - v))
     return poly_product(factors)
+
+
+def _forms(marked: Counter[tuple[int, int]], d_i: Fraction, d_j: Fraction) -> Counter[tuple[int, int]]:
+    """Coprime integer forms (c0, c1) of the density, from Phi_Pu's marked coefficients.
+
+    A root with coefficients (c_i, c_j) on the marked simple roots contributes
+    c_i*d_i*(a+t) + c_j*d_j*(b-t), d_m the half squared lengths.  With
+    s = lcm of their denominators and e_m = d_m*s, under sigma = (t+a)/(a+b)
+    this is (a+b)/s times c_j*e_j + (c_i*e_i - c_j*e_j)*sigma, reduced by its
+    gcd to c0 + c1*sigma.  A form constant in sigma is dropped.
+    """
+    s = math.lcm(d_i.denominator, d_j.denominator)
+    e_i, e_j = d_i.numerator * (s // d_i.denominator), d_j.numerator * (s // d_j.denominator)
+    forms: Counter[tuple[int, int]] = Counter()
+    for (c_i, c_j), mult in marked.items():
+        c0 = c_j * e_j
+        c1 = c_i * e_i - c0
+        if c1:
+            g = math.gcd(c0, c1)
+            forms[c0 // g, c1 // g] += mult
+        elif not c0:
+            raise DegenerateMeasureError("Duistermaat-Heckman density has a zero factor")
+    return forms
 
 
 def _form_moments(forms: Counter[tuple[int, int]]) -> tuple[int, int, int]:
@@ -298,22 +304,12 @@ def _form_moments(forms: Counter[tuple[int, int]]) -> tuple[int, int, int]:
     return c1, moment(q), moment(q1)
 
 
-def _barycenter(seg: MomentSegment, weights: Counter[tuple[Fraction, Fraction]]) -> Fraction:
-    """tbar = Int t P / Int P over [-a, b], P = prod of u*(a+t) + v*(b-t) over `weights`.
+def _barycenter(seg: MomentSegment, forms: Counter[tuple[int, int]]) -> Fraction:
+    """tbar = Int t P / Int P over [-a, b], P a positive constant times prod (c0 + c1*sigma)^m.
 
-    With sigma = (t+a)/(a+b) a root's factor u*(a+t) + v*(b-t) is a positive
-    constant times the coprime integer form c0 + c1*sigma, and t = (a+b)*sigma - a;
-    the constants cancel, so tbar = (a+b)*num1/(c1*num0) - a.
+    With sigma = (t+a)/(a+b), t = (a+b)*sigma - a and the constant cancels,
+    so tbar = (a+b)*num1/(c1*num0) - a.
     """
-    forms: Counter[tuple[int, int]] = Counter()
-    for (u, v), mult in weights.items():
-        den = math.lcm(v.denominator, (u - v).denominator)
-        c0, c1 = int(v * den), int((u - v) * den)
-        if c1:
-            g = math.gcd(c0, c1)
-            forms[c0 // g, c1 // g] += mult
-        elif not c0:
-            raise DegenerateMeasureError("Duistermaat-Heckman density has a zero factor")
     c1, num0, num1 = _form_moments(forms)
     if not num0:
         raise DegenerateMeasureError("Duistermaat-Heckman density has zero volume")
@@ -343,7 +339,7 @@ def report(datum: HorosphericalDatum) -> ComputationReport:
     marked, two_rho_p = unipotent_radical(type_label, rank, i, j)
     seg = _segment(i, j, two_rho_p)
     d_i, d_j = half_length(type_label, rank, i), half_length(type_label, rank, j)
-    t_bar = _barycenter(seg, _marked_weights(d_i, d_j, marked))
+    t_bar = _barycenter(seg, _forms(marked, d_i, d_j))
     return ComputationReport(
         datum=datum,
         dimension=sum(marked.values()) + 1,

@@ -194,7 +194,9 @@ def test_criterion_9_property_suite():
     ]
 
     def barycenter_on(rs, seg):
-        return engine._barycenter(seg, engine._table_weights(rs, seg))
+        marked = Counter((r[seg.i - 1], r[seg.j - 1]) for r in engine.phi_pu(rs, seg.i, seg.j))
+        d_i, d_j = rs.half_lengths[seg.i - 1], rs.half_lengths[seg.j - 1]
+        return engine._barycenter(seg, engine._forms(marked, d_i, d_j))
 
     for datum in small:
         rs, i, j = engine.resolve(datum)

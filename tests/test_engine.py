@@ -24,7 +24,7 @@ from grlb.engine import (
     resolve,
     ricci_bound,
 )
-from grlb.engine import _barycenter, _form_moments, _segment, _table_weights
+from grlb.engine import _barycenter, _form_moments, _forms, _segment
 from grlb.exactnum import Polynomial, integrate, poly_product
 from grlb.rootsystems import build_root_system, unipotent_radical, weight_of_root_sum
 
@@ -47,9 +47,16 @@ def two_rho_P(rs, i, j):
     return weight_of_root_sum(rs, phi_pu(rs, i, j))
 
 
+def table_marked(rs, i, j):
+    """Multiset of the marked coefficients (c_i, c_j) of Phi_Pu, read from a root table."""
+    return Counter((r[i - 1], r[j - 1]) for r in phi_pu(rs, i, j))
+
+
 def barycenter_on(rs, seg):
     """tbar of a segment over a given root system, Phi_Pu read from its marked pair."""
-    return _barycenter(seg, _table_weights(rs, seg))
+    marked = table_marked(rs, seg.i, seg.j)
+    forms = _forms(marked, rs.half_lengths[seg.i - 1], rs.half_lengths[seg.j - 1])
+    return _barycenter(seg, forms)
 
 
 def dense_moments(datum):
@@ -381,9 +388,9 @@ class TestBarycenterAndBound:
             barycenter_on(crushed, seg)
 
     def test_zero_integral_guard(self):
-        # u = -1, v = 1 is the single form 1 - 2*sigma, whose integral over [0, 1] is 0.
+        # The single form 1 - 2*sigma, whose integral over [0, 1] is 0.
         with pytest.raises(DegenerateMeasureError):
-            _barycenter(MomentSegment(1, 2, 1, 1), Counter({(F(-1), F(1)): 1}))
+            _barycenter(MomentSegment(1, 2, 1, 1), Counter({(1, -2): 1}))
 
 
 def barycenter_point(rep):
@@ -512,6 +519,49 @@ class TestFactoredMoments:
     @pytest.mark.parametrize("k", [*range(2, 9), 50, 100])
     def test_x3_100_equals_closed_form(self, k):
         assert report(HorosphericalDatum("X3", n=100, k=k)).R == r_x3_formula(100, k)
+
+
+def reference_forms(marked, d_i, d_j):
+    """The forms by way of Fraction pairs (u, v) = (c_i*d_i, c_j*d_j), then per
+    pair one lcm of the denominators of v and u - v and one gcd."""
+    weights = Counter()
+    for (c_i, c_j), mult in marked.items():
+        weights[c_i * d_i, c_j * d_j] += mult
+    forms = Counter()
+    for (u, v), mult in weights.items():
+        den = math.lcm(v.denominator, (u - v).denominator)
+        c0, c1 = int(v * den), int((u - v) * den)
+        if c1:
+            g = math.gcd(c0, c1)
+            forms[c0 // g, c1 // g] += mult
+    return forms
+
+
+def root_systems_to_12():
+    return [("B", n) for n in range(2, 13)] + [("C", n) for n in range(2, 13)] + [("F4", 4), ("G2", 2)]
+
+
+class TestForms:
+    """`_forms` builds the integer forms straight from the marked coefficients;
+    the conversion through Fraction pairs is the reference."""
+
+    @pytest.mark.parametrize("type_label,rank", root_systems_to_12(), ids=str)
+    def test_matches_fraction_conversion(self, type_label, rank):
+        rs = build_root_system(type_label, rank)
+        for i in range(1, rank + 1):
+            for j in range(1, rank + 1):
+                if i == j:
+                    continue
+                marked = table_marked(rs, i, j)
+                for lam in (F(1), F(2), F(1, 3)):
+                    d_i, d_j = lam * rs.half_lengths[i - 1], lam * rs.half_lengths[j - 1]
+                    expected = reference_forms(marked, d_i, d_j)
+                    assert _forms(marked, d_i, d_j) == expected, (type_label, rank, i, j, lam)
+
+    def test_zero_half_lengths_are_a_zero_factor(self):
+        marked, _ = unipotent_radical("B", 3, 1, 3)
+        with pytest.raises(DegenerateMeasureError, match="zero factor"):
+            _forms(marked, F(0), F(0))
 
 
 coprime_forms = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
