@@ -20,14 +20,13 @@ is one integer sum over a common denominator, and each result one Fraction.
 On a 2-CPU host `r_x1_formula(400)` takes about 0.008 s and
 `r_x3_formula(800, 400)` about 0.013 s.
 
-All of it is written from the paper's formulas, without touching the
-root-system pipeline or the engine's integration, so the two routes can be
-compared exactly.  `x1_integrand` and `x3_integrand` stay dense: they are the
-reference the tests integrate, and no function here calls them.  The module
-also carries the inequality and asymptotic-bound checks that control the
-limiting behaviour of each family.  Every check is exact: the one bound that
-involves pi, at X3(n, n), is tested with the rational PI_UPPER > pi in its
-place, so a pass proves the bound itself.
+All of it is written from the paper's formulas, in integers, without
+touching the root-system pipeline or the engine's integration, so the two
+routes can be compared exactly.  R(X3(n, n)) is 2/a_n (`a_sequence`).  The
+module also carries the inequality and asymptotic-bound checks that control
+the limiting behaviour of each family.  Every check is exact: the one bound
+that involves pi, at X3(n, n), is tested with the rational PI_UPPER > pi in
+its place, so a pass proves the bound itself.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exactnum import Polynomial, _int_mul, _linear_pow_int
+from .exactnum import _int_mul, _linear_pow_int
 
 __all__ = [
     "BoundCheck",
@@ -51,8 +50,6 @@ __all__ = [
     "r_x3_formula",
     "r_x3nn_closed",
     "x1_comparison_integral",
-    "x1_integrand",
-    "x3_integrand",
 ]
 
 #: A rational upper bound for pi (355/113 - pi < 2.7e-7), used by the X3(n, n) check.
@@ -93,15 +90,6 @@ class BoundCheck:
         return self.lhs - self.rhs if self.relation == "lower-bound" else self.rhs - self.lhs
 
 
-def _lin(c0: int, c1: int) -> Polynomial:
-    return Polynomial.linear(c0, c1)
-
-
-def x1_integrand(n: int) -> Polynomial:
-    """(2-t) (n+t)^(n-1) (t+2n+2)^(n(n-1)/2), the common X1(n) integrand."""
-    return _lin(2, -1) * _lin(n, 1) ** (n - 1) * _lin(2 * n + 2, 1) ** (n * (n - 1) // 2)
-
-
 def _x1_moments(n: int) -> tuple[int, int, int]:
     """(num0, num1, den): Int_1^2 u^m (2-u) (u-1)^(n-1+l) du = num_l/den for l = 0, 1.
 
@@ -128,8 +116,9 @@ def _x1_moments(n: int) -> tuple[int, int, int]:
 def r_x1_formula(n: int) -> Fraction:
     """R(X1(n)) = n Int f / Int (n+t) f over [-n, 2], f the X1(n) integrand.
 
-    n + t = (n+2)(u-1) under s = t + 2n + 2 = (n+2)u, so R = n num0 / ((n+2) num1)
-    (`_x1_moments`): every other power of n+2 cancels.
+    f = (2-t) (n+t)^(n-1) (t+2n+2)^(n(n-1)/2).  n + t = (n+2)(u-1) under
+    s = t + 2n + 2 = (n+2)u, so R = n num0 / ((n+2) num1) (`_x1_moments`):
+    every other power of n+2 cancels.
     """
     if n < 3:
         raise InvalidParameterError("X1 formula requires n >= 3")
@@ -154,12 +143,6 @@ def _beta_sum(m: int, p: int, q: Sequence[int], hi: int) -> tuple[int, int]:
     return hi ** (m + p + 1) * acc, den
 
 
-def x3_integrand(n: int, k: int) -> Polynomial:
-    """(k+t)^(k-1) (2n-2k+2-t)^(2n-2k+1) (4n-3k+4-t)^(k-1), the X3(n,k) integrand."""
-    b = 2 * n - 2 * k + 2
-    return _lin(k, 1) ** (k - 1) * _lin(b, -1) ** (b - 1) * _lin(4 * n - 3 * k + 4, -1) ** (k - 1)
-
-
 def _x3_cofactor(n: int, k: int) -> tuple[int, list[int], int]:
     """(b, q, hi): the X3(n, k) integrand is s^(b-1) (hi-s)^(k-1) q(s) on [0, hi], s = b - t.
 
@@ -173,7 +156,8 @@ def _x3_cofactor(n: int, k: int) -> tuple[int, list[int], int]:
 def r_x3_formula(n: int, k: int) -> Fraction:
     """R(X3(n, k)) = b Int f / Int (b-t) f over [-k, b], b = 2n-2k+2, f the X3 integrand.
 
-    Valid for n >= k >= 2; at k == n it reproduces the factorial closed form.
+    f = (k+t)^(k-1) (b-t)^(b-1) (4n-3k+4-t)^(k-1).  Valid for n >= k >= 2; at
+    k == n it reproduces the factorial closed form.
     """
     if not (isinstance(n, int) and isinstance(k, int) and n >= k >= 2):
         raise InvalidParameterError("X3 formula requires n >= k >= 2")
@@ -185,10 +169,10 @@ def r_x3_formula(n: int, k: int) -> Fraction:
 
 
 def r_x3nn_closed(n: int) -> Fraction:
-    """R(X3(n, n)) = 2 (2n+1)! / ((n+2) (2^n n!)^2), exact."""
+    """R(X3(n, n)) = 2 / a_n = 2 (2n+1)! / ((n+2) (2^n n!)^2), exact."""
     if n < 2:
         raise InvalidParameterError("X3(n, n) closed form requires n >= 2")
-    return Fraction(2 * math.factorial(2 * n + 1), (n + 2) * (2**n * math.factorial(n)) ** 2)
+    return 2 / a_sequence(n)
 
 
 def a_sequence(n: int) -> Fraction:

@@ -9,10 +9,11 @@ arbitrary precision, always reduced, and always carries a positive denominator.
   their cofactors with them.
 - ``Polynomial`` (multiplication, powers, evaluation), ``poly_product`` and
   ``integrate`` are the dense route: no computation of R uses them.  They
-  serve ``engine.dh_polynomial_on`` and the tests, which integrate the dense
-  densities and integrands as an independent reference.
-- ``int_to_str``, ``str_to_int``, ``to_decimal`` and ``to_significant`` write
-  and read exact values at any size.
+  serve only ``engine.dh_polynomial_on`` and the tests, which integrate the
+  dense densities as an independent reference.
+- ``int_to_str``, ``str_to_int``, ``frac_str``, ``parse_frac``,
+  ``to_decimal`` and ``to_significant`` write and read exact values at any
+  size; every exact value the package prints goes through them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ __all__ = [
     "InvalidIntervalError",
     "Polynomial",
     "Rational",
+    "frac_str",
     "int_to_str",
     "integrate",
+    "parse_frac",
     "poly_product",
     "str_to_int",
     "to_decimal",
@@ -267,6 +270,25 @@ def str_to_int(s: str) -> int:
     return -value if s[0] == "-" else value
 
 
+def frac_str(f: Fraction) -> str:
+    """The fraction as "p/q", at any size."""
+    return f"{int_to_str(f.numerator)}/{int_to_str(f.denominator)}"
+
+
+def parse_frac(s: str) -> Fraction:
+    """Inverse of frac_str."""
+    num, _, den = s.partition("/")
+    return Fraction(str_to_int(num), str_to_int(den))
+
+
+def _round_half_even(num: int, den: int) -> int:
+    """num/den rounded to the nearest integer, ties to even, for num >= 0 and den > 0."""
+    q, rem = divmod(num, den)
+    if 2 * rem > den or (2 * rem == den and q % 2):
+        q += 1
+    return q
+
+
 def to_decimal(r: RationalLike, digits: int) -> str:
     """Decimal expansion of r with exactly `digits` fractional digits.
 
@@ -277,10 +299,7 @@ def to_decimal(r: RationalLike, digits: int) -> str:
         raise ValueError("digits must be >= 1")
     rf = Fraction(r)
     num, den = abs(rf).numerator, abs(rf).denominator
-    q, rem = divmod(num * 10**digits, den)
-    if 2 * rem > den or (2 * rem == den and q % 2 == 1):
-        q += 1
-    s = int_to_str(q).rjust(digits + 1, "0")
+    s = int_to_str(_round_half_even(num * 10**digits, den)).rjust(digits + 1, "0")
     sign = "-" if rf < 0 else ""
     return f"{sign}{s[:-digits]}.{s[-digits:]}"
 
@@ -312,12 +331,9 @@ def to_significant(r: RationalLike, digits: int) -> str:
     # even it may reach 10**digits, which carries into the exponent.
     shift = exp - digits + 1
     if shift >= 0:
-        num_s, den_s = num, den * 10**shift
+        mant = _round_half_even(num, den * 10**shift)
     else:
-        num_s, den_s = num * 10**-shift, den
-    mant, rem = divmod(num_s, den_s)
-    if 2 * rem > den_s or (2 * rem == den_s and mant % 2):
-        mant += 1
+        mant = _round_half_even(num * 10**-shift, den)
     if mant == 10**digits:
         mant //= 10
         exp += 1

@@ -8,14 +8,15 @@ published summary tables; and `verify_rows` for one verification report.
 after `schema_version`) or CSV.
 
 Fractions are rendered as "p/q" strings in JSON so consumers never lose
-precision to floating point or fixed-width integers; `parse_frac` reads them
-back.  The coefficients of 2*rho_P are small and are kept as explicit (index,
-numerator, denominator) triples.  A record renders R, tbar and the segment's
-endpoints once each, and its text rows reuse those strings.  The JSON is
-canonical: re-serializing the parsed payload with indent 2 reproduces the
-bytes.  Every numeric table cell is recomputed from the engine; only
-formatting metadata (the displayed digit count of each cell, the symbolic
-formula strings for the parametric rows) is stored here.
+precision to floating point or fixed-width integers; `exactnum.frac_str`
+writes them at any size and `exactnum.parse_frac` reads them back (both are
+re-exported here).  The coefficients of 2*rho_P are small and are kept as
+explicit (index, numerator, denominator) triples.  A record renders R, tbar
+and the segment's endpoints once each, and its text rows reuse those
+strings.  The JSON is canonical: re-serializing the parsed payload with
+indent 2 reproduces the bytes.  Every numeric table cell is recomputed from
+the engine; only formatting metadata (the displayed digit count of each
+cell, the symbolic formula strings for the parametric rows) is stored here.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import closedforms, engine
 from .engine import HorosphericalDatum, InvalidDatumError
-from .exactnum import int_to_str, str_to_int, to_decimal
+from .exactnum import frac_str, parse_frac, to_decimal
 
 if TYPE_CHECKING:
     from .suites import CheckResult
@@ -48,17 +49,6 @@ __all__ = [
     "text_columns",
     "verify_rows",
 ]
-
-
-def frac_str(f: Fraction) -> str:
-    """The fraction as "p/q", at any size (see exactnum.int_to_str)."""
-    return f"{int_to_str(f.numerator)}/{int_to_str(f.denominator)}"
-
-
-def parse_frac(s: str) -> Fraction:
-    """Inverse of frac_str."""
-    num, _, den = s.partition("/")
-    return Fraction(str_to_int(num), str_to_int(den))
 
 
 def text_columns(rows: Sequence[Sequence[str]]) -> str:

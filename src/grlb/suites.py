@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import closedforms, engine, oracle
 from .engine import HorosphericalDatum, InvalidDatumError
-from .exactnum import to_significant
+from .exactnum import frac_str, to_significant
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -73,7 +73,7 @@ def _a_recurrence(n: int) -> tuple[bool, str]:
 
 def _x1_comparison(n: int) -> tuple[bool, str]:
     value = closedforms.x1_comparison_integral(n)
-    return value == 0, f"value={value}"
+    return value == 0, f"value={to_significant(value, 6)}"
 
 
 def _suite_lemmas(max_n: int) -> list[CheckResult]:
@@ -88,17 +88,17 @@ def _suite_lemmas(max_n: int) -> list[CheckResult]:
 
 def _x1_engine_formula(n: int) -> tuple[bool, str]:
     lhs = engine.report(HorosphericalDatum("X1", n=n)).R
-    return lhs == closedforms.r_x1_formula(n), f"R={lhs}"
+    return lhs == closedforms.r_x1_formula(n), "R=" + frac_str(lhs)
 
 
 def _x3_engine_formula(n: int, k: int) -> tuple[bool, str]:
     lhs = engine.report(HorosphericalDatum("X3", n=n, k=k)).R
-    return lhs == closedforms.r_x3_formula(n, k), f"R={lhs}"
+    return lhs == closedforms.r_x3_formula(n, k), "R=" + frac_str(lhs)
 
 
 def _x3_integral_factorial(n: int) -> tuple[bool, str]:
     lhs = closedforms.r_x3_formula(n, n)
-    return lhs == closedforms.r_x3nn_closed(n), f"R={lhs}"
+    return lhs == closedforms.r_x3nn_closed(n), "R=" + frac_str(lhs)
 
 
 def _suite_closed_forms(max_n: int) -> list[CheckResult]:

@@ -1,5 +1,7 @@
 """Tests for the closed-form formulas, inequalities and asymptotic bounds."""
 
+import ast
+import inspect
 from fractions import Fraction
 
 import mpmath
@@ -18,8 +20,6 @@ from grlb.closedforms import (
     r_x3_formula,
     r_x3nn_closed,
     x1_comparison_integral,
-    x1_integrand,
-    x3_integrand,
 )
 from grlb.exactnum import Polynomial, integrate, to_decimal
 
@@ -64,13 +64,21 @@ class TestX3Formula:
             r_x3_formula(3, 1)
 
 
+def dense_density(datum):
+    """The engine's dense Duistermaat-Heckman density, built from the root table."""
+    return engine.dh_polynomial_on(engine.resolve(datum)[0], engine.report(datum).segment)
+
+
 class TestDenseReference:
     """The formulas integrate in the variable of the largest factor; the dense
-    expansion of the same integrands is an independent route to each value."""
+    density of the root table, integrated over the paper's interval, is an
+    independent route to each value.  R and the X3 ratio do not depend on the
+    density's scale; the X1 lemma integrand is the density times
+    2^n / (n+2)^(n-1)."""
 
     @pytest.mark.parametrize("n", range(3, 31))
     def test_x1(self, n):
-        base = x1_integrand(n)
+        base = F(2**n, (n + 2) ** (n - 1)) * dense_density(engine.HorosphericalDatum("X1", n=n))
         assert r_x1_formula(n) == n * integrate(base, -n, 2) / integrate(base * Polynomial((n, 1)), -n, 2)
         assert lemma_x1_sign(n).lhs == integrate(base * Polynomial((0, 1)), -n, 2)
 
@@ -78,7 +86,7 @@ class TestDenseReference:
     def test_x3(self, n):
         for k in range(2, n + 1):
             b = 2 * n - 2 * k + 2
-            base = x3_integrand(n, k)
+            base = dense_density(engine.HorosphericalDatum("X3", n=n, k=k))
             volume = integrate(base, -k, b)
             assert r_x3_formula(n, k) == b * volume / integrate(base * Polynomial((b, -1)), -k, b)
             if k < n:
@@ -104,6 +112,21 @@ def test_engine_r_past_the_default_ceiling(monkeypatch, datum):
     monkeypatch.setenv("GRLB_MAX_N", "800")
     closed = r_x1_formula(datum.n) if datum.family == "X1" else r_x3_formula(datum.n, datum.k)
     assert closed == engine.report(datum).R
+
+
+def test_only_integer_helpers_come_from_exactnum():
+    # The closed forms work in integers: no dense polynomial, no integration.
+    tree = ast.parse(inspect.getsource(closedforms))
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exactnum":
+            taken |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "grlb"):
+            assert "exactnum" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert "grlb.exactnum" not in {alias.name for alias in node.names}
+    assert taken <= {"_int_mul", "_linear_pow_int"}
+    assert taken
 
 
 class TestX3nnClosed:
@@ -174,7 +197,7 @@ class TestLemmas:
         # Ratio < k is the same as the t-weighted integral being negative.
         n, k = 4, 2
         b = 2 * n - 2 * k + 2
-        weighted = Polynomial((0, 1)) * x3_integrand(n, k)
+        weighted = Polynomial((0, 1)) * dense_density(engine.HorosphericalDatum("X3", n=n, k=k))
         assert integrate(weighted, -k, b) < 0
 
     def test_domains(self):

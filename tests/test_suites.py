@@ -2,13 +2,15 @@
 
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import grlb
-from grlb import closedforms, oracle
-from grlb.engine import InvalidDatumError
+from grlb import closedforms, oracle, suites
+from grlb.engine import HorosphericalDatum, InvalidDatumError, report
+from grlb.exactnum import frac_str
 from grlb.oracle import EvaluationFailureError
 from grlb.suites import run_suite
 
@@ -19,6 +21,22 @@ def test_lemmas_pass_where_values_exceed_float_range():
     assert results
     assert [r.name for r in results if not r.passed] == []
     assert any(r.name == "x1-sign n=20" and "e+" in r.detail for r in results)
+
+
+def test_closed_forms_check_writes_r_past_the_str_digit_limit(monkeypatch):
+    # R(X1(165)) has more than the 4300 digits str() of an int allows.
+    monkeypatch.setenv("GRLB_MAX_N", "165")
+    result = suites._check("x1 engine=formula n=165", suites._x1_engine_formula, 165)
+    assert result.passed, result.detail
+    assert result.detail == "R=" + frac_str(report(HorosphericalDatum("X1", n=165)).R)
+
+
+def test_comparison_check_writes_a_huge_value_as_a_failure(monkeypatch):
+    monkeypatch.setattr(closedforms, "x1_comparison_integral", lambda n: Fraction(10**5000, 3))
+    results = {r.name: r for r in run_suite("lemmas", 3)}
+    check = results["x1-comparison-zero n=3"]
+    assert not check.passed
+    assert check.detail == "value=3.33333e+4999"
 
 
 def test_bounds_suite_runs_without_mpmath():
