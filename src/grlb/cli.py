@@ -19,6 +19,8 @@ from . import __version__, records, suites
 from .engine import FAMILIES, HorosphericalDatum, InvalidDatumError
 
 VERIFY_FAILURE_EXIT = 3
+#: The decimal expansion takes time quadratic in its length.
+MAX_DIGITS = 100_000
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -41,7 +43,9 @@ def _parser() -> argparse.ArgumentParser:
     compute.add_argument("--family", required=True, choices=FAMILIES)
     compute.add_argument("--n", type=int, help="Size parameter (X1, X3).")
     compute.add_argument("--k", type=int, help="Marked-root parameter (X3).")
-    compute.add_argument("--digits", type=int, default=4, help=f"Decimal digits to render. {default}")
+    compute.add_argument(
+        "--digits", type=int, default=4, help=f"Decimal digits to render, 1..{MAX_DIGITS}. {default}"
+    )
     compute.add_argument("--format", choices=["text", "json", "csv"], default="text", help=default)
     compute.add_argument(
         "--route",
@@ -67,8 +71,8 @@ def main(argv: list[str] | None = None) -> int:
         args.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         if args.command == "compute":
-            if args.digits < 1:
-                args.error("--digits must be at least 1")
+            if not 1 <= args.digits <= MAX_DIGITS:
+                args.error(f"--digits must be between 1 and {MAX_DIGITS}")
             datum = HorosphericalDatum(args.family, n=args.n, k=args.k)
             rows = records.record_for(datum, digits=args.digits, route=args.route)
         elif args.command == "table":

@@ -68,21 +68,20 @@ class BoundCheck:
     sign check is a lower bound against 0.
     """
 
-    params: tuple[int, ...]
     relation: str
     lhs: Fraction
     rhs: Fraction
     holds: bool
 
     @staticmethod
-    def evaluate(params: tuple[int, ...], relation: str, lhs: Fraction, rhs: Fraction) -> "BoundCheck":
+    def evaluate(relation: str, lhs: Fraction, rhs: Fraction) -> "BoundCheck":
         if relation == "lower-bound":
             holds = lhs > rhs
         elif relation == "upper-bound":
             holds = lhs < rhs
         else:
             raise ValueError(f"unknown relation tag {relation!r}")
-        return BoundCheck(params=params, relation=relation, lhs=lhs, rhs=rhs, holds=holds)
+        return BoundCheck(relation=relation, lhs=lhs, rhs=rhs, holds=holds)
 
     @property
     def margin(self) -> Fraction:
@@ -194,7 +193,7 @@ def lemma_x1_sign(n: int) -> BoundCheck:
     num0, num1, den = _x1_moments(n)
     # t = (n+2)(u-1) - n, and the integrand carries (n+2)^(m+n+1) with du.
     value = Fraction((n + 2) ** (n * (n - 1) // 2 + n + 1) * ((n + 2) * num1 - n * num0), den)
-    return BoundCheck.evaluate((n,), "lower-bound", value, Fraction(0))
+    return BoundCheck.evaluate("lower-bound", value, Fraction(0))
 
 
 def x1_comparison_integral(n: int) -> Fraction:
@@ -219,7 +218,7 @@ def lemma_x3nk_sign(n: int, k: int) -> BoundCheck:
     num0, den0 = _beta_sum(b - 1, k - 1, q, hi)
     num1, den1 = _beta_sum(b - 1, k, q, hi)
     ratio = Fraction(num1 * den0, den1 * num0)
-    return BoundCheck.evaluate((n, k), "upper-bound", ratio, Fraction(k))
+    return BoundCheck.evaluate("upper-bound", ratio, Fraction(k))
 
 
 def _x3nn_stirling(n: int) -> BoundCheck:
@@ -231,7 +230,7 @@ def _x3nn_stirling(n: int) -> BoundCheck:
     """
     c = Fraction(2 * n + 1, 2 * n) ** (2 * n + 1)
     lhs = (r_x3nn_closed(n) * PI_UPPER * (n + 2) / (2 * c)) ** 2
-    return BoundCheck.evaluate((n, n), "upper-bound", lhs, Fraction(2 * n + 1))
+    return BoundCheck.evaluate("upper-bound", lhs, Fraction(2 * n + 1))
 
 
 def asymptotic_bounds(family: str, n: int, k: int | None = None) -> BoundCheck:
@@ -247,14 +246,12 @@ def asymptotic_bounds(family: str, n: int, k: int | None = None) -> BoundCheck:
         if k is not None:
             raise InvalidParameterError("X1 bound takes no parameter k")
         lhs = r_x1_formula(n)
-        return BoundCheck.evaluate((n,), "lower-bound", lhs, Fraction(n, n + 2))
+        return BoundCheck.evaluate("lower-bound", lhs, Fraction(n, n + 2))
     if family == "X3":
         if k is None or not n >= k >= 2:
             raise InvalidParameterError("X3 bound requires n >= k >= 2")
         if k < n:
             lhs = r_x3_formula(n, k)
-            return BoundCheck.evaluate(
-                (n, k), "lower-bound", lhs, Fraction(2 * n - 2 * k + 2, 2 * n - k + 2)
-            )
+            return BoundCheck.evaluate("lower-bound", lhs, Fraction(2 * n - 2 * k + 2, 2 * n - k + 2))
         return _x3nn_stirling(n)
     raise InvalidParameterError(f"no asymptotic bound for family {family!r}")

@@ -46,7 +46,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Polynomial, _int_mul, _linear_pow_int, poly_product
-from .rootsystems import RootSystem, RootVector, build_root_system, half_length, unipotent_radical
+from .rootsystems import (
+    RootSystem, RootVector, _check_marked, build_root_system, half_length, unipotent_radical
+)
 
 __all__ = [
     "DEFAULT_MAX_EXACT_N",
@@ -217,8 +219,7 @@ def resolve(datum: HorosphericalDatum) -> tuple[RootSystem, int, int]:
 
 def phi_pu(rs: RootSystem, i: int, j: int) -> tuple[RootVector, ...]:
     """Positive roots with a nonzero coefficient on at least one marked index."""
-    if i == j or not (1 <= i <= rs.rank and 1 <= j <= rs.rank):
-        raise ValueError(f"marked indices must be distinct and in 1..{rs.rank}")
+    _check_marked(rs.rank, i, j)
     return tuple(r for r in rs.positive_roots if r[i - 1] > 0 or r[j - 1] > 0)
 
 

@@ -205,17 +205,9 @@ def _table2() -> Rows:
 
 
 def _table3_render(r: Fraction) -> str:
-    den = r.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    digits = max(twos, fives, 1)
-    if den == 1 and digits <= 4:
-        return f"{frac_str(r)} = {to_decimal(r, digits)}"
+    for digits in range(1, 5):
+        if Fraction(decimal := to_decimal(r, digits)) == r:
+            return f"{frac_str(r)} = {decimal}"
     return f"{frac_str(r)} ≈ {to_decimal(r, 3)}"
 
 

@@ -34,8 +34,12 @@ F4 and G2 are small fixed tables.  `half_length(type_label, rank, m)` is half
 the squared length of alpha_m under the bilinear form normalization in which
 the pairing of a simple root with its own fundamental weight equals that half
 length; these are the factors the Duistermaat-Heckman densities are built
-from.  Every supported Dynkin diagram is the path 1 - 2 - ... - rank, so each
-Cartan matrix is 2 on the diagonal and -1 beside it, but for one entry.
+from.  Every supported Dynkin diagram is the path 1 - 2 - ... - rank, so the
+coroot alpha_l^vee pairs with a root sum of column sums t as
+2 t_l - t_{l-1} - t_{l+1}, but for one entry off that pattern.
+`_coroot_pairings` is that one rule: `unipotent_radical` applies it to the
+walk's column sums and `weight_of_root_sum` to the column sums of any list of
+roots.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ __all__ = [
     "RootSystem",
     "UnsupportedRootSystemError",
     "build_root_system",
-    "cartan_matrix",
     "half_length",
     "unipotent_radical",
     "weight_of_root_sum",
@@ -158,25 +161,36 @@ def _off_path_entry(type_label: str, rank: int) -> tuple[int, int, int]:
     return 1, 2, -3
 
 
-def cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """Pairing matrix with entry [l][m] = <alpha_{l+1}^vee, alpha_{m+1}> (0-based rows/cols)."""
-    n = rs.rank
-    _check_supported(rs.type_label, n)
-    rows = [[2 if l == m else -1 if abs(l - m) == 1 else 0 for m in range(n)] for l in range(n)]
-    l, m, entry = _off_path_entry(rs.type_label, n)
-    rows[l - 1][m - 1] = entry
-    return tuple(tuple(r) for r in rows)
+def _coroot_pairings(type_label: str, rank: int, t: list[int]) -> dict[int, int]:
+    """Nonzero <alpha_l^vee, sum> by 1-based index l, from padded column sums.
+
+    t[m] is the sum's coefficient of alpha_m for m in 1..rank, and
+    t[0] = t[rank+1] = 0.  On the path diagram the pairing is
+    2 t_l - t_{l-1} - t_{l+1}, but for the one entry off that pattern.
+    """
+    off_l, off_m, entry = _off_path_entry(type_label, rank)
+    pairings = {}
+    for l in range(1, rank + 1):
+        c = 2 * t[l] - t[l - 1] - t[l + 1]
+        if l == off_l:
+            c += (entry + 1) * t[off_m]
+        if c:
+            pairings[l] = c
+    return pairings
 
 
 def weight_of_root_sum(rs: RootSystem, roots: Iterable[RootVector]) -> dict[int, int]:
     """Nonzero fundamental-weight coefficients of a sum of roots, by 1-based index.
 
-    The coefficient of the l-th fundamental weight is <alpha_l^vee, sum>, a row
-    of the Cartan matrix applied to the summed simple-root coefficients.
+    The coefficient of the l-th fundamental weight is <alpha_l^vee, sum>.
     """
     total = [sum(column) for column in zip(*roots)] or [0] * rs.rank
-    pairings = (sum(p * c for p, c in zip(row, total)) for row in cartan_matrix(rs))
-    return {l: c for l, c in enumerate(pairings, 1) if c}
+    return _coroot_pairings(rs.type_label, rs.rank, [0, *total, 0])
+
+
+def _check_marked(rank: int, i: int, j: int) -> None:
+    if i == j or not (1 <= i <= rank and 1 <= j <= rank):
+        raise ValueError(f"marked indices must be distinct and in 1..{rank}")
 
 
 def _bc_walk(n: int, long_last: bool, i: int, j: int) -> tuple[Counter[tuple[int, int]], list[int]]:
@@ -218,14 +232,8 @@ def _table_walk(
     roots: tuple[RootVector, ...], i: int, j: int
 ) -> tuple[Counter[tuple[int, int]], list[int]]:
     """`_bc_walk`'s multiset and column sums, read from a fixed table."""
-    marked: Counter[tuple[int, int]] = Counter()
-    t = [0] * (len(roots[0]) + 2)
-    for r in roots:
-        if r[i - 1] or r[j - 1]:
-            marked[r[i - 1], r[j - 1]] += 1
-            for m, c in enumerate(r, 1):
-                t[m] += c
-    return marked, t
+    kept = [r for r in roots if r[i - 1] or r[j - 1]]
+    return Counter((r[i - 1], r[j - 1]) for r in kept), [0, *map(sum, zip(*kept)), 0]
 
 
 def unipotent_radical(
@@ -240,21 +248,11 @@ def unipotent_radical(
     orthonormal basis (module docstring); F4 and G2 read their fixed tables.
     """
     _check_supported(type_label, rank)
-    if i == j or not (1 <= i <= rank and 1 <= j <= rank):
-        raise ValueError(f"marked indices must be distinct and in 1..{rank}")
+    _check_marked(rank, i, j)
     if type_label in ("B", "C"):
         marked, t = _bc_walk(rank, type_label == "C", i, j)
     elif type_label == "F4":
         marked, t = _table_walk(_F4_POSITIVE_ROOTS, i, j)
     else:
         marked, t = _table_walk(_G2_POSITIVE_ROOTS, i, j)
-    # <alpha_l^vee, sum> = 2 t_l - t_{l-1} - t_{l+1}, but for the one entry off that pattern.
-    off_l, off_m, entry = _off_path_entry(type_label, rank)
-    weight = {}
-    for l in range(1, rank + 1):
-        c = 2 * t[l] - t[l - 1] - t[l + 1]
-        if l == off_l:
-            c += (entry + 1) * t[off_m]
-        if c:
-            weight[l] = c
-    return marked, weight
+    return marked, _coroot_pairings(type_label, rank, t)

@@ -412,6 +412,7 @@ INVALID_INPUTS = [
     (None, "compute --family X1 --n abc", "argument --n: invalid int value: 'abc'"),
     (None, "compute", "the following arguments are required: --family"),
     (None, "table --id 4", "argument --id: invalid choice: 4"),
+    (None, "compute --family X1 --n 3 --digits 100001", "--digits must be between 1 and 100000"),
     (None, "verify --suite nonsense", "argument --suite: invalid choice: 'nonsense'"),
     (None, "compute --family X5 --bogus", "unrecognized arguments: --bogus"),
     (None, "compute --fam X5", "the following arguments are required: --family"),

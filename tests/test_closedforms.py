@@ -265,19 +265,19 @@ class TestBoundCheckSemantics:
     def test_relations(self):
         from grlb.closedforms import BoundCheck
 
-        assert BoundCheck.evaluate((1,), "lower-bound", F(2), F(1)).holds
-        assert not BoundCheck.evaluate((1,), "lower-bound", F(1), F(2)).holds
-        assert BoundCheck.evaluate((1,), "upper-bound", F(1), F(2)).holds
-        assert not BoundCheck.evaluate((1,), "upper-bound", F(2), F(2)).holds
+        assert BoundCheck.evaluate("lower-bound", F(2), F(1)).holds
+        assert not BoundCheck.evaluate("lower-bound", F(1), F(2)).holds
+        assert BoundCheck.evaluate("upper-bound", F(1), F(2)).holds
+        assert not BoundCheck.evaluate("upper-bound", F(2), F(2)).holds
         # A sign check is a lower bound against 0; no other tag is accepted.
         for tag in ("sign", "equality", "between"):
             with pytest.raises(ValueError):
-                BoundCheck.evaluate((1,), tag, F(1), F(1))
+                BoundCheck.evaluate(tag, F(1), F(1))
 
     def test_margins(self):
         from grlb.closedforms import BoundCheck
 
-        assert BoundCheck.evaluate((1,), "lower-bound", F(3), F(1)).margin == 2
-        assert BoundCheck.evaluate((1,), "upper-bound", F(1), F(3)).margin == 2
-        assert BoundCheck.evaluate((1,), "lower-bound", F(5), F(0)).margin == 5
-        assert BoundCheck.evaluate((1,), "upper-bound", F(3), F(1)).margin == -2
+        assert BoundCheck.evaluate("lower-bound", F(3), F(1)).margin == 2
+        assert BoundCheck.evaluate("upper-bound", F(1), F(3)).margin == 2
+        assert BoundCheck.evaluate("lower-bound", F(5), F(0)).margin == 5
+        assert BoundCheck.evaluate("upper-bound", F(3), F(1)).margin == -2

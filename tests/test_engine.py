@@ -156,7 +156,7 @@ class TestResolve:
 class TestNoRootTable:
     """`report` walks Phi_Pu and the oracle reads the epsilon basis; only `resolve` builds a table."""
 
-    TABLE_WORK = ("build_root_system", "cartan_matrix", "weight_of_root_sum", "phi_pu")
+    TABLE_WORK = ("build_root_system", "weight_of_root_sum", "phi_pu")
 
     @pytest.fixture
     def calls(self, monkeypatch):
