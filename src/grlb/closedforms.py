@@ -26,7 +26,8 @@ routes can be compared exactly.  R(X3(n, n)) is 2/a_n (`a_sequence`).  The
 module also carries the inequality and asymptotic-bound checks that control
 the limiting behaviour of each family.  Every check is exact: the one bound
 that involves pi, at X3(n, n), is tested with the rational PI_UPPER > pi in
-its place, so a pass proves the bound itself.
+its place, so a pass proves the bound itself.  A `BoundCheck` stores only
+its relation and both sides, and it holds when its margin is positive.
 """
 
 from __future__ import annotations
@@ -65,28 +66,25 @@ class BoundCheck:
     """Outcome of one exact inequality instance.
 
     relation is "lower-bound" (lhs > rhs) or "upper-bound" (lhs < rhs); a
-    sign check is a lower bound against 0.
+    sign check is a lower bound against 0.  `holds` is the sign of `margin`.
     """
 
     relation: str
     lhs: Fraction
     rhs: Fraction
-    holds: bool
 
-    @staticmethod
-    def evaluate(relation: str, lhs: Fraction, rhs: Fraction) -> "BoundCheck":
-        if relation == "lower-bound":
-            holds = lhs > rhs
-        elif relation == "upper-bound":
-            holds = lhs < rhs
-        else:
-            raise ValueError(f"unknown relation tag {relation!r}")
-        return BoundCheck(relation=relation, lhs=lhs, rhs=rhs, holds=holds)
+    def __post_init__(self) -> None:
+        if self.relation not in ("lower-bound", "upper-bound"):
+            raise ValueError(f"unknown relation tag {self.relation!r}")
 
     @property
     def margin(self) -> Fraction:
         """Slack by which the relation holds (negative when violated)."""
         return self.lhs - self.rhs if self.relation == "lower-bound" else self.rhs - self.lhs
+
+    @property
+    def holds(self) -> bool:
+        return self.margin > 0
 
 
 def _x1_moments(n: int) -> tuple[int, int, int]:
@@ -193,7 +191,7 @@ def lemma_x1_sign(n: int) -> BoundCheck:
     num0, num1, den = _x1_moments(n)
     # t = (n+2)(u-1) - n, and the integrand carries (n+2)^(m+n+1) with du.
     value = Fraction((n + 2) ** (n * (n - 1) // 2 + n + 1) * ((n + 2) * num1 - n * num0), den)
-    return BoundCheck.evaluate("lower-bound", value, Fraction(0))
+    return BoundCheck("lower-bound", value, Fraction(0))
 
 
 def x1_comparison_integral(n: int) -> Fraction:
@@ -218,7 +216,7 @@ def lemma_x3nk_sign(n: int, k: int) -> BoundCheck:
     num0, den0 = _beta_sum(b - 1, k - 1, q, hi)
     num1, den1 = _beta_sum(b - 1, k, q, hi)
     ratio = Fraction(num1 * den0, den1 * num0)
-    return BoundCheck.evaluate("upper-bound", ratio, Fraction(k))
+    return BoundCheck("upper-bound", ratio, Fraction(k))
 
 
 def _x3nn_stirling(n: int) -> BoundCheck:
@@ -230,7 +228,7 @@ def _x3nn_stirling(n: int) -> BoundCheck:
     """
     c = Fraction(2 * n + 1, 2 * n) ** (2 * n + 1)
     lhs = (r_x3nn_closed(n) * PI_UPPER * (n + 2) / (2 * c)) ** 2
-    return BoundCheck.evaluate("upper-bound", lhs, Fraction(2 * n + 1))
+    return BoundCheck("upper-bound", lhs, Fraction(2 * n + 1))
 
 
 def asymptotic_bounds(family: str, n: int, k: int | None = None) -> BoundCheck:
@@ -241,17 +239,24 @@ def asymptotic_bounds(family: str, n: int, k: int | None = None) -> BoundCheck:
     X3 with k == n: R(X3(n, n)) < 2 sqrt(2n+1) (1 + 1/(2n))^(2n+1) / (pi (n+2)),
     exact in the squared form with pi bounded above by PI_UPPER; lhs and rhs
     are the two sides of that form (see `_x3nn_stirling`).
+
+    Only the X3(n, n) check carries a rate.  The other two are a/(a+b) and
+    b/(a+b) on the segment [-a, b], with a = n, b = 2 for X1(n) and a = k,
+    b = 2n-2k+2 for X3(n, k).  R is a/(a+tbar) when tbar > 0 and b/(b-tbar)
+    when tbar < 0, and tbar lies inside the segment, so each holds for any
+    positive density once its sign lemma places tbar: tbar > 0 for X1
+    (`lemma_x1_sign`) and tbar < 0 for X3 (`lemma_x3nk_sign`).
     """
     if family == "X1":
         if k is not None:
             raise InvalidParameterError("X1 bound takes no parameter k")
         lhs = r_x1_formula(n)
-        return BoundCheck.evaluate("lower-bound", lhs, Fraction(n, n + 2))
+        return BoundCheck("lower-bound", lhs, Fraction(n, n + 2))
     if family == "X3":
         if k is None or not n >= k >= 2:
             raise InvalidParameterError("X3 bound requires n >= k >= 2")
         if k < n:
             lhs = r_x3_formula(n, k)
-            return BoundCheck.evaluate("lower-bound", lhs, Fraction(2 * n - 2 * k + 2, 2 * n - k + 2))
+            return BoundCheck("lower-bound", lhs, Fraction(2 * n - 2 * k + 2, 2 * n - k + 2))
         return _x3nn_stirling(n)
     raise InvalidParameterError(f"no asymptotic bound for family {family!r}")

@@ -152,11 +152,9 @@ class HorosphericalDatum:
         return out
 
     def label(self) -> str:
-        if self.family == "X1":
-            return f"X1({self.n})"
-        if self.family == "X3":
-            return f"X3({self.n},{self.k})"
-        return self.family
+        """The family with its parameter values, as X1(5) or X3(7,4), or the bare family."""
+        values = ",".join(map(str, self.params.values()))
+        return f"{self.family}({values})" if values else self.family
 
 
 @dataclass(frozen=True)

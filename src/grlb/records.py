@@ -160,6 +160,10 @@ _X3NK_FORMULA = (
 
 
 def _exact_cell(r: Fraction, digits: int) -> str:
+    """The cell "p/q = d" at the first of 1..4 places whose decimal is r, else "p/q ≈ d" at `digits`."""
+    for places in range(1, 5):
+        if Fraction(decimal := to_decimal(r, places)) == r:
+            return f"{frac_str(r)} = {decimal}"
     return f"{frac_str(r)} ≈ {to_decimal(r, digits)}"
 
 
@@ -204,19 +208,12 @@ def _table2() -> Rows:
     return Rows(payload, [["n", *grid], *data], [["row", *grid], *data])
 
 
-def _table3_render(r: Fraction) -> str:
-    for digits in range(1, 5):
-        if Fraction(decimal := to_decimal(r, digits)) == r:
-            return f"{frac_str(r)} = {decimal}"
-    return f"{frac_str(r)} ≈ {to_decimal(r, 3)}"
-
-
 def _table3() -> Rows:
     """R(X3(n, n)) for n = 2..7, fraction plus decimal."""
     rows, text, csv = [], [["n", "R(X3(n,n))"]], [["n", "R"]]
     for n in range(2, 8):
         r = engine.report(HorosphericalDatum("X3", n=n, k=n)).R
-        rows.append({"n": n, "R": frac_str(r), "rendered": _table3_render(r)})
+        rows.append({"n": n, "R": frac_str(r), "rendered": _exact_cell(r, 3)})
         text.append([str(n), rows[-1]["rendered"]])
         csv.append([str(n), to_decimal(r, 4)])
     return Rows({"table": 3, "rows": rows}, text, csv)

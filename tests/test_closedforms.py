@@ -222,6 +222,18 @@ class TestAsymptoticBounds:
         check = asymptotic_bounds("X3", 8, 8)
         assert check.holds and check.margin > 0
 
+    def test_x1_x3_bounds_are_segment_ratios(self):
+        # On the engine's segment [-a, b] the bound is a/(a+b) for X1, where
+        # tbar > 0, and b/(a+b) for X3(n, k < n), where tbar < 0: it places
+        # tbar on its side of the segment and carries no rate.
+        data = [engine.HorosphericalDatum("X1", n=n) for n in range(3, 31)]
+        data += [engine.HorosphericalDatum("X3", n=n, k=k) for n in range(3, 31) for k in range(2, n)]
+        for datum in data:
+            seg = engine.report(datum).segment
+            near = seg.a if datum.family == "X1" else seg.b
+            rhs = asymptotic_bounds(datum.family, *datum.params.values()).rhs
+            assert rhs == F(near, seg.a + seg.b), datum.label()
+
     def test_invalid(self):
         with pytest.raises(InvalidParameterError):
             asymptotic_bounds("X2", 3)
@@ -265,19 +277,20 @@ class TestBoundCheckSemantics:
     def test_relations(self):
         from grlb.closedforms import BoundCheck
 
-        assert BoundCheck.evaluate("lower-bound", F(2), F(1)).holds
-        assert not BoundCheck.evaluate("lower-bound", F(1), F(2)).holds
-        assert BoundCheck.evaluate("upper-bound", F(1), F(2)).holds
-        assert not BoundCheck.evaluate("upper-bound", F(2), F(2)).holds
+        assert BoundCheck("lower-bound", F(2), F(1)).holds
+        assert not BoundCheck("lower-bound", F(1), F(2)).holds
+        assert not BoundCheck("lower-bound", F(2), F(2)).holds
+        assert BoundCheck("upper-bound", F(1), F(2)).holds
+        assert not BoundCheck("upper-bound", F(2), F(2)).holds
         # A sign check is a lower bound against 0; no other tag is accepted.
         for tag in ("sign", "equality", "between"):
-            with pytest.raises(ValueError):
-                BoundCheck.evaluate(tag, F(1), F(1))
+            with pytest.raises(ValueError, match=f"unknown relation tag '{tag}'"):
+                BoundCheck(tag, F(1), F(1))
 
     def test_margins(self):
         from grlb.closedforms import BoundCheck
 
-        assert BoundCheck.evaluate("lower-bound", F(3), F(1)).margin == 2
-        assert BoundCheck.evaluate("upper-bound", F(1), F(3)).margin == 2
-        assert BoundCheck.evaluate("lower-bound", F(5), F(0)).margin == 5
-        assert BoundCheck.evaluate("upper-bound", F(3), F(1)).margin == -2
+        assert BoundCheck("lower-bound", F(3), F(1)).margin == 2
+        assert BoundCheck("upper-bound", F(1), F(3)).margin == 2
+        assert BoundCheck("lower-bound", F(5), F(0)).margin == 5
+        assert BoundCheck("upper-bound", F(3), F(1)).margin == -2

@@ -115,6 +115,11 @@ class TestDatumValidation:
         with pytest.raises(InvalidDatumError, match="must be an integer"):
             HorosphericalDatum(**kwargs)
 
+    def test_label(self):
+        assert HorosphericalDatum("X1", n=5).label() == "X1(5)"
+        assert HorosphericalDatum("X3", n=7, k=4).label() == "X3(7,4)"
+        assert [HorosphericalDatum(f).label() for f in ("X2", "X4", "X5")] == ["X2", "X4", "X5"]
+
     def test_ceiling(self, monkeypatch):
         monkeypatch.delenv("GRLB_MAX_N", raising=False)
         with pytest.raises(InvalidDatumError):

@@ -12,6 +12,8 @@ from grlb import engine, oracle, rootsystems
 from grlb.exactnum import Polynomial, integrate
 from grlb.engine import HorosphericalDatum, InvalidDatumError
 from grlb.oracle import (
+    CROSSCHECK_REL_TOL,
+    CrosscheckReport,
     EvaluationFailureError,
     _root_system,
     crosscheck,
@@ -253,6 +255,16 @@ class TestCrosscheck:
         assert rep.ok
         assert rep.t_bar_rel_err <= 1e-12
         assert rep.r_rel_err <= 1e-12
+
+    def test_ok_follows_from_the_errors_and_segments(self):
+        def report(t_err=CROSSCHECK_REL_TOL, r_err=CROSSCHECK_REL_TOL, segment_oracle=(3.0, 8.0)):
+            return CrosscheckReport(-0.5, 0.9, t_err, r_err, (3, 8), segment_oracle)
+
+        assert report().ok
+        above = CROSSCHECK_REL_TOL * 1.5
+        assert not report(t_err=above).ok
+        assert not report(r_err=above).ok
+        assert not report(segment_oracle=(3.0, 9.0)).ok
 
     def test_segment_mismatch_fails_the_check(self, monkeypatch):
         real = oracle.marked_forms
