@@ -29,6 +29,7 @@ F = Fraction
 class TestQuad:
     def test_constant_one(self):
         res = quad(lambda ts: np.ones_like(ts), 0.0, 1.0, 0)
+        assert isinstance(res.estimate, float)
         assert res.estimate == pytest.approx(1.0, rel=1e-12)
 
     def test_even_quartic(self):
@@ -83,6 +84,7 @@ class TestQuad:
 
         res = quad(f, -1.0, 2.0, 4)
         assert len(seen) == 1
+        assert res.estimate.shape == (3,)
         assert res.estimate == pytest.approx([15.0 / 4.0, 33.0 / 5.0, 3.0], rel=1e-14)
 
     def test_nonfinite_value_raises(self):
@@ -96,8 +98,7 @@ class TestQuad:
 
 
 def _forms(datum):
-    seg = engine.report(datum).segment
-    return marked_forms(*_root_system(datum), seg.i, seg.j)
+    return marked_forms(*_root_system(datum))
 
 
 def _evaluator(datum):
@@ -152,7 +153,7 @@ class TestMarkedForms:
         for datum in _oracle_data(30):
             exact = engine.report(datum)
             seg = exact.segment
-            forms = marked_forms(*_root_system(datum), seg.i, seg.j)
+            forms = marked_forms(*_root_system(datum))
             assert (forms.a, forms.b) == (seg.a, seg.b), datum.label()
             assert int(forms.mult.sum()) == exact.dimension - 1, datum.label()
 
@@ -281,6 +282,39 @@ class TestCrosscheck:
         passed, detail = _crosscheck(datum)
         assert not passed
         assert detail.endswith(" segment=(3.0, 9.0) engine=(3, 8)")
+
+    @pytest.mark.parametrize(
+        "datum",
+        [
+            HorosphericalDatum("X1", n=7),
+            HorosphericalDatum("X2"),
+            HorosphericalDatum("X3", n=6, k=3),
+            HorosphericalDatum("X4"),
+            HorosphericalDatum("X5"),
+        ],
+        ids=lambda d: d.label(),
+    )
+    def test_a_flipped_engine_pair_fails_the_check(self, monkeypatch, datum):
+        # The oracle orients each pair itself, so an engine that swaps i and j
+        # reports the segment (b, a) and -tbar, and the check must fail.
+        real = engine._marked_pair
+
+        def flipped(d):
+            type_label, rank, i, j = real(d)
+            return type_label, rank, j, i
+
+        monkeypatch.setattr(engine, "_marked_pair", flipped)
+        rep = crosscheck(datum)
+        assert not rep.ok
+        a, b = rep.segment_oracle
+        assert rep.segment_exact == (b, a)
+        passed, detail = _crosscheck(datum)
+        assert not passed
+        if a != b:
+            assert detail.endswith(f" segment={(a, b)} engine={rep.segment_exact}")
+        else:
+            # X4 and X5 have a == b, so the sign of tbar is what fails.
+            assert rep.t_bar_rel_err == pytest.approx(2.0)
 
     def test_cap(self, monkeypatch):
         # The exact ceiling is the oracle's only bound on n.
