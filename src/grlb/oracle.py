@@ -8,27 +8,34 @@ no refinement loop or tolerance, and none of the exact antiderivative code is
 exercised here.
 
 The oracle builds no root table and reads no root data from `engine` or
-`rootsystems`.  `marked_forms` takes Phi_Pu in the epsilon basis of
-Bourbaki's plates (II, III, VIII, IX): B_n and C_n have the positive roots
-L_p - L_q and L_p + L_q (p < q), then L_p (B_n) or 2 L_p (C_n), and
-omega_m = L_1 + ... + L_m, except omega_n = (L_1 + ... + L_n)/2 in B_n; F4
-and G2 have their 24 and 6 positive roots.  A root alpha contributes the
-form u (a+t) + v (b-t), u = (alpha, omega_i) and v = (alpha, omega_j), and it
-lies in Phi_Pu when u or v is nonzero.  The (p, q) pairs are vectorized with
-`numpy.triu_indices`, and the forms grouped by `numpy.unique` of u + iv.  The
-segment comes from 2 rho_P = sum of Phi_Pu in the same basis,
-a = 2 (2 rho_P, alpha_i) / (alpha_i, alpha_i) and b likewise.  Every
+`rootsystems`.  It takes Phi_Pu in the epsilon basis of Bourbaki's plates
+(II, III, VIII, IX): B_n and C_n have the positive roots L_p - L_q and
+L_p + L_q (p < q), then L_p (B_n) or 2 L_p (C_n), and omega_m = L_1 + ... +
+L_m, except omega_n = (L_1 + ... + L_n)/2 in B_n; F4 and G2 have their 24
+and 6 positive roots.  A root alpha contributes the form u (a+t) + v (b-t),
+u = (alpha, omega_i) and v = (alpha, omega_j), and it lies in Phi_Pu when u
+or v is nonzero.  The segment comes from 2 rho_P = sum of Phi_Pu in the same
+basis, a = 2 (2 rho_P, alpha_i) / (alpha_i, alpha_i) and b likewise.  Every
 coordinate there is a multiple of 1/2, so these floats are exact.
+
+`estimates` works per root system: it builds the roots once, pairs them
+with omega_i, omega_j, alpha_i and alpha_j of every marked pair in one
+product, and groups each datum's forms by one `numpy.unique` over (datum,
+u, v) keys; the same arrays give the segments.  In x = (2t - b + a)/(a+b),
+a form divided by its maximum (a+b) max(u, v) on the segment is
+(u (1+x) + v (1-x)) / (2 max(u, v)), so every density lies in [0, 1] on
+[-1, 1] at any n.  The rows of forms, padded to one width with forms of
+multiplicity 0, are integrated by one `quad` per block of rows that share a
+node count: the exponential of one (rows x nodes x forms) log array times
+the multiplicities.  Each block, and each chunk of pairs times roots, holds
+at most `_ENTRY_BUDGET` entries, so memory stays bounded at any n.  A row
+with a non-finite value fails only its own datum's check.
 
 `crosscheck` maps each family to its group and oriented marked pair
 itself, and takes from `engine.report` only the values it checks: the
-segment endpoints, tbar and R.  It evaluates the density once, pointwise
-from its forms, never expanded: the exponential of the log of every form at
-every node, one (nodes x forms) matrix times the multiplicities, each form
-divided by its maximum on the segment, so every value lies in [0, 1] at any
-n.  Both moments come from those values.  It passes when its segment equals
-the engine's exactly and its barycenter and Ricci bound match the engine's,
-at every n up to the exact ceiling, so an engine that flips a marked pair
+segment endpoints, tbar and R.  It passes when its segment equals the
+engine's exactly and its barycenter and Ricci bound match the engine's, at
+every n up to the exact ceiling, so an engine that flips a marked pair
 fails it.  Its report stores the numbers only, and `ok` is read off them.
 On a 2-CPU host `crosscheck(X1(400))` takes about 0.08 s.
 
@@ -39,8 +46,9 @@ numpy is imported inside the functions that use it, so importing this module
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import engine
 from .engine import HorosphericalDatum
@@ -50,17 +58,20 @@ if TYPE_CHECKING:
 
 __all__ = [
     "CrosscheckReport",
+    "Estimate",
     "EvaluationFailureError",
-    "MarkedForms",
     "QuadratureResult",
     "crosscheck",
-    "dh_density_evaluator",
-    "marked_forms",
+    "estimates",
     "quad",
 ]
 
 #: crosscheck's relative tolerance on tbar and R against the exact values.
 CROSSCHECK_REL_TOL = 1e-9
+
+#: Entries of the largest array the oracle builds: a chunk of one system's
+#: marked pairs times its roots, or a block of rows times nodes times forms.
+_ENTRY_BUDGET = 1 << 14
 
 
 class EvaluationFailureError(ArithmeticError):
@@ -126,8 +137,8 @@ def _root_system(datum: HorosphericalDatum) -> tuple[str, int, int, int]:
     return {"X2": ("B", 3, 1, 3), "X4": ("F4", 4, 2, 3), "X5": ("G2", 2, 1, 2)}[f]
 
 
-def _positive_roots(type_label: str, rank: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(idx, coef, dim): root r is sum_c coef[r, c] L_{idx[r, c]} in R^dim.
+def _positive_roots(type_label: str, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, coef): root r is sum_c coef[r, c] L_{idx[r, c]}.
 
     B_n and C_n store each root by its two epsilon coordinates, so the arrays
     hold O(n^2) numbers; F4 and G2 store their roots dense.
@@ -140,7 +151,7 @@ def _positive_roots(type_label: str, rank: int) -> tuple[np.ndarray, np.ndarray,
         idx = np.stack([np.concatenate([p, p, diag]), np.concatenate([q, q, diag])], axis=1)
         # L_p - L_q, L_p + L_q, then L_p (B_n) or 2 L_p (C_n).
         kinds = [[1.0, -1.0], [1.0, 1.0], [1.0 if type_label == "B" else 2.0, 0.0]]
-        return idx, np.repeat(kinds, [len(p), len(p), rank], axis=0), rank
+        return idx, np.repeat(kinds, [len(p), len(p), rank], axis=0)
     if type_label == "F4":
         eye = np.eye(4)
         p, q = np.triu_indices(4, 1)
@@ -148,88 +159,123 @@ def _positive_roots(type_label: str, rank: int) -> tuple[np.ndarray, np.ndarray,
         dense = np.concatenate([eye, eye[p] - eye[q], eye[p] + eye[q], halves])
     else:
         dense = np.array(_G2_POSITIVE, dtype=float)
-    dim = dense.shape[1]
-    return np.broadcast_to(np.arange(dim), dense.shape), dense, dim
+    return np.broadcast_to(np.arange(dense.shape[1]), dense.shape), dense
 
 
-def _simple_and_weight(type_label: str, rank: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """alpha_m and omega_m in the epsilon basis."""
+def _weights_and_simple(type_label: str, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, alpha): row m - 1 of each is omega_m and alpha_m in the epsilon basis."""
     import numpy as np
 
     if type_label == "F4":
-        return np.array(_F4_SIMPLE[m - 1], dtype=float), np.array(_F4_WEIGHTS[m - 1], dtype=float)
+        return np.array(_F4_WEIGHTS, dtype=float), np.array(_F4_SIMPLE, dtype=float)
     if type_label == "G2":
-        return np.array(_G2_SIMPLE[m - 1], dtype=float), np.array(_G2_WEIGHTS[m - 1], dtype=float)
-    alpha, omega = np.zeros(rank), np.zeros(rank)
-    omega[:m] = 0.5 if type_label == "B" and m == rank else 1.0
-    if m < rank:
-        alpha[m - 1 : m + 1] = 1.0, -1.0
+        return np.array(_G2_WEIGHTS, dtype=float), np.array(_G2_SIMPLE, dtype=float)
+    omega, alpha = np.tri(rank), np.eye(rank) - np.eye(rank, k=1)
+    if type_label == "B":
+        omega[-1] /= 2
     else:
-        alpha[m - 1] = 1.0 if type_label == "B" else 2.0
-    return alpha, omega
+        alpha[-1, -1] = 2.0
+    return omega, alpha
 
 
-class MarkedForms(NamedTuple):
-    """Phi_Pu of a marked pair (i, j) as distinct linear forms, with its segment.
+def _forms(type_label: str, rank: int, members: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Phi_Pu's distinct forms and the segment of each marked pair of one system.
 
-    The density is the product over the forms of (u*(a+t) + v*(b-t))^mult on
-    [-a, b]; 2 rho_P = a omega_i + b omega_j.
+    members holds one row (datum, i, j) per pair.  Returns the arrays
+    (datum, slot, u, v, mult) of the forms, slot numbering a datum's forms
+    from 0, then (datum, a, b) of the pairs.  u = (alpha, omega_i) is the
+    engine's c_i d_i for B_n, C_n and F4, and twice it for G2, whose plate
+    scales the inner product by 2; a common factor cancels in tbar and R.
     """
+    import numpy as np
 
-    u: np.ndarray
-    v: np.ndarray
-    mult: np.ndarray
+    idx, coef = _positive_roots(type_label, rank)
+    omega, alpha = _weights_and_simple(type_label, rank)
+    chunks, step = [], max(1, _ENTRY_BUDGET // (4 * idx.size))
+    for start in range(0, len(members), step):
+        datum, i, j = members[start : start + step].T
+        vectors = np.concatenate((omega[i - 1], omega[j - 1], alpha[i - 1], alpha[j - 1]))
+        u, v, on_i, on_j = np.einsum("rc,krc->kr", coef, vectors[:, idx]).reshape(4, len(datum), -1)
+        keep = (u != 0) | (v != 0)
+        a = 2 * (on_i * keep).sum(axis=1) / (alpha[i - 1] ** 2).sum(axis=1)
+        b = 2 * (on_j * keep).sum(axis=1) / (alpha[j - 1] ** 2).sum(axis=1)
+        # Every u and v is a multiple of 1/2, so 2u and 2v are small integers.
+        row, u, v = np.nonzero(keep)[0], u[keep], v[keep]
+        base = 2 * max(u.max(), v.max()) + 1
+        _, first, mult = np.unique((row * base + 2 * u) * base + 2 * v, return_index=True, return_counts=True)
+        row = row[first]
+        slot = np.arange(len(row)) - np.searchsorted(row, row)
+        chunks.append((datum[row], slot, u[first], v[first], mult, datum, a, b))
+    return tuple(map(np.concatenate, zip(*chunks)))
+
+
+def _density(u: np.ndarray, v: np.ndarray, mult: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(rows x nodes): each row's density at xs in [-1, 1], scaled into [0, 1].
+
+    Row r is the product of the forms (u (1+x) + v (1-x)) / (2 max(u, v))
+    to the powers mult over its columns; a column with u == v == 1 and
+    mult 0 is padding.  Its degree is at most the row's sum of mult.
+    """
+    import numpy as np
+
+    top = 2 * np.maximum(u, v)
+    # u (1+x) + v (1-x) as (u+v) + (u-v) x: one (rows x nodes x forms) array.
+    forms = ((u - v) / top)[:, None] * xs[:, None]
+    forms += ((u + v) / top)[:, None]
+    with np.errstate(divide="ignore"):
+        logs = np.log(forms, out=forms)
+    return np.exp(logs @ mult[:, :, None])[..., 0]
+
+
+class Estimate(NamedTuple):
+    """A datum's segment [-a, b], and its density's volume and first moment in t, up to one factor."""
+
     a: float
     b: float
+    volume: float
+    first: float
 
 
-def marked_forms(type_label: str, rank: int, i: int, j: int) -> MarkedForms:
-    """Phi_Pu's forms and segment for the marked simple roots i and j, in the epsilon basis.
+def estimates(data: Sequence[HorosphericalDatum]) -> list[Estimate]:
+    """One `Estimate` per datum, in order: one root build per root system, one `quad` per block.
 
-    See the module docstring.  u = (alpha, omega_i) is the engine's c_i d_i
-    for B_n, C_n and F4, and twice it for G2, whose plate scales the inner
-    product by 2; a common factor of the forms cancels in tbar and R.
+    See the module docstring; a row with a non-finite value gets NaN moments.
     """
     import numpy as np
 
-    idx, coef, dim = _positive_roots(type_label, rank)
-    alpha_i, omega_i = _simple_and_weight(type_label, rank, i)
-    alpha_j, omega_j = _simple_and_weight(type_label, rank, j)
-    u = (coef * omega_i[idx]).sum(axis=1)
-    v = (coef * omega_j[idx]).sum(axis=1)
-    keep = (u != 0) | (v != 0)
-    two_rho = np.bincount(idx[keep].ravel(), weights=coef[keep].ravel(), minlength=dim)
-    keys, mult = np.unique(u[keep] + 1j * v[keep], return_counts=True)
-    return MarkedForms(
-        u=keys.real,
-        v=keys.imag,
-        mult=mult,
-        a=float(2 * (two_rho @ alpha_i) / (alpha_i @ alpha_i)),
-        b=float(2 * (two_rho @ alpha_j) / (alpha_j @ alpha_j)),
-    )
+    systems: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
+    for position, datum in enumerate(data):
+        type_label, rank, i, j = _root_system(datum)
+        systems.setdefault((type_label, rank), []).append((position, i, j))
+    parts = [_forms(*system, np.array(members)) for system, members in systems.items()]
+    owner, slot, u, v, mult, position, a, b = map(np.concatenate, zip(*parts))
+    segment = np.empty((2, len(data)))
+    segment[:, position] = a, b
+    centre, half = (segment[1] - segment[0]) / 2, segment.sum(axis=0) / 2
+    width = slot.max() + 1
+    rows_u, rows_v = np.ones((2, len(data), width))
+    rows_mult = np.zeros((len(data), width))
+    rows_u[owner, slot], rows_v[owner, slot], rows_mult[owner, slot] = u, v, mult
+    degree = rows_mult.sum(axis=1) + 1
+    levels = np.frexp(degree)[1]  # quad's L: the bit length of the degree
+    moments = np.empty((len(data), 2))
+    for level in sorted(set(levels.tolist())):
+        rows = np.flatnonzero(levels == level)
+        step = max(1, _ENTRY_BUDGET // (((1 << level) + 1) * width))
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            bad = np.zeros(len(block), dtype=bool)
 
+            def integrand(xs: np.ndarray) -> np.ndarray:
+                values = _density(rows_u[block], rows_v[block], rows_mult[block], xs)
+                bad[:] = ~np.isfinite(values).all(axis=1)
+                values[bad] = 0.0
+                ts = centre[block, None] + half[block, None] * xs
+                return np.stack((values, ts * values), axis=1)
 
-def dh_density_evaluator(forms: MarkedForms) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """Vectorized evaluator for the density on its segment, scaled into [0, 1], plus its degree.
-
-    Each form u*(a+t) + v*(b-t) is divided by its maximum (a+b)*max(u, v) on
-    the segment before its logarithm is weighted by its multiplicity.  The
-    constant factor this drops cancels in tbar and R, and no value can leave
-    double range.  The degree returned is the sum of the multiplicities,
-    |Phi_Pu|: a bound, as a form with u == v is constant in t.
-    """
-    import numpy as np
-
-    a, b = forms.a, forms.b
-    top = (a + b) * np.maximum(forms.u, forms.v)
-    u, v = forms.u / top, forms.v / top
-
-    def density(ts: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            logs = np.log(np.multiply.outer(a + ts, u) + np.multiply.outer(b - ts, v))
-        return np.exp(logs @ forms.mult)
-
-    return density, int(forms.mult.sum())
+            moments[block] = quad(integrand, -1.0, 1.0, int(degree[block].max())).estimate
+            moments[block[bad]] = np.nan
+    return [Estimate(*row) for row in np.column_stack((*segment, moments)).tolist()]
 
 
 @dataclass(frozen=True)
@@ -251,31 +297,23 @@ class CrosscheckReport:
         return self.segment_oracle == self.segment_exact and errors_ok
 
 
-def crosscheck(datum: HorosphericalDatum) -> CrosscheckReport:
+def crosscheck(datum: HorosphericalDatum, estimate: Estimate | None = None) -> CrosscheckReport:
     """Quadrature recomputation of the segment, tbar and R versus the exact engine values.
 
     The group and marked pair come from `_root_system`, not from the engine,
     whose report gives only the segment endpoints, tbar and R checked here.
-    The density and t times it are integrated by one `quad` call, at one
-    more than the density's degree, a rule that is exact for both.  The
-    check passes when the oracle's segment equals the engine's and the tbar
-    and R it gives match the engine's within CROSSCHECK_REL_TOL.  The only
-    bound on n is the exact ceiling, through the InvalidDatumError that
-    `engine.report` raises first.
+    `estimate` is the datum's row of `estimates`, as the oracle suite passes
+    it; by default it is computed for this datum alone.  The check passes
+    when the oracle's segment equals the engine's and the tbar and R it
+    gives match the engine's within CROSSCHECK_REL_TOL.  The only bound on n
+    is the exact ceiling, through the InvalidDatumError that `engine.report`
+    raises first.
     """
-    import numpy as np
-
     exact = engine.report(datum)
-    forms = marked_forms(*_root_system(datum))
-    density, degree = dh_density_evaluator(forms)
-    a, b = forms.a, forms.b
-
-    def moments(ts: np.ndarray) -> np.ndarray:
-        values = density(ts)
-        return np.stack((values, ts * values))
-
-    volume, first = quad(moments, -a, b, degree + 1).estimate
-    t_bar_quad = float(first / volume)
+    a, b, volume, first = estimates([datum])[0] if estimate is None else estimate
+    if not (math.isfinite(volume) and math.isfinite(first)):
+        raise EvaluationFailureError("integrand returned a non-finite value")
+    t_bar_quad = first / volume
     if t_bar_quad > 0:
         r_quad = a / (a + t_bar_quad)
     elif t_bar_quad < 0:

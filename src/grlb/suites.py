@@ -7,6 +7,8 @@ arithmetic or value error raised inside a check (a quadrature failure
 included) is reported as that check's failure naming the exception; other
 exceptions propagate, an InvalidDatumError (an n past the ceiling, a bad
 GRLB_MAX_N) included.  `run_suite` raises that error before any check runs.
+The oracle suite integrates all its data in one `oracle.estimates` call; a
+datum's comparison with the engine, or a non-finite row, fails only its check.
 """
 
 from __future__ import annotations
@@ -122,8 +124,8 @@ def _oracle_data(max_n: int):
         yield HorosphericalDatum("X3", n=n, k=k)
 
 
-def _crosscheck(datum: HorosphericalDatum) -> tuple[bool, str]:
-    rep = oracle.crosscheck(datum)
+def _crosscheck(datum: HorosphericalDatum, estimate: oracle.Estimate | None = None) -> tuple[bool, str]:
+    rep = oracle.crosscheck(datum, estimate)
     detail = f"tbar_err={rep.t_bar_rel_err:.2e} R_err={rep.r_rel_err:.2e}"
     if rep.segment_oracle != rep.segment_exact:
         detail += f" segment={rep.segment_oracle} engine={rep.segment_exact}"
@@ -131,7 +133,9 @@ def _crosscheck(datum: HorosphericalDatum) -> tuple[bool, str]:
 
 
 def _suite_oracle(max_n: int) -> list[CheckResult]:
-    return [_check(f"quadrature {datum.label()}", _crosscheck, datum) for datum in _oracle_data(max_n)]
+    data = list(_oracle_data(max_n))
+    rows = zip(data, oracle.estimates(data))
+    return [_check(f"quadrature {datum.label()}", _crosscheck, datum, row) for datum, row in rows]
 
 
 def _bound(family: str, n: int, k: int | None = None) -> tuple[bool, str]:

@@ -358,10 +358,10 @@ class TestVerify:
 
         real = oracle.crosscheck
 
-        def crosscheck(datum):
+        def crosscheck(datum, estimate=None):
             if datum.label() == "X4":
                 raise oracle.EvaluationFailureError("integrand returned a non-finite value")
-            return real(datum)
+            return real(datum, estimate)
 
         monkeypatch.setattr(oracle, "crosscheck", crosscheck)
         result = run_grlb(["verify", "--suite", "oracle", "--max-n", "3"])

@@ -27,6 +27,7 @@ from grlb.engine import (
 from grlb.engine import _barycenter, _form_moments, _forms, _segment
 from grlb.exactnum import Polynomial, integrate, poly_product
 from grlb.rootsystems import build_root_system, unipotent_radical, weight_of_root_sum
+from grlb.suites import _oracle_data, run_suite
 
 F = Fraction
 
@@ -206,6 +207,19 @@ class TestNoRootTable:
         assert oracle.crosscheck(datum).ok
         assert calls == {}
         assert built == {oracle._root_system(datum)[:2]: 1}
+
+    def test_oracle_suite_builds_one_table_per_root_system(self, calls, monkeypatch):
+        """The suite batches its data by root system: one epsilon-basis root list each."""
+        built = Counter()
+
+        def counted(*args, _fn=oracle._positive_roots):
+            built[args] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(oracle, "_positive_roots", counted)
+        assert all(r.passed for r in run_suite("oracle", 10))
+        assert calls == {}
+        assert built == Counter({oracle._root_system(d)[:2]: 1 for d in _oracle_data(10)})
 
 
 class TestPhiPu:

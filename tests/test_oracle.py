@@ -17,8 +17,7 @@ from grlb.oracle import (
     EvaluationFailureError,
     _root_system,
     crosscheck,
-    dh_density_evaluator,
-    marked_forms,
+    estimates,
     quad,
 )
 from grlb.suites import _crosscheck, _oracle_data
@@ -97,14 +96,21 @@ class TestQuad:
             quad(f, 0.0, 1.0, 1)
 
 
-def _forms(datum):
-    return marked_forms(*_root_system(datum))
+def _one_pair(datum):
+    """(u, v, mult, a, b): the oracle's forms and segment for one datum, from its batched forms."""
+    type_label, rank, i, j = _root_system(datum)
+    _, _, u, v, mult, _, a, b = oracle._forms(type_label, rank, np.array([(0, i, j)]))
+    return u, v, mult, float(a[0]), float(b[0])
 
 
 def _evaluator(datum):
-    forms = _forms(datum)
-    density, degree = dh_density_evaluator(forms)
-    return density, degree, forms.a, forms.b
+    """The oracle's density of one datum on its t-segment, its degree bound and the segment."""
+    u, v, mult, a, b = _one_pair(datum)
+
+    def density(ts):
+        return oracle._density(u[None], v[None], mult[None], (2 * ts - b + a) / (a + b))[0]
+
+    return density, int(mult.sum()), a, b
 
 
 def _table_forms(rs, i, j):
@@ -117,21 +123,25 @@ def _table_forms(rs, i, j):
     return forms, (two_rho.get(i, 0), two_rho.get(j, 0))
 
 
-def _as_multiset(forms, scale=1):
-    return Counter(
-        {(F(float(u)) / scale, F(float(v)) / scale): int(m) for u, v, m in zip(forms.u, forms.v, forms.mult)}
-    )
+def _batched_forms(type_label, rank, pairs, scale=1):
+    """The (u, v) multiset and the (a, b) segment of every marked pair, from one batch of the oracle."""
+    members = np.array([(position, i, j) for position, (i, j) in enumerate(pairs)])
+    forms, segments = [Counter() for _ in pairs], [None] * len(pairs)
+    owner, _, u, v, mult, position, a, b = oracle._forms(type_label, rank, members)
+    for row, u_r, v_r, m in zip(owner.tolist(), u.tolist(), v.tolist(), mult.tolist()):
+        forms[row][(F(u_r) / scale, F(v_r) / scale)] = m
+    for row, a_r, b_r in zip(position.tolist(), a.tolist(), b.tolist()):
+        segments[row] = (a_r, b_r)
+    return list(zip(forms, segments))
 
 
 def _check_every_ordered_pair(type_label, rank, scale=1):
     rs = rootsystems.build_root_system(type_label, rank)
-    for i in range(1, rank + 1):
-        for j in range(1, rank + 1):
-            if i != j:
-                forms = marked_forms(type_label, rank, i, j)
-                want, segment = _table_forms(rs, i, j)
-                assert _as_multiset(forms, scale) == want, (i, j)
-                assert (forms.a, forms.b) == segment, (i, j)
+    pairs = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1) if i != j]
+    for (i, j), (forms, segment) in zip(pairs, _batched_forms(type_label, rank, pairs, scale)):
+        want, want_segment = _table_forms(rs, i, j)
+        assert forms == want, (i, j)
+        assert segment == want_segment, (i, j)
 
 
 class TestMarkedForms:
@@ -150,12 +160,13 @@ class TestMarkedForms:
         _check_every_ordered_pair("G2", 2, scale=2)
 
     def test_segment_is_the_engines_over_the_oracle_grid(self):
-        for datum in _oracle_data(30):
+        data = list(_oracle_data(30))
+        for datum, estimate in zip(data, estimates(data)):
             exact = engine.report(datum)
             seg = exact.segment
-            forms = marked_forms(*_root_system(datum))
-            assert (forms.a, forms.b) == (seg.a, seg.b), datum.label()
-            assert int(forms.mult.sum()) == exact.dimension - 1, datum.label()
+            assert (estimate.a, estimate.b) == (seg.a, seg.b), datum.label()
+            _, _, mult, _, _ = _one_pair(datum)
+            assert int(mult.sum()) == exact.dimension - 1, datum.label()
 
 
 class TestDensityEvaluator:
@@ -268,13 +279,13 @@ class TestCrosscheck:
         assert not report(segment_oracle=(3.0, 9.0)).ok
 
     def test_segment_mismatch_fails_the_check(self, monkeypatch):
-        real = oracle.marked_forms
+        real = oracle._forms
 
         def shifted(*args):
-            forms = real(*args)
-            return forms._replace(b=forms.b + 1)
+            *forms, position, a, b = real(*args)
+            return (*forms, position, a, b + 1)
 
-        monkeypatch.setattr(oracle, "marked_forms", shifted)
+        monkeypatch.setattr(oracle, "_forms", shifted)
         datum = HorosphericalDatum("X3", n=6, k=3)
         rep = crosscheck(datum)
         assert rep.segment_oracle == (3.0, 9.0) and rep.segment_exact == (3, 8)

@@ -5,10 +5,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grlb
-from grlb import closedforms, oracle, suites
+from grlb import closedforms, engine, oracle, suites
 from grlb.engine import HorosphericalDatum, InvalidDatumError, report
 from grlb.exactnum import frac_str
 from grlb.oracle import EvaluationFailureError
@@ -53,7 +54,7 @@ def test_bounds_suite_runs_without_mpmath():
 
 
 def test_oracle_no_convergence_is_a_failed_check(monkeypatch):
-    def crosscheck(datum):
+    def crosscheck(datum, estimate):
         raise EvaluationFailureError("integrand returned a non-finite value")
 
     monkeypatch.setattr(oracle, "crosscheck", crosscheck)
@@ -63,6 +64,86 @@ def test_oracle_no_convergence_is_a_failed_check(monkeypatch):
     assert results[0].detail == "EvaluationFailureError: integrand returned a non-finite value"
 
 
+def test_oracle_nonfinite_row_fails_only_its_check(monkeypatch):
+    # X3(5,3) is C_5's marked pair (2, 3): its forms turn NaN inside C_5's batch.
+    real_forms = oracle._forms
+
+    def forms(type_label, rank, members):
+        out = real_forms(type_label, rank, members)
+        if (type_label, rank) == ("C", 5):
+            (position,) = [p for p, i, j in members.tolist() if (i, j) == (2, 3)]
+            out[2][out[0] == position] = np.nan
+        return out
+
+    monkeypatch.setattr(oracle, "_forms", forms)
+    blocks = []
+    real_density = oracle._density
+
+    def density(*args):
+        values = real_density(*args)
+        blocks.append(np.isfinite(values).all(axis=1))
+        return values
+
+    monkeypatch.setattr(oracle, "_density", density)
+    results = run_suite("oracle", 5)
+    # X3(5,3)'s row is evaluated in one block with other data's rows.
+    (finite,) = [rows for rows in blocks if not rows.all()]
+    assert len(finite) > 1 and finite.sum() == len(finite) - 1
+    assert len(results) == 16
+    failed = [r for r in results if not r.passed]
+    assert [(r.name, r.detail) for r in failed] == [
+        ("quadrature X3(5,3)", "EvaluationFailureError: integrand returned a non-finite value")
+    ]
+    assert {r.name for r in results if r.passed} >= {"quadrature X3(5,2)", "quadrature X3(5,4)", "quadrature X3(5,5)"}
+
+
+def test_oracle_engine_error_fails_only_its_check(monkeypatch):
+    real = engine.report
+
+    def flaky(datum):
+        if datum.label() == "X3(5,3)":
+            raise ArithmeticError("forced")
+        return real(datum)
+
+    monkeypatch.setattr(engine, "report", flaky)
+    results = run_suite("oracle", 5)
+    assert [(r.name, r.detail) for r in results if not r.passed] == [("quadrature X3(5,3)", "ArithmeticError: forced")]
+    assert len(results) == 16
+
+
+def test_oracle_suite_is_crosscheck_per_datum(monkeypatch):
+    # The suite's batched estimates give what crosscheck(datum) computes alone.
+    seen = {}
+    real = oracle.crosscheck
+
+    def spy(datum, estimate):
+        seen[datum] = report = real(datum, estimate)
+        return report
+
+    monkeypatch.setattr(oracle, "crosscheck", spy)
+    assert all(r.passed for r in run_suite("oracle", 20))
+    data = list(suites._oracle_data(20))
+    assert list(seen) == data
+    for datum in data:
+        alone, batched = real(datum), seen[datum]
+        assert batched.segment_oracle == alone.segment_oracle, datum.label()
+        assert batched.t_bar_quad == pytest.approx(alone.t_bar_quad, rel=1e-12), datum.label()
+        assert batched.r_quad == pytest.approx(alone.r_quad, rel=1e-12), datum.label()
+
+
+def test_oracle_suite_leaves_numpy_ma_unimported():
+    # numpy.ma adds about 2.5 MB of RSS; a plain np.unique(x) imports it.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "from grlb import suites\n"
+        "assert all(r.passed for r in suites.run_suite('oracle', 6))\n"
+        "print('numpy.ma' in sys.modules, 'numpy' in sys.modules)"
+    )
+    src = str(Path(grlb.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
 def test_evaluation_failure_is_an_arithmetic_error():
     assert issubclass(EvaluationFailureError, ArithmeticError)
 
@@ -70,7 +151,7 @@ def test_evaluation_failure_is_an_arithmetic_error():
 @pytest.mark.parametrize("error", [ZeroDivisionError("float division by zero"), ValueError("forced")])
 def test_oracle_arithmetic_or_value_error_is_a_failed_check(run_grlb, monkeypatch, error):
     # The oracle fails a check the way the exact suites do.
-    def crosscheck(datum):
+    def crosscheck(datum, estimate):
         raise error
 
     monkeypatch.setattr(oracle, "crosscheck", crosscheck)
@@ -86,7 +167,7 @@ def test_oracle_arithmetic_or_value_error_is_a_failed_check(run_grlb, monkeypatc
 
 
 def test_oracle_other_errors_propagate(monkeypatch):
-    def crosscheck(datum):
+    def crosscheck(datum, estimate):
         raise RuntimeError("a defect, not a check failure")
 
     monkeypatch.setattr(oracle, "crosscheck", crosscheck)
