@@ -25,9 +25,10 @@ is a positive constant, which cancels in tbar and is never formed, times a few
 coprime integer forms (c0 + c1 sigma)^m, built in integers straight from the
 walk's multiset of (c_i, c_j).  Its two moments are integers taken in the
 variable of the form of largest m, and tbar is the one Fraction, built from
-them.  `dh_polynomial_on` returns the dense polynomial in t over a given root
-system and segment: it is the tests' dense reference, which perfbench traces
-by name, and no computation of R uses it.
+them.  `dh_polynomial_on` returns the coefficients of the dense polynomial in
+t over a given root system and segment, lowest degree first: it is the tests'
+dense reference, which perfbench traces by name, and no computation of R uses
+it.
 
 Orientation convention: `resolve` returns the marked pair (i, j) with *i*
 the index whose fundamental-weight coefficient grows with t.  For X3 and X5
@@ -45,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Polynomial, _int_mul, _linear_pow_int, poly_product
+from .exactnum import _int_mul, _linear_pow_int, poly_product
 from .rootsystems import (
     RootSystem, RootVector, _check_marked, build_root_system, half_length, unipotent_radical
 )
@@ -235,18 +236,20 @@ def moment_segment(datum: HorosphericalDatum) -> MomentSegment:
     return report(datum).segment
 
 
-def dh_polynomial_on(rs: RootSystem, seg: MomentSegment) -> Polynomial:
-    """Duistermaat-Heckman density restricted to a segment over a given root system.
+def dh_polynomial_on(rs: RootSystem, seg: MomentSegment) -> tuple[Fraction, ...]:
+    """Duistermaat-Heckman density on a segment over a given root system, as coefficients in t.
 
-    Each root of the unipotent radical contributes the linear factor
-    c_i*d_i*(a+t) + c_j*d_j*(b-t) where (c_i, c_j) are its coefficients on
-    the marked simple roots and d_m the half squared lengths.
+    The coefficients come lowest degree first.  The density is the
+    `poly_product` of one linear factor per root of the unipotent radical,
+    c_i*d_i*(a+t) + c_j*d_j*(b-t) = (u*a + v*b) + (u - v)*t, where (c_i, c_j)
+    are its coefficients on the marked simple roots, d_m the half squared
+    lengths, u = c_i*d_i and v = c_j*d_j.
     """
     d_i, d_j = rs.half_lengths[seg.i - 1], rs.half_lengths[seg.j - 1]
     factors = []
     for r in phi_pu(rs, seg.i, seg.j):
         u, v = r[seg.i - 1] * d_i, r[seg.j - 1] * d_j
-        factors.append(Polynomial.linear(u * seg.a + v * seg.b, u - v))
+        factors.append((u * seg.a + v * seg.b, u - v))
     return poly_product(factors)
 
 

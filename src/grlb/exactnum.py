@@ -7,8 +7,9 @@ arbitrary precision, always reduced, and always carries a positive denominator.
 - ``_int_mul`` and ``_linear_pow_int`` expand short products of linear forms
   as plain integer lists; the engine's moments and the closed forms build
   their cofactors with them.
-- ``Polynomial`` (multiplication, powers, evaluation), ``poly_product`` and
-  ``integrate`` are the dense route: no computation of R uses them.  They
+- ``poly_product`` and ``integrate`` are the dense route: no computation of
+  R uses them.  A dense polynomial is the tuple of its exact coefficients,
+  lowest degree first, with trailing zeros trimmed (``()`` is 0).  They
   serve only ``engine.dh_polynomial_on`` and the tests, which integrate the
   dense densities as an independent reference.
 - ``int_to_str``, ``str_to_int``, ``frac_str``, ``parse_frac``,
@@ -29,7 +30,6 @@ RationalLike = Union[Fraction, int]
 
 __all__ = [
     "InvalidIntervalError",
-    "Polynomial",
     "Rational",
     "frac_str",
     "int_to_str",
@@ -74,142 +74,43 @@ def _linear_pow_int(c0: int, c1: int, exponent: int) -> list[int]:
     return out
 
 
-class Polynomial:
-    """Dense univariate polynomial with exact rational coefficients.
+def _int_form(coeffs: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """(integer coefficients, common denominator) of a coefficient sequence, trailing zeros trimmed."""
+    fs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(f.denominator for f in fs))
+    ints = [f.numerator * (den // f.denominator) for f in fs]
+    while ints and not ints[-1]:
+        ints.pop()
+    return ints, den
 
-    Coefficients are indexed by degree; trailing zeros are trimmed so the
-    leading coefficient is nonzero unless the polynomial is zero (empty tuple).
-    Instances are immutable and hashable.
+
+def poly_product(factors: Iterable[Sequence[RationalLike]]) -> tuple[Fraction, ...]:
+    """Multiply polynomials given as coefficient sequences; the empty product is (1,).
+
+    Identical factors are grouped.  A constant one is raised to its
+    multiplicity as a number and a linear one by the binomial theorem: the
+    dense reference densities the tests build are products of a few thousand
+    constant and linear factors.  Everything is multiplied in integers over
+    one common denominator.
     """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
-    def linear(cls, constant: RationalLike, slope: RationalLike) -> "Polynomial":
-        """The polynomial constant + slope*t."""
-        return cls((constant, slope))
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def _int_form(self) -> tuple[list[int], int]:
-        """Return (integer coefficients, common denominator) with self = ints/den."""
-        den = 1
-        for c in self._coeffs:
-            d = c.denominator
-            den = den * d // math.gcd(den, d)
-        return [c.numerator * (den // c.denominator) for c in self._coeffs], den
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        if not self._coeffs:
-            return "Polynomial(0)"
-        parts = [f"{c}*t^{k}" if k else f"{c}" for k, c in enumerate(self._coeffs) if c]
-        return "Polynomial(" + " + ".join(parts) + ")"
-
-    def __mul__(self, other: object) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial.zero()
-            ints_a, den_a = self._int_form()
-            ints_b, den_b = other._int_form()
-            return _poly_from_int(_int_mul(ints_a, ints_b), den_a * den_b)
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return Polynomial(tuple(c * f for c in self._coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("polynomial power must be nonnegative")
-        if exponent == 0:
-            return Polynomial.one()
-        if self.degree == 1:
-            # Binomial expansion beats repeated squaring for linear bases: the
-            # dense reference densities the tests build are products of a few
-            # thousand linear factors, which would otherwise dominate.
-            ints, den = self._int_form()
-            return _poly_from_int(_linear_pow_int(ints[0], ints[1], exponent), den**exponent)
-        result, base = Polynomial.one(), self
-        while True:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if not exponent:
-                return result
-            base = base * base
-
-    def __call__(self, x: RationalLike) -> Fraction:
-        """Evaluate at x by Horner's rule."""
-        xf = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * xf + c
-        return acc
+    ints, den = [1], 1
+    for base, mult in Counter(map(tuple, factors)).items():
+        b, d = _int_form(base)
+        if not b:
+            return ()
+        den *= d**mult
+        if len(b) == 1:
+            ints = [c * b[0] ** mult for c in ints]
+        elif len(b) == 2:
+            ints = _int_mul(ints, _linear_pow_int(b[0], b[1], mult))
+        else:
+            for _ in range(mult):
+                ints = _int_mul(ints, b)
+    return tuple(Fraction(c, den) for c in ints)
 
 
-def _poly_from_int(ints: Sequence[int], den: int) -> Polynomial:
-    if den == 1:
-        return Polynomial(tuple(Fraction(c) for c in ints))
-    return Polynomial(tuple(Fraction(c, den) for c in ints))
-
-
-def poly_product(factors: Iterable[Polynomial]) -> Polynomial:
-    """Multiply a sequence of polynomials; the empty product is 1.
-
-    Identical factors are grouped and raised to their multiplicity first, and
-    the remaining distinct polynomials are multiplied pairwise in a balanced
-    tree so intermediate degrees stay comparable.
-    """
-    counts = Counter(factors)
-    if not counts:
-        return Polynomial.one()
-    level = [base**mult for base, mult in counts.items()]
-    while len(level) > 1:
-        nxt = [level[k] * level[k + 1] for k in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
-
-def integrate(p: Polynomial, lo: RationalLike, hi: RationalLike) -> Fraction:
-    """Exact definite integral of p over [lo, hi].
+def integrate(coeffs: Sequence[RationalLike], lo: RationalLike, hi: RationalLike) -> Fraction:
+    """Exact definite integral over [lo, hi] of the polynomial with these coefficients.
 
     Evaluates the antiderivative term by term: sum of c_k*(hi^(k+1)-lo^(k+1))/(k+1).
     Raises InvalidIntervalError when lo > hi.
@@ -217,9 +118,7 @@ def integrate(p: Polynomial, lo: RationalLike, hi: RationalLike) -> Fraction:
     lo_f, hi_f = Fraction(lo), Fraction(hi)
     if lo_f > hi_f:
         raise InvalidIntervalError(f"invalid interval: lo={lo_f} > hi={hi_f}")
-    if p.is_zero:
-        return Fraction(0)
-    ints, den = p._int_form()
+    ints, den = _int_form(coeffs)
     # Integer powers when the bounds are integers keeps the hot loop cheap.
     lo_v = lo_f.numerator if lo_f.denominator == 1 else lo_f
     hi_v = hi_f.numerator if hi_f.denominator == 1 else hi_f

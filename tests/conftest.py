@@ -2,6 +2,7 @@
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
@@ -45,3 +46,16 @@ def run_grlb():
         return CliResult(code, out.buffer.getvalue().decode(), err.buffer.getvalue().decode())
 
     return run
+
+
+@pytest.fixture
+def horner():
+    """Evaluate a polynomial, given as its coefficients lowest degree first, exactly at Fraction(x)."""
+
+    def evaluate(coeffs, x) -> Fraction:
+        x, acc = Fraction(x), Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        return acc
+
+    return evaluate

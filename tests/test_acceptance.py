@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from grlb import closedforms, engine, oracle
 from grlb.engine import HorosphericalDatum
+from grlb.exactnum import poly_product
 from grlb.records import parse_frac, table_rows
 from grlb.rootsystems import weight_of_root_sum
 
@@ -207,8 +208,8 @@ def test_criterion_9_property_suite():
         r_value = engine.ricci_bound(seg.a, seg.b, t_bar)
         for lam in (F(2), F(1, 3)):
             scaled = replace(rs, half_lengths=tuple(lam * d for d in rs.half_lengths))
-            assert engine.dh_polynomial_on(scaled, seg) == (
-                lam ** len(roots) * engine.dh_polynomial_on(rs, seg)
+            assert engine.dh_polynomial_on(scaled, seg) == poly_product(
+                [(lam ** len(roots),), engine.dh_polynomial_on(rs, seg)]
             ), datum.label()
             assert barycenter_on(scaled, seg) == t_bar, datum.label()
         flipped = engine.MomentSegment(seg.j, seg.i, seg.b, seg.a)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import grlb
+from grlb import engine, exactnum, rootsystems
 from grlb.engine import HorosphericalDatum, InvalidDatumError, report
 from grlb.records import (
     frac_str,
@@ -484,3 +485,49 @@ def test_cli_import_leaves_out_numpy_and_mpmath():
     src = str(Path(grlb.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+#: The dense polynomial and the root table: the tests' references, which no command needs.
+REFERENCE_ROUTE = {
+    exactnum: ("poly_product", "integrate"),
+    engine: ("dh_polynomial_on", "resolve", "phi_pu"),
+    rootsystems: ("build_root_system", "weight_of_root_sum"),
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        *(
+            f"compute --family {family} --route {route}"
+            for family in ("X1 --n 5", "X3 --n 6 --k 3")
+            for route in ("engine", "closed-form")
+        ),
+        *(f"compute --family {family}" for family in ("X2", "X4", "X5")),
+        *(f"table --id {table}" for table in (1, 2, 3)),
+        *(f"verify --suite {suite} --max-n 6" for suite in ("oracle", "closed-forms", "bounds", "lemmas")),
+    ],
+)
+def test_no_command_reaches_the_reference_route(run_grlb, monkeypatch, command):
+    """Every command exits 0 with each reference function raising, at every grlb attribute that holds it."""
+    reference = {
+        id(getattr(module, name)): name for module, names in REFERENCE_ROUTE.items() for name in names
+    }
+
+    def unreachable(name):
+        def raise_(*args, **kwargs):
+            raise AssertionError(f"a command called the reference function {name}")
+
+        return raise_
+
+    patched = set()
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "grlb" or module_name.startswith("grlb."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in reference:
+                    monkeypatch.setattr(module, attr, unreachable(reference[id(value)]))
+                    patched.add(f"{module_name}.{attr}")
+    # Besides each home module, engine holds the two it imports.
+    assert {"grlb.engine.poly_product", "grlb.engine.build_root_system"} <= patched
+    result = run_grlb(command.split(), env={"GRLB_MAX_N": None})
+    assert result.exit_code == 0, result.output

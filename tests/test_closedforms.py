@@ -21,7 +21,7 @@ from grlb.closedforms import (
     r_x3nn_closed,
     x1_comparison_integral,
 )
-from grlb.exactnum import Polynomial, integrate, to_decimal
+from grlb.exactnum import integrate, poly_product, to_decimal
 
 F = Fraction
 
@@ -78,9 +78,10 @@ class TestDenseReference:
 
     @pytest.mark.parametrize("n", range(3, 31))
     def test_x1(self, n):
-        base = F(2**n, (n + 2) ** (n - 1)) * dense_density(engine.HorosphericalDatum("X1", n=n))
-        assert r_x1_formula(n) == n * integrate(base, -n, 2) / integrate(base * Polynomial((n, 1)), -n, 2)
-        assert lemma_x1_sign(n).lhs == integrate(base * Polynomial((0, 1)), -n, 2)
+        density = dense_density(engine.HorosphericalDatum("X1", n=n))
+        base = poly_product([(F(2**n, (n + 2) ** (n - 1)),), density])
+        assert r_x1_formula(n) == n * integrate(base, -n, 2) / integrate(poly_product([base, (n, 1)]), -n, 2)
+        assert lemma_x1_sign(n).lhs == integrate(poly_product([base, (0, 1)]), -n, 2)
 
     @pytest.mark.parametrize("n", range(2, 31))
     def test_x3(self, n):
@@ -88,13 +89,13 @@ class TestDenseReference:
             b = 2 * n - 2 * k + 2
             base = dense_density(engine.HorosphericalDatum("X3", n=n, k=k))
             volume = integrate(base, -k, b)
-            assert r_x3_formula(n, k) == b * volume / integrate(base * Polynomial((b, -1)), -k, b)
+            assert r_x3_formula(n, k) == b * volume / integrate(poly_product([base, (b, -1)]), -k, b)
             if k < n:
-                assert lemma_x3nk_sign(n, k).lhs == integrate(base * Polynomial((k, 1)), -k, b) / volume
+                assert lemma_x3nk_sign(n, k).lhs == integrate(poly_product([base, (k, 1)]), -k, b) / volume
 
     @pytest.mark.parametrize("n", range(3, 31))
     def test_x1_comparison(self, n):
-        base = Polynomial((0, 1)) * Polynomial((2, -1)) * Polynomial((n, 1)) ** (n - 1)
+        base = poly_product([(0, 1), (2, -1)] + [(n, 1)] * (n - 1))
         scale = (2 * n + 2) ** (n * (n - 1) // 2)
         assert x1_comparison_integral(n) == scale * integrate(base, -n, 2)
 
@@ -154,7 +155,7 @@ class TestASequence:
 
     def test_a5_against_exact_integration(self):
         # 7 * Integral_0^1 (1-t^2)^5 dt, evaluated exactly, equals 256/99.
-        integral = integrate(Polynomial((1, 0, -1)) ** 5, 0, 1)
+        integral = integrate(poly_product([(1, 0, -1)] * 5), 0, 1)
         assert 7 * integral == F(256, 99)
         assert a_sequence(5) == F(256, 99)
 
@@ -197,7 +198,7 @@ class TestLemmas:
         # Ratio < k is the same as the t-weighted integral being negative.
         n, k = 4, 2
         b = 2 * n - 2 * k + 2
-        weighted = Polynomial((0, 1)) * dense_density(engine.HorosphericalDatum("X3", n=n, k=k))
+        weighted = poly_product([(0, 1), dense_density(engine.HorosphericalDatum("X3", n=n, k=k))])
         assert integrate(weighted, -k, b) < 0
 
     def test_domains(self):

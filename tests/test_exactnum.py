@@ -1,4 +1,4 @@
-"""Tests for rationals, polynomials, exact integration and decimal rendering."""
+"""Tests for rationals, coefficient-tuple polynomials, exact integration and decimal rendering."""
 
 import math
 from decimal import Decimal
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from grlb.exactnum import (
     InvalidIntervalError,
-    Polynomial,
     int_to_str,
     integrate,
     poly_product,
@@ -40,74 +39,67 @@ def monomial_integrate(linear_factors, lo, hi):
 
 class TestPolynomialBasics:
     def test_trailing_zeros_trimmed(self):
-        assert Polynomial((1, 2, 0, 0)).coeffs == (F(1), F(2))
-        assert Polynomial((0, 0)).is_zero
-        assert Polynomial(()).degree == -1
+        assert poly_product([(1, 2, 0, 0)]) == (F(1), F(2))
+        assert poly_product([(0, 0)]) == ()
+        assert len(poly_product([()])) - 1 == -1
 
     def test_multiplication(self):
-        p = Polynomial((1, 1)) * Polynomial((-1, 1))
-        assert p == Polynomial((-1, 0, 1))
-        assert Polynomial((F(1, 2), F(1, 3))) * 6 == Polynomial((3, 2))
-        assert Polynomial((1, 1)) * Polynomial.zero() == Polynomial.zero()
+        p = poly_product([(1, 1), (-1, 1)])
+        assert p == (-1, 0, 1)
+        assert poly_product([(F(1, 2), F(1, 3)), (6,)]) == (3, 2)
+        assert poly_product([(1, 1), ()]) == ()
 
     def test_power(self):
-        assert Polynomial((1, 1)) ** 0 == Polynomial.one()
-        assert Polynomial((2, 0, 1)) ** 3 == (
-            Polynomial((2, 0, 1)) * Polynomial((2, 0, 1)) * Polynomial((2, 0, 1))
+        assert poly_product([(1, 1)] * 0) == (1,)
+        assert poly_product([(2, 0, 1)] * 3) == poly_product(
+            [poly_product([(2, 0, 1), (2, 0, 1)]), (2, 0, 1)]
         )
-        with pytest.raises(ValueError):
-            Polynomial((1, 1)) ** -1
 
     def test_linear_power_matches_repeated_multiplication(self):
-        base = Polynomial((F(3, 2), F(-2, 7)))
-        direct = Polynomial.one()
+        base = (F(3, 2), F(-2, 7))
+        direct = (1,)
         for _ in range(9):
-            direct = direct * base
-        assert base**9 == direct
-
-    def test_evaluation(self):
-        p = Polynomial((1, -3, 2))
-        assert p(2) == F(3)
-        assert p(F(1, 2)) == F(0)
+            direct = poly_product([direct, base])
+        assert poly_product([base] * 9) == direct
 
 
 class TestPolyProduct:
     def test_difference_of_squares(self):
-        got = poly_product([Polynomial((1, 1)), Polynomial((-1, 1))])
-        assert got == Polynomial((-1, 0, 1))
+        got = poly_product([(1, 1), (-1, 1)])
+        assert got == (-1, 0, 1)
 
     def test_empty_product_is_one(self):
-        assert poly_product([]) == Polynomial.one()
+        assert poly_product([]) == (1,)
 
-    def test_x5_density_factors_at_zero(self):
+    def test_x5_density_factors_at_zero(self, horner):
         # The six linear factors of the X5 density: hand evaluation at t=0
         # gives 1*3*4*5*6*9 = 3240.
         factors = [
-            Polynomial((1, F(1, 2))),
-            Polynomial((3, F(-3, 2))),
-            Polynomial((4, -1)),
-            Polynomial((5, F(-1, 2))),
-            Polynomial((6, 0)),
-            Polynomial((9, F(-3, 2))),
+            (1, F(1, 2)),
+            (3, F(-3, 2)),
+            (4, -1),
+            (5, F(-1, 2)),
+            (6, 0),
+            (9, F(-3, 2)),
         ]
-        assert poly_product(factors)(0) == 3240
+        assert horner(poly_product(factors), 0) == 3240
 
     def test_repeated_factors_grouped(self):
-        lin = Polynomial((5, 1))
-        assert poly_product([lin] * 40) == lin**40
+        lin = (5, 1)
+        assert poly_product([lin] * 40) == poly_product([poly_product([lin] * 20)] * 2)
 
     def test_degree_of_linear_products(self):
-        factors = [Polynomial((c, 1)) for c in range(7)]
-        assert poly_product(factors).degree == 7
+        factors = [(c, 1) for c in range(7)]
+        assert len(poly_product(factors)) - 1 == 7
 
 
 class TestIntegrate:
     def test_unit_interval_constant(self):
-        assert integrate(Polynomial.one(), 0, 1) == 1
+        assert integrate((1,), 0, 1) == 1
 
     def test_even_quartic(self):
         # (1-t^2)^2 over [0, 1] -> 8/15.
-        p = Polynomial((1, 0, -1)) ** 2
+        p = poly_product([(1, 0, -1)] * 2)
         assert integrate(p, 0, 1) == F(8, 15)
 
     def test_frozen_value_from_monomial_oracle(self):
@@ -116,20 +108,20 @@ class TestIntegrate:
         factors = [(0, 1), (2, -1), (3, 1), (3, 1), (8, 1), (8, 1), (8, 1)]
         oracle_value = monomial_integrate(factors, -3, 2)
         assert oracle_value == F(78125, 8)
-        p = poly_product([Polynomial(c) for c in factors])
+        p = poly_product(factors)
         assert integrate(p, -3, 2) == oracle_value
         assert oracle_value > 0
 
     def test_fractional_bounds(self):
-        p = Polynomial((0, 1))
+        p = (0, 1)
         assert integrate(p, F(1, 2), F(3, 2)) == F(1)
 
     def test_invalid_interval(self):
         with pytest.raises(InvalidIntervalError):
-            integrate(Polynomial.one(), 1, 0)
+            integrate((1,), 1, 0)
 
     def test_empty_polynomial(self):
-        assert integrate(Polynomial.zero(), -5, 5) == 0
+        assert integrate((), -5, 5) == 0
 
 
 def _to_significant_by_fractions(r, digits):
@@ -259,7 +251,7 @@ class TestIntStr:
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=40)
-polys = st.lists(rationals, max_size=7).map(Polynomial)
+polys = st.lists(rationals, max_size=7).map(lambda cs: poly_product([cs]))
 
 
 class TestProperties:
@@ -279,9 +271,9 @@ class TestProperties:
     @given(st.lists(polys, max_size=5))
     @settings(max_examples=60)
     def test_product_matches_left_fold(self, factors):
-        acc = Polynomial.one()
+        acc = (1,)
         for f in factors:
-            acc = acc * f
+            acc = poly_product([acc, f])
         assert poly_product(factors) == acc
 
     @given(rationals, st.integers(min_value=1, max_value=10))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grlb import engine, oracle, rootsystems
-from grlb.exactnum import Polynomial, integrate
+from grlb.exactnum import integrate, poly_product
 from grlb.engine import HorosphericalDatum, InvalidDatumError
 from grlb.oracle import (
     CROSSCHECK_REL_TOL,
@@ -104,7 +104,7 @@ def _one_pair(datum):
 
 
 def _evaluator(datum):
-    """The oracle's density of one datum on its t-segment, its degree bound and the segment."""
+    """(density, degree bound, a, b): `oracle._density` of one datum's row, as a function of t in [-a, b]."""
     u, v, mult, a, b = _one_pair(datum)
 
     def density(ts):
@@ -145,7 +145,7 @@ def _check_every_ordered_pair(type_label, rank, scale=1):
 
 
 class TestMarkedForms:
-    """The epsilon-basis forms and segment against the simple-root table."""
+    """`oracle._forms`: the epsilon-basis forms and segment against the simple-root table."""
 
     @pytest.mark.parametrize("type_label", ["B", "C"])
     @pytest.mark.parametrize("rank", range(2, 25))
@@ -170,6 +170,8 @@ class TestMarkedForms:
 
 
 class TestDensityEvaluator:
+    """`oracle._density` on one datum's row, against quadrature goldens and the exact dense density."""
+
     def test_x5_barycenter_by_quadrature(self):
         density, degree, a, b = _evaluator(HorosphericalDatum("X5"))
         vol = quad(density, -a, b, degree).estimate
@@ -186,7 +188,7 @@ class TestDensityEvaluator:
         vals = density(np.array([-a, b]))
         assert vals == pytest.approx([0.0, 0.0], abs=1e-12)
 
-    def test_normalised_log_sum_matches_exact_density(self):
+    def test_normalised_log_sum_matches_exact_density(self, horner):
         # The evaluator divides each of X1(9)'s 53 factors by its maximum
         # (a+b)*max(u, v) on the segment; the exact density divided by the
         # product of those maxima must match it pointwise.
@@ -201,10 +203,10 @@ class TestDensityEvaluator:
             scale *= (seg.a + seg.b) * max(root[seg.i - 1] * d_i, root[seg.j - 1] * d_j)
         exact_density = engine.dh_polynomial_on(rs, seg)
         # Forms with u == v are constant in t, so |Phi_Pu| bounds the degree.
-        assert exact_density.degree <= degree
+        assert len(exact_density) - 1 <= degree
         ts = np.linspace(-float(a) + 0.25, float(b) - 0.25, 7)
         got = density(ts)
-        want = np.array([float(exact_density(F(t).limit_denominator(10**12)) / scale) for t in ts])
+        want = np.array([float(horner(exact_density, F(t).limit_denominator(10**12)) / scale) for t in ts])
         assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -345,15 +347,15 @@ class TestAgainstExactIntegration:
     def test_polynomials_up_to_degree_60(self, coeffs):
         # Nonnegative coefficients keep the integral away from cancellation,
         # so a relative comparison is meaningful.
-        p = Polynomial(coeffs)
+        p = poly_product([coeffs])
         exact = float(integrate(p, 0, 2))
-        float_coeffs = np.array([float(c) for c in reversed(p.coeffs)])
+        float_coeffs = np.array([float(c) for c in reversed(p)])
         res = quad(lambda ts: np.polyval(float_coeffs, ts), 0.0, 2.0, degree=len(coeffs) - 1)
         assert res.estimate == pytest.approx(exact, rel=1e-12)
 
     def test_signed_fixed_case(self):
-        p = Polynomial((3, -10, 0, 7, -1))
+        p = (3, -10, 0, 7, -1)
         exact = float(integrate(p, -1, 2))
-        float_coeffs = np.array([float(c) for c in reversed(p.coeffs)])
+        float_coeffs = np.array([float(c) for c in reversed(p)])
         res = quad(lambda ts: np.polyval(float_coeffs, ts), -1.0, 2.0, degree=4)
         assert res.estimate == pytest.approx(exact, rel=1e-12)
