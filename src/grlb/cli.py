@@ -8,6 +8,10 @@ Exit codes: 0 success, 2 invalid arguments, 3 verification failure.
 The environment variable GRLB_MAX_N overrides the exact-computation ceiling
 on the size parameter n (default 100).  Under every command a bad or too-low
 GRLB_MAX_N, or any n past the ceiling, is an invalid argument (exit 2).
+
+Importing this module loads `records` and `engine` (with `exactnum` and
+`rootsystems`) only: `verify` imports `suites`, which brings `oracle` and
+`closedforms`, and `compute --route closed-form` imports `closedforms`.
 """
 
 from __future__ import annotations
@@ -15,10 +19,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__, records, suites
+from . import __version__, records
 from .engine import FAMILIES, HorosphericalDatum, InvalidDatumError
 
 VERIFY_FAILURE_EXIT = 3
+#: `suites.SUITES`, in its order: the parser names them without importing `suites`.
+_SUITES = ("lemmas", "closed-forms", "oracle", "bounds")
 #: The decimal expansion takes time quadratic in its length.
 MAX_DIGITS = 100_000
 
@@ -57,7 +63,7 @@ def _parser() -> argparse.ArgumentParser:
     table.add_argument("--id", required=True, type=int, choices=[1, 2, 3], help="Table number.")
     table.add_argument("--format", choices=["text", "json", "csv"], default="text", help=default)
     verify = command("verify", "Run a verification suite; exits 3 if any check fails.")
-    verify.add_argument("--suite", required=True, choices=list(suites.SUITES))
+    verify.add_argument("--suite", required=True, choices=_SUITES)
     verify.add_argument("--max-n", type=int, default=12, help=default)
     verify.add_argument("--format", choices=["text", "json"], default="text", help=default)
     return parser
@@ -80,6 +86,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             if args.max_n < 2:
                 args.error("--max-n must be at least 2")
+            from . import suites
+
             rows = records.verify_rows(args.suite, args.max_n, suites.run_suite(args.suite, args.max_n))
     except InvalidDatumError as exc:
         args.error(str(exc))

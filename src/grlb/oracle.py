@@ -27,9 +27,14 @@ a form divided by its maximum (a+b) max(u, v) on the segment is
 [-1, 1] at any n.  The rows of forms, padded to one width with forms of
 multiplicity 0, are integrated by one `quad` per block of rows that share a
 node count: the exponential of one (rows x nodes x forms) log array times
-the multiplicities.  Each block, and each chunk of pairs times roots, holds
-at most `_ENTRY_BUDGET` entries, so memory stays bounded at any n.  A row
-with a non-finite value fails only its own datum's check.
+the multiplicities.  A row whose largest value at the nodes is below
+exp(_LOG_FLOOR), the square root of the smallest normal float, has that
+largest log value subtracted first: the shift cancels in tbar and R, and
+keeps the density from underflowing past n ~ 650.  Each block, and each
+chunk of pairs times roots, holds at most `_ENTRY_BUDGET` entries, but one
+marked pair's gather of its roots and one row's node axis are never split,
+so memory still grows with n: `crosscheck(X1(1600))` peaks at about 405 MB.
+A row with a non-finite value fails only its own datum's check.
 
 `crosscheck` maps each family to its group and oriented marked pair
 itself, and takes from `engine.report` only the values it checks: the
@@ -40,13 +45,14 @@ fails it.  Its report stores the numbers only, and `ok` is read off them.
 On a 2-CPU host `crosscheck(X1(400))` takes about 0.08 s.
 
 numpy is imported inside the functions that use it, so importing this module
-(and the CLI, through `suites`) does not load it.
+does not load it; the CLI imports this module only for `verify`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -69,13 +75,17 @@ __all__ = [
 #: crosscheck's relative tolerance on tbar and R against the exact values.
 CROSSCHECK_REL_TOL = 1e-9
 
+#: Half the logarithm of the smallest normal float: a density row whose
+#: largest value lies below exp(_LOG_FLOOR) is rescaled before it underflows.
+_LOG_FLOOR = math.log(sys.float_info.min) / 2
+
 #: Entries of the largest array the oracle builds: a chunk of one system's
 #: marked pairs times its roots, or a block of rows times nodes times forms.
 _ENTRY_BUDGET = 1 << 14
 
 
 class EvaluationFailureError(ArithmeticError):
-    """The integrand returned a non-finite value."""
+    """The integrand returned a non-finite value, or the density a zero volume."""
 
 
 @dataclass(frozen=True)
@@ -214,7 +224,9 @@ def _density(u: np.ndarray, v: np.ndarray, mult: np.ndarray, xs: np.ndarray) -> 
 
     Row r is the product of the forms (u (1+x) + v (1-x)) / (2 max(u, v))
     to the powers mult over its columns; a column with u == v == 1 and
-    mult 0 is padding.  Its degree is at most the row's sum of mult.
+    mult 0 is padding.  Its degree is at most the row's sum of mult.  A row
+    whose largest value at xs is below exp(_LOG_FLOOR) is divided by that
+    value, so it does not underflow; the factor cancels in tbar and R.
     """
     import numpy as np
 
@@ -224,7 +236,10 @@ def _density(u: np.ndarray, v: np.ndarray, mult: np.ndarray, xs: np.ndarray) -> 
     forms += ((u + v) / top)[:, None]
     with np.errstate(divide="ignore"):
         logs = np.log(forms, out=forms)
-    return np.exp(logs @ mult[:, :, None])[..., 0]
+    logs = (logs @ mult[:, :, None])[..., 0]
+    peak = logs.max(axis=1, keepdims=True)
+    logs -= np.where(np.isfinite(peak) & (peak < _LOG_FLOOR), peak, 0.0)
+    return np.exp(logs)
 
 
 class Estimate(NamedTuple):
@@ -307,12 +322,15 @@ def crosscheck(datum: HorosphericalDatum, estimate: Estimate | None = None) -> C
     when the oracle's segment equals the engine's and the tbar and R it
     gives match the engine's within CROSSCHECK_REL_TOL.  The only bound on n
     is the exact ceiling, through the InvalidDatumError that `engine.report`
-    raises first.
+    raises first.  A non-finite moment or a zero volume raises
+    EvaluationFailureError.
     """
     exact = engine.report(datum)
     a, b, volume, first = estimates([datum])[0] if estimate is None else estimate
     if not (math.isfinite(volume) and math.isfinite(first)):
         raise EvaluationFailureError("integrand returned a non-finite value")
+    if volume == 0:
+        raise EvaluationFailureError("the density integrated to a zero volume")
     t_bar_quad = first / volume
     if t_bar_quad > 0:
         r_quad = a / (a + t_bar_quad)

@@ -26,7 +26,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from . import closedforms, engine
+from . import engine
 from .engine import HorosphericalDatum, InvalidDatumError
 from .exactnum import frac_str, parse_frac, to_decimal
 
@@ -86,13 +86,15 @@ def record_for(datum: HorosphericalDatum, digits: int = 4, route: str = "engine"
     """One computed manifold: every field as text; CSV carries the decimal R only.
 
     route "closed-form" recomputes R from the family's integral formula
-    (X1 and X3 only); everything else always comes from the engine.  R, tbar
-    and the segment's endpoints are each rendered once, and every format
-    reuses those strings.
+    (X1 and X3 only), and only this route imports `closedforms`; everything
+    else always comes from the engine.  R, tbar and the segment's endpoints
+    are each rendered once, and every format reuses those strings.
     """
     rep = engine.report(datum)
     r_value = rep.R
     if route == "closed-form":
+        from . import closedforms
+
         if datum.family == "X1":
             r_value = closedforms.r_x1_formula(datum.n)
         elif datum.family == "X3":

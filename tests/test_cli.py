@@ -212,11 +212,11 @@ def test_output_is_byte_identical_to_golden(run_grlb, command, digest):
 
 @pytest.mark.parametrize("command,digest", GOLDEN_FAILING_VERIFY)
 def test_failing_verify_is_byte_identical_to_golden(run_grlb, monkeypatch, command, digest):
-    from grlb import cli as cli_module
+    from grlb import suites
     from grlb.suites import CheckResult
 
     monkeypatch.setattr(
-        cli_module.suites,
+        suites,
         "run_suite",
         lambda suite, max_n: [CheckResult("forced", False, "synthetic failure")],
     )
@@ -383,11 +383,11 @@ class TestVerify:
         assert result.exit_code == 2
 
     def test_failing_check_exits_3(self, run_grlb, monkeypatch):
-        from grlb import cli as cli_module
+        from grlb import suites
         from grlb.suites import CheckResult
 
         monkeypatch.setattr(
-            cli_module.suites,
+            suites,
             "run_suite",
             lambda suite, max_n: [CheckResult("forced", False, "synthetic failure")],
         )
@@ -478,13 +478,45 @@ def test_help_exits_0_and_lists_every_option(run_grlb, command, entries):
 def test_cli_import_leaves_out_numpy_and_mpmath():
     # compute and table need neither; the oracle imports numpy on use,
     # mpmath is only a test dependency, and the parser is argparse's.
+    # suites, oracle and closedforms load only for verify or the closed-form route.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import grlb.cli; "
-        "print(sorted({'numpy', 'mpmath', 'click'} & set(sys.modules)))"
+        "print(sorted({'numpy', 'mpmath', 'click'} & set(sys.modules))); "
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'grlb'))"
     )
     src = str(Path(grlb.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == [
+        "[]",
+        str(["grlb", "grlb.cli", "grlb.engine", "grlb.exactnum", "grlb.records", "grlb.rootsystems"]),
+    ]
+
+
+def test_cli_suite_choices_are_the_suites():
+    from grlb import cli, suites
+
+    assert cli._SUITES == suites.SUITES
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "compute --family X1 --n 5 --route closed-form",
+        "compute --family X3 --n 6 --k 3",
+        "table --id 2",
+        "verify --suite lemmas --max-n 6",
+        "verify --suite oracle --max-n 6",
+    ],
+)
+def test_fresh_process_reaches_every_deferred_import(run_grlb, command):
+    """A fresh `python -m grlb.cli` prints what the in-process run prints.
+
+    In-process, the tests have already imported every module, so only a
+    fresh interpreter shows a module that a command uses but never imports.
+    """
+    out = _grlb_process(command, GRLB_MAX_N=None)
+    assert out.returncode == 0, out.stderr.decode()
+    assert out.stdout.decode() == run_grlb(command.split(), env={"GRLB_MAX_N": None}).stdout
 
 
 #: The dense polynomial and the root table: the tests' references, which no command needs.

@@ -14,6 +14,7 @@ from grlb.engine import HorosphericalDatum, InvalidDatumError
 from grlb.oracle import (
     CROSSCHECK_REL_TOL,
     CrosscheckReport,
+    Estimate,
     EvaluationFailureError,
     _root_system,
     crosscheck,
@@ -269,6 +270,25 @@ class TestCrosscheck:
         assert rep.ok
         assert rep.t_bar_rel_err <= 1e-12
         assert rep.r_rel_err <= 1e-12
+
+    @pytest.mark.parametrize(
+        "datum",
+        [HorosphericalDatum("X3", n=700, k=350), HorosphericalDatum("X3", n=800, k=400)],
+        ids=lambda d: d.label(),
+    )
+    def test_density_does_not_underflow_past_n_650(self, monkeypatch, datum):
+        # Unshifted, X3(700,350) was off by 1.4e-7 and X3(800,400) integrated to 0.
+        monkeypatch.setenv("GRLB_MAX_N", "800")
+        rep = crosscheck(datum)
+        assert rep.ok
+        assert rep.t_bar_rel_err <= 1e-12
+        assert rep.r_rel_err <= 1e-12
+
+    @pytest.mark.parametrize("volume", [0.0, float("nan")])
+    def test_zero_or_non_finite_volume_is_an_evaluation_failure(self, volume):
+        datum = HorosphericalDatum("X3", n=6, k=3)
+        with pytest.raises(EvaluationFailureError):
+            crosscheck(datum, Estimate(3.0, 8.0, volume, 1.0))
 
     def test_ok_follows_from_the_errors_and_segments(self):
         def report(t_err=CROSSCHECK_REL_TOL, r_err=CROSSCHECK_REL_TOL, segment_oracle=(3.0, 8.0)):
