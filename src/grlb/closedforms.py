@@ -12,7 +12,7 @@ is one integer sum over a common denominator, and each result one Fraction.
   s^(b-1) (hi-s)^(k-1) (c+s)^(k-1), c = 4n-3k+4-b.  Only (c+s)^(k-1) is
   expanded, and each of its terms integrates as the Beta integral
   Int_0^hi s^(m+j) (hi-s)^p ds = hi^(m+j+p+1) (m+j)! p! / (m+j+p+1)!
-  (`_beta_sum`).  The weights b - t = s and k + t = hi - s raise m or p.
+  (`_beta_sum`).  The weight b - t = s raises m by one (`_x3_barycenter`).
 - The X1 comparison integral: s = t + n on [0, n+2]; the integrand is
   s^(n-1) (s-n) (n+2-s), times the constant (2n+2)^(n(n-1)/2): one more
   Beta sum.
@@ -150,19 +150,26 @@ def _x3_cofactor(n: int, k: int) -> tuple[int, list[int], int]:
     return b, _linear_pow_int(4 * n - 3 * k + 4 - b, 1, k - 1), b + k
 
 
-def r_x3_formula(n: int, k: int) -> Fraction:
-    """R(X3(n, k)) = b Int f / Int (b-t) f over [-k, b], b = 2n-2k+2, f the X3 integrand.
+def _x3_barycenter(n: int, k: int) -> Fraction:
+    """tbar = b - Int s f / Int f, f the X3(n, k) integrand in s = b - t (`_x3_cofactor`)."""
+    b, q, hi = _x3_cofactor(n, k)
+    num0, den0 = _beta_sum(b - 1, k - 1, q, hi)
+    num1, den1 = _beta_sum(b, k - 1, q, hi)
+    return Fraction(b * num0 * den1 - num1 * den0, num0 * den1)
 
-    f = (k+t)^(k-1) (b-t)^(b-1) (4n-3k+4-t)^(k-1).  Valid for n >= k >= 2; at
-    k == n it reproduces the factorial closed form.
+
+def r_x3_formula(n: int, k: int) -> Fraction:
+    """R(X3(n, k)) = b / (b - tbar) on [-k, b], b = 2n-2k+2 (`_x3_barycenter`).
+
+    tbar is the barycenter of f = (k+t)^(k-1) (b-t)^(b-1) (4n-3k+4-t)^(k-1).
+    Valid for n >= k >= 2; at k == n it reproduces the factorial closed form.
     """
     if not (isinstance(n, int) and isinstance(k, int) and n >= k >= 2):
         raise InvalidParameterError("X3 formula requires n >= k >= 2")
-    b, q, hi = _x3_cofactor(n, k)
-    # b - t = s raises the power of s by one.
-    num0, den0 = _beta_sum(b - 1, k - 1, q, hi)
-    num1, den1 = _beta_sum(b, k - 1, q, hi)
-    return Fraction(b * num0 * den1, den0 * num1)
+    b = 2 * n - 2 * k + 2
+    t_bar = _x3_barycenter(n, k)
+    # b / (b - tbar), normalized once.
+    return Fraction(b * t_bar.denominator, b * t_bar.denominator - t_bar.numerator)
 
 
 def r_x3nn_closed(n: int) -> Fraction:
@@ -211,12 +218,8 @@ def lemma_x3nk_sign(n: int, k: int) -> BoundCheck:
     """The (k+t)-weighted mean of the X3 integrand stays strictly below k."""
     if not n > k >= 2:
         raise InvalidParameterError("X3(n, k) sign lemma requires n > k >= 2")
-    b, q, hi = _x3_cofactor(n, k)
-    # k + t = hi-s raises the power of hi-s by one.
-    num0, den0 = _beta_sum(b - 1, k - 1, q, hi)
-    num1, den1 = _beta_sum(b - 1, k, q, hi)
-    ratio = Fraction(num1 * den0, den1 * num0)
-    return BoundCheck("upper-bound", ratio, Fraction(k))
+    # The (k+t)-weighted mean is k + tbar: below k exactly when tbar < 0.
+    return BoundCheck("upper-bound", k + _x3_barycenter(n, k), Fraction(k))
 
 
 def _x3nn_stirling(n: int) -> BoundCheck:

@@ -48,7 +48,7 @@ from fractions import Fraction
 
 from .exactnum import _int_mul, _linear_pow_int, poly_product
 from .rootsystems import (
-    RootSystem, RootVector, _check_marked, build_root_system, half_length, unipotent_radical
+    RootSystem, RootVector, _check_marked, _root_data, build_root_system, unipotent_radical
 )
 
 __all__ = [
@@ -340,8 +340,8 @@ def report(datum: HorosphericalDatum) -> ComputationReport:
     type_label, rank, i, j = _marked_pair(datum)
     marked, two_rho_p = unipotent_radical(type_label, rank, i, j)
     seg = _segment(i, j, two_rho_p)
-    d_i, d_j = half_length(type_label, rank, i), half_length(type_label, rank, j)
-    t_bar = _barycenter(seg, _forms(marked, d_i, d_j))
+    half_lengths = _root_data(type_label, rank)[0]
+    t_bar = _barycenter(seg, _forms(marked, half_lengths[i - 1], half_lengths[j - 1]))
     return ComputationReport(
         datum=datum,
         dimension=sum(marked.values()) + 1,

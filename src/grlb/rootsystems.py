@@ -30,13 +30,14 @@ coefficients by integer comparisons, and keeps the column sums of the roots
 it counts in a difference array: O(n^2) time and O(n) memory, with no root
 tuple built.
 
-F4 and G2 are small fixed tables.  `half_length(type_label, rank, m)` is half
-the squared length of alpha_m under the bilinear form normalization in which
-the pairing of a simple root with its own fundamental weight equals that half
-length; these are the factors the Duistermaat-Heckman densities are built
-from.  Every supported Dynkin diagram is the path 1 - 2 - ... - rank, so the
-coroot alpha_l^vee pairs with a root sum of column sums t as
-2 t_l - t_{l-1} - t_{l+1}, but for one entry off that pattern.
+F4 and G2 are small fixed tables.  `_root_data(type_label, rank)` is the one
+function that branches on the type (the B_n and C_n code takes only the flag
+long_last).  It gives the half squared lengths of the simple roots, under the
+normalization in which a simple root pairs with its own fundamental weight to
+its half length (the factors of the Duistermaat-Heckman density); the one
+Cartan entry off the path pattern; and F4's or G2's table.  Every supported
+Dynkin diagram is the path 1 - 2 - ... - rank, so alpha_l^vee pairs with a
+root sum of column sums t as 2 t_l - t_{l-1} - t_{l+1}, but for that entry.
 `_coroot_pairings` is that one rule: `unipotent_radical` applies it to the
 walk's column sums and `weight_of_root_sum` to the column sums of any list of
 roots.
@@ -47,6 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 RootVector = tuple[int, ...]
@@ -114,26 +116,33 @@ def _type_bc_roots(rank: int, long_last: bool) -> tuple[RootVector, ...]:
     return tuple(roots)
 
 
-def _check_supported(type_label: str, rank: int) -> None:
-    bc = type_label in ("B", "C") and rank >= 2
-    if not (bc or (type_label, rank) in (("F4", 4), ("G2", 2))):
-        raise UnsupportedRootSystemError(
-            f"unsupported root system ({type_label!r}, rank {rank})"
-        )
+@lru_cache(maxsize=128)
+def _root_data(
+    type_label: str, rank: int
+) -> tuple[tuple[Fraction, ...], tuple[int, int, int], tuple[RootVector, ...] | None]:
+    """(half_lengths, off_path_entry, fixed_table), half_lengths those of alpha_1..alpha_rank.
+
+    off_path_entry is (l, m, <alpha_l^vee, alpha_m>), the one Cartan entry not
+    2, -1 or 0; fixed_table is None for B_n and C_n, which are walked.  Cached:
+    `report` reads it twice per call, and a B_n or C_n half-length tuple is rank long.
+    """
+    if type_label == "B" and rank >= 2:
+        return (_ONE,) * (rank - 1) + (_HALF,), (rank, rank - 1, -2), None
+    if type_label == "C" and rank >= 2:
+        return (_ONE,) * (rank - 1) + (Fraction(2),), (rank - 1, rank, -2), None
+    if (type_label, rank) == ("F4", 4):
+        return (_ONE, _ONE, _HALF, _HALF), (3, 2, -2), _F4_POSITIVE_ROOTS
+    if (type_label, rank) == ("G2", 2):
+        return (_HALF, Fraction(3, 2)), (1, 2, -3), _G2_POSITIVE_ROOTS
+    raise UnsupportedRootSystemError(f"unsupported root system ({type_label!r}, rank {rank})")
 
 
 def half_length(type_label: str, rank: int, m: int) -> Fraction:
     """Half the squared length of alpha_m, for m in 1..rank."""
-    _check_supported(type_label, rank)
+    half_lengths = _root_data(type_label, rank)[0]
     if not 1 <= m <= rank:
         raise ValueError(f"simple root index must be in 1..{rank}, got {m}")
-    if type_label == "F4":
-        return (_ONE, _ONE, _HALF, _HALF)[m - 1]
-    if type_label == "G2":
-        return (_HALF, Fraction(3, 2))[m - 1]
-    if m < rank:
-        return _ONE
-    return _HALF if type_label == "B" else Fraction(2)
+    return half_lengths[m - 1]
 
 
 def build_root_system(type_label: str, rank: int) -> RootSystem:
@@ -141,36 +150,22 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
 
     Supported pairs: ("B", n>=2), ("C", n>=2), ("F4", 4), ("G2", 2).
     """
-    _check_supported(type_label, rank)
-    if type_label in ("B", "C"):
+    half_lengths, _, roots = _root_data(type_label, rank)
+    if roots is None:
         roots = _type_bc_roots(rank, long_last=type_label == "C")
-    else:
-        roots = _F4_POSITIVE_ROOTS if type_label == "F4" else _G2_POSITIVE_ROOTS
-    half = tuple(half_length(type_label, rank, m) for m in range(1, rank + 1))
-    return RootSystem(type_label=type_label, rank=rank, positive_roots=roots, half_lengths=half)
+    return RootSystem(type_label=type_label, rank=rank, positive_roots=roots, half_lengths=half_lengths)
 
 
-def _off_path_entry(type_label: str, rank: int) -> tuple[int, int, int]:
-    """(l, m, <alpha_l^vee, alpha_m>) for the one Cartan entry that is not 2, -1 or 0."""
-    if type_label == "B":
-        return rank, rank - 1, -2
-    if type_label == "C":
-        return rank - 1, rank, -2
-    if type_label == "F4":
-        return 3, 2, -2
-    return 1, 2, -3
-
-
-def _coroot_pairings(type_label: str, rank: int, t: list[int]) -> dict[int, int]:
+def _coroot_pairings(off_path_entry: tuple[int, int, int], t: list[int]) -> dict[int, int]:
     """Nonzero <alpha_l^vee, sum> by 1-based index l, from padded column sums.
 
     t[m] is the sum's coefficient of alpha_m for m in 1..rank, and
     t[0] = t[rank+1] = 0.  On the path diagram the pairing is
-    2 t_l - t_{l-1} - t_{l+1}, but for the one entry off that pattern.
+    2 t_l - t_{l-1} - t_{l+1}, but for off_path_entry (`_root_data`).
     """
-    off_l, off_m, entry = _off_path_entry(type_label, rank)
+    off_l, off_m, entry = off_path_entry
     pairings = {}
-    for l in range(1, rank + 1):
+    for l in range(1, len(t) - 1):
         c = 2 * t[l] - t[l - 1] - t[l + 1]
         if l == off_l:
             c += (entry + 1) * t[off_m]
@@ -185,7 +180,7 @@ def weight_of_root_sum(rs: RootSystem, roots: Iterable[RootVector]) -> dict[int,
     The coefficient of the l-th fundamental weight is <alpha_l^vee, sum>.
     """
     total = [sum(column) for column in zip(*roots)] or [0] * rs.rank
-    return _coroot_pairings(rs.type_label, rs.rank, [0, *total, 0])
+    return _coroot_pairings(_root_data(rs.type_label, rs.rank)[1], [0, *total, 0])
 
 
 def _check_marked(rank: int, i: int, j: int) -> None:
@@ -247,12 +242,10 @@ def unipotent_radical(
     index, as `weight_of_root_sum` gives them.  B_n and C_n are walked in the
     orthonormal basis (module docstring); F4 and G2 read their fixed tables.
     """
-    _check_supported(type_label, rank)
+    _, off_path_entry, table = _root_data(type_label, rank)
     _check_marked(rank, i, j)
-    if type_label in ("B", "C"):
+    if table is None:
         marked, t = _bc_walk(rank, type_label == "C", i, j)
-    elif type_label == "F4":
-        marked, t = _table_walk(_F4_POSITIVE_ROOTS, i, j)
     else:
-        marked, t = _table_walk(_G2_POSITIVE_ROOTS, i, j)
-    return marked, _coroot_pairings(type_label, rank, t)
+        marked, t = _table_walk(table, i, j)
+    return marked, _coroot_pairings(off_path_entry, t)

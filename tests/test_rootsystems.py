@@ -53,6 +53,20 @@ def simple_roots_orthonormal(type_label, n):
     return alphas
 
 
+def plate_simple_roots(type_label, n):
+    """Bourbaki's simple roots over the epsilon basis, and the scale of its inner product.
+
+    B_n and C_n are Plates II and III, F4 is Plate VIII, and G2 is Plate IX,
+    whose inner product is halved so that the short root has squared length 1.
+    """
+    if type_label == "F4":
+        h = F(1, 2)
+        return [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (h, -h, -h, -h)], 1
+    if type_label == "G2":
+        return [(1, -1, 0), (-2, 1, 1)], F(1, 2)
+    return simple_roots_orthonormal(type_label, n), 1
+
+
 class TestConstruction:
     def test_g2_roots(self):
         rs = build_root_system("G2", 2)
@@ -195,12 +209,21 @@ class TestWeights:
     @pytest.mark.parametrize("type_label,n", SUPPORTED)
     def test_cartan_symmetry_under_half_lengths(self, type_label, n):
         # pairing[l][m] * d_l is the symmetric bilinear form on simple roots.
+        # Against the plates' epsilon-basis simple roots, d_m = (alpha_m, alpha_m)/2
+        # and pairing[l][m] = 2 (alpha_l, alpha_m) / (alpha_l, alpha_l).
         rs = build_root_system(type_label, n)
         simple = [tuple(int(l == m) for l in range(n)) for m in range(n)]
         pairing = [[weight_of_root_sum(rs, [simple[m]]).get(l + 1, 0) for m in range(n)] for l in range(n)]
+        alphas, scale = plate_simple_roots(type_label, n)
+
+        def form(x, y):
+            return scale * sum(F(p) * q for p, q in zip(x, y))
+
         for l in range(n):
+            assert rs.half_lengths[l] == form(alphas[l], alphas[l]) / 2
             for m in range(n):
                 assert pairing[l][m] * rs.half_lengths[l] == pairing[m][l] * rs.half_lengths[m]
+                assert pairing[l][m] == 2 * form(alphas[l], alphas[m]) / form(alphas[l], alphas[l])
 
     def test_b3_alpha2_in_weight_coordinates(self):
         rs = build_root_system("B", 3)
