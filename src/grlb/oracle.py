@@ -27,13 +27,12 @@ a form divided by its maximum (a+b) max(u, v) on the segment is
 [-1, 1] at any n.  The rows of forms, padded to one width with forms of
 multiplicity 0, are integrated by one `quad` per block of rows that share a
 node count: the exponential of one (rows x nodes x forms) log array times
-the multiplicities.  A row whose largest value at the nodes is below
-exp(_LOG_FLOOR), the square root of the smallest normal float, has that
-largest log value subtracted first: the shift cancels in tbar and R, and
-keeps the density from underflowing past n ~ 650.  Each block, and each
-chunk of pairs times roots, holds at most `_ENTRY_BUDGET` entries, but one
-marked pair's gather of its roots and one row's node axis are never split,
-so memory still grows with n: `crosscheck(X1(1600))` peaks at about 405 MB.
+the multiplicities, less each row's largest log value at the nodes.  So
+every row peaks at 1.0 there and none underflows, past n ~ 650 either; the
+shift cancels in tbar and R.  Each block, and each chunk of pairs times
+roots, holds at most `_ENTRY_BUDGET` entries, but one marked pair's gather
+of its roots and one row's node axis are never split, so memory still
+grows with n: `crosscheck(X1(1600))` peaks at about 405 MB.
 A row with a non-finite value fails only its own datum's check.
 
 `crosscheck` maps each family to its group and oriented marked pair
@@ -52,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -74,10 +72,6 @@ __all__ = [
 
 #: crosscheck's relative tolerance on tbar and R against the exact values.
 CROSSCHECK_REL_TOL = 1e-9
-
-#: Half the logarithm of the smallest normal float: a density row whose
-#: largest value lies below exp(_LOG_FLOOR) is rescaled before it underflows.
-_LOG_FLOOR = math.log(sys.float_info.min) / 2
 
 #: Entries of the largest array the oracle builds: a chunk of one system's
 #: marked pairs times its roots, or a block of rows times nodes times forms.
@@ -129,7 +123,7 @@ def quad(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, degree: in
 
 #: Bourbaki's Plates VIII (F4, in R^4) and IX (G2, in the plane x1+x2+x3 = 0
 #: of R^3), in the epsilon basis: the simple roots and fundamental weights in
-#: index order, and G2's positive roots.  F4's are generated in `_positive_roots`.
+#: index order, and G2's positive roots.  F4's are generated in `_plate`.
 _F4_SIMPLE = ((0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (0.5, -0.5, -0.5, -0.5))
 _F4_WEIGHTS = ((1, 1, 0, 0), (2, 1, 1, 0), (1.5, 0.5, 0.5, 0.5), (1, 0, 0, 0))
 _G2_SIMPLE = ((1, -1, 0), (-2, 1, 1))
@@ -147,11 +141,13 @@ def _root_system(datum: HorosphericalDatum) -> tuple[str, int, int, int]:
     return {"X2": ("B", 3, 1, 3), "X4": ("F4", 4, 2, 3), "X5": ("G2", 2, 1, 2)}[f]
 
 
-def _positive_roots(type_label: str, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """(idx, coef): root r is sum_c coef[r, c] L_{idx[r, c]}.
+def _plate(type_label: str, rank: int) -> tuple[np.ndarray, ...]:
+    """(idx, coef, omega, alpha): one root system's plate in the epsilon basis.
 
-    B_n and C_n store each root by its two epsilon coordinates, so the arrays
-    hold O(n^2) numbers; F4 and G2 store their roots dense.
+    Root r is sum_c coef[r, c] L_{idx[r, c]}, and row m - 1 of omega and
+    alpha is omega_m and alpha_m.  B_n and C_n store each root by its two
+    epsilon coordinates, so the arrays hold O(n^2) numbers; F4 and G2 store
+    their roots dense.
     """
     import numpy as np
 
@@ -159,33 +155,25 @@ def _positive_roots(type_label: str, rank: int) -> tuple[np.ndarray, np.ndarray]
         p, q = np.triu_indices(rank, 1)
         diag = np.arange(rank)
         idx = np.stack([np.concatenate([p, p, diag]), np.concatenate([q, q, diag])], axis=1)
-        # L_p - L_q, L_p + L_q, then L_p (B_n) or 2 L_p (C_n).
-        kinds = [[1.0, -1.0], [1.0, 1.0], [1.0 if type_label == "B" else 2.0, 0.0]]
-        return idx, np.repeat(kinds, [len(p), len(p), rank], axis=0)
+        omega, alpha = np.tri(rank), np.eye(rank) - np.eye(rank, k=1)
+        # L_p - L_q, L_p + L_q, then L_p and omega_n / 2 (B_n) or 2 L_p and alpha_n = 2 L_n (C_n).
+        if type_label == "B":
+            last = 1.0
+            omega[-1] /= 2
+        else:
+            last = alpha[-1, -1] = 2.0
+        coef = np.repeat([[1.0, -1.0], [1.0, 1.0], [last, 0.0]], [len(p), len(p), rank], axis=0)
+        return idx, coef, omega, alpha
     if type_label == "F4":
         eye = np.eye(4)
         p, q = np.triu_indices(4, 1)
         halves = [(0.5, *signs) for signs in itertools.product((0.5, -0.5), repeat=3)]
         dense = np.concatenate([eye, eye[p] - eye[q], eye[p] + eye[q], halves])
+        omega, alpha = np.array(_F4_WEIGHTS, dtype=float), np.array(_F4_SIMPLE, dtype=float)
     else:
         dense = np.array(_G2_POSITIVE, dtype=float)
-    return np.broadcast_to(np.arange(dense.shape[1]), dense.shape), dense
-
-
-def _weights_and_simple(type_label: str, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """(omega, alpha): row m - 1 of each is omega_m and alpha_m in the epsilon basis."""
-    import numpy as np
-
-    if type_label == "F4":
-        return np.array(_F4_WEIGHTS, dtype=float), np.array(_F4_SIMPLE, dtype=float)
-    if type_label == "G2":
-        return np.array(_G2_WEIGHTS, dtype=float), np.array(_G2_SIMPLE, dtype=float)
-    omega, alpha = np.tri(rank), np.eye(rank) - np.eye(rank, k=1)
-    if type_label == "B":
-        omega[-1] /= 2
-    else:
-        alpha[-1, -1] = 2.0
-    return omega, alpha
+        omega, alpha = np.array(_G2_WEIGHTS, dtype=float), np.array(_G2_SIMPLE, dtype=float)
+    return np.broadcast_to(np.arange(dense.shape[1]), dense.shape), dense, omega, alpha
 
 
 def _forms(type_label: str, rank: int, members: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -199,8 +187,7 @@ def _forms(type_label: str, rank: int, members: np.ndarray) -> tuple[np.ndarray,
     """
     import numpy as np
 
-    idx, coef = _positive_roots(type_label, rank)
-    omega, alpha = _weights_and_simple(type_label, rank)
+    idx, coef, omega, alpha = _plate(type_label, rank)
     chunks, step = [], max(1, _ENTRY_BUDGET // (4 * idx.size))
     for start in range(0, len(members), step):
         datum, i, j = members[start : start + step].T
@@ -220,16 +207,19 @@ def _forms(type_label: str, rank: int, members: np.ndarray) -> tuple[np.ndarray,
 
 
 def _density(u: np.ndarray, v: np.ndarray, mult: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(rows x nodes): each row's density at xs in [-1, 1], scaled into [0, 1].
+    """(rows x nodes): each row's density at xs in [-1, 1], divided by its largest value there.
 
     Row r is the product of the forms (u (1+x) + v (1-x)) / (2 max(u, v))
     to the powers mult over its columns; a column with u == v == 1 and
-    mult 0 is padding.  Its degree is at most the row's sum of mult.  A row
-    whose largest value at xs is below exp(_LOG_FLOOR) is divided by that
-    value, so it does not underflow; the factor cancels in tbar and R.
+    mult 0 is padding.  Its degree is at most the row's sum of mult.  Each
+    row is then divided by its largest value at xs, which becomes 1.0, so
+    no row underflows to zero at any n; the factor cancels in tbar and R.
+    A row that is zero at every x stays zero.
     """
     import numpy as np
 
+    # Scaling each form as well as the row keeps the logs small: without it
+    # the oracle suite's worst error at --max-n 100 rose from 3e-13 to 1.3e-12.
     top = 2 * np.maximum(u, v)
     # u (1+x) + v (1-x) as (u+v) + (u-v) x: one (rows x nodes x forms) array.
     forms = ((u - v) / top)[:, None] * xs[:, None]
@@ -238,7 +228,7 @@ def _density(u: np.ndarray, v: np.ndarray, mult: np.ndarray, xs: np.ndarray) -> 
         logs = np.log(forms, out=forms)
     logs = (logs @ mult[:, :, None])[..., 0]
     peak = logs.max(axis=1, keepdims=True)
-    logs -= np.where(np.isfinite(peak) & (peak < _LOG_FLOOR), peak, 0.0)
+    logs -= np.where(np.isfinite(peak), peak, 0.0)
     return np.exp(logs)
 
 

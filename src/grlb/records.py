@@ -87,9 +87,15 @@ def record_for(datum: HorosphericalDatum, digits: int = 4, route: str = "engine"
 
     route "closed-form" recomputes R from the family's integral formula
     (X1 and X3 only), and only this route imports `closedforms`; everything
-    else always comes from the engine.  R, tbar and the segment's endpoints
-    are each rendered once, and every format reuses those strings.
+    else always comes from the engine.  The route and family are checked
+    before the engine runs, and the engine runs before the formula, so the
+    ceiling's error comes first.  R, tbar and the segment's endpoints are
+    each rendered once, and every format reuses those strings.
     """
+    if route not in ("engine", "closed-form"):
+        raise ValueError(f"unknown route {route!r}")
+    if route == "closed-form" and datum.family not in ("X1", "X3"):
+        raise InvalidDatumError("closed-form route exists only for families X1 and X3")
     rep = engine.report(datum)
     r_value = rep.R
     if route == "closed-form":
@@ -97,12 +103,8 @@ def record_for(datum: HorosphericalDatum, digits: int = 4, route: str = "engine"
 
         if datum.family == "X1":
             r_value = closedforms.r_x1_formula(datum.n)
-        elif datum.family == "X3":
-            r_value = closedforms.r_x3_formula(datum.n, datum.k)
         else:
-            raise InvalidDatumError("closed-form route exists only for families X1 and X3")
-    elif route != "engine":
-        raise ValueError(f"unknown route {route!r}")
+            r_value = closedforms.r_x3_formula(datum.n, datum.k)
     seg = rep.segment
     a, b, t_bar, r = (frac_str(x) for x in (seg.a, seg.b, rep.barycenter_t, r_value))
     r_decimal = to_decimal(r_value, digits)

@@ -251,6 +251,32 @@ class TestRecords:
         with pytest.raises(InvalidDatumError):
             record_for(HorosphericalDatum("X2"), route="closed-form")
 
+    def test_route_and_family_are_checked_before_the_engine_runs(self, monkeypatch):
+        from grlb import records
+
+        def no_report(datum):
+            raise AssertionError(f"engine.report({datum.label()}) ran before the arguments were checked")
+
+        monkeypatch.setattr(records.engine, "report", no_report)
+        with pytest.raises(InvalidDatumError):
+            record_for(HorosphericalDatum("X2"), route="closed-form")
+        with pytest.raises(ValueError, match="unknown route"):
+            record_for(HorosphericalDatum("X1", n=5), route="nope")
+
+    @pytest.mark.parametrize("datum", [HorosphericalDatum("X1", n=6), HorosphericalDatum("X3", n=6, k=3)], ids=str)
+    def test_closed_form_route_raises_the_ceiling_before_the_formula(self, monkeypatch, datum):
+        # The closed forms have no ceiling of their own: the engine's report must run first.
+        from grlb import closedforms
+
+        def no_formula(*args):
+            raise AssertionError("the formula ran before the ceiling was checked")
+
+        monkeypatch.setattr(closedforms, "r_x1_formula", no_formula)
+        monkeypatch.setattr(closedforms, "r_x3_formula", no_formula)
+        monkeypatch.setenv("GRLB_MAX_N", "5")
+        with pytest.raises(InvalidDatumError, match="ceiling"):
+            record_for(datum, route="closed-form")
+
     def test_csv_row(self):
         # dim = k(4n-3k+3)/2 = 38; 0.9576 rounds to the published 0.958.
         rows = record_for(HorosphericalDatum("X3", n=7, k=4))

@@ -199,11 +199,11 @@ class TestNoRootTable:
         """The one table a cross-check builds is the oracle's epsilon-basis root list."""
         built = Counter()
 
-        def counted(*args, _fn=oracle._positive_roots):
+        def counted(*args, _fn=oracle._plate):
             built[args] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(oracle, "_positive_roots", counted)
+        monkeypatch.setattr(oracle, "_plate", counted)
         assert oracle.crosscheck(datum).ok
         assert calls == {}
         assert built == {oracle._root_system(datum)[:2]: 1}
@@ -212,11 +212,11 @@ class TestNoRootTable:
         """The suite batches its data by root system: one epsilon-basis root list each."""
         built = Counter()
 
-        def counted(*args, _fn=oracle._positive_roots):
+        def counted(*args, _fn=oracle._plate):
             built[args] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(oracle, "_positive_roots", counted)
+        monkeypatch.setattr(oracle, "_plate", counted)
         assert all(r.passed for r in run_suite("oracle", 10))
         assert calls == {}
         assert built == Counter({oracle._root_system(d)[:2]: 1 for d in _oracle_data(10)})

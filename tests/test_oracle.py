@@ -160,6 +160,18 @@ class TestMarkedForms:
         # Plate IX's inner product is twice the one of the half lengths.
         _check_every_ordered_pair("G2", 2, scale=2)
 
+    @pytest.mark.parametrize(
+        ("type_label", "rank"),
+        [*((t, n) for t in ("B", "C") for n in range(2, 11)), ("F4", 4), ("G2", 2)],
+    )
+    def test_plate_weights_are_dual_to_the_simple_coroots(self, type_label, rank):
+        idx, coef, omega, alpha = oracle._plate(type_label, rank)
+        assert idx.shape == coef.shape
+        assert len(coef) == {"F4": 24, "G2": 6}.get(type_label, rank * rank)
+        # 2 (omega_l, alpha_m) / (alpha_m, alpha_m) is the Kronecker delta.
+        pairing = 2 * omega @ alpha.T / (alpha**2).sum(axis=1)
+        assert np.array_equal(pairing, np.eye(rank))
+
     def test_segment_is_the_engines_over_the_oracle_grid(self):
         data = list(_oracle_data(30))
         for datum, estimate in zip(data, estimates(data)):
@@ -189,10 +201,19 @@ class TestDensityEvaluator:
         vals = density(np.array([-a, b]))
         assert vals == pytest.approx([0.0, 0.0], abs=1e-12)
 
+    def test_each_row_peaks_at_one_at_the_quad_nodes(self):
+        for datum in _oracle_data(8):
+            u, v, mult, _, _ = _one_pair(datum)
+            nodes = []
+            quad(lambda xs: nodes.append(xs) or np.ones_like(xs), -1.0, 1.0, int(mult.sum()) + 1)
+            values = oracle._density(u[None], v[None], mult[None], nodes[0])
+            assert values.max() == 1.0, datum.label()
+
     def test_normalised_log_sum_matches_exact_density(self, horner):
         # The evaluator divides each of X1(9)'s 53 factors by its maximum
-        # (a+b)*max(u, v) on the segment; the exact density divided by the
-        # product of those maxima must match it pointwise.
+        # (a+b)*max(u, v) on the segment, and the row by its largest value
+        # at the points; both densities, each over its own largest value,
+        # must match pointwise.
         datum = HorosphericalDatum("X1", n=9)
         density, degree, a, b = _evaluator(datum)
         rs, _, _ = engine.resolve(datum)
@@ -208,7 +229,7 @@ class TestDensityEvaluator:
         ts = np.linspace(-float(a) + 0.25, float(b) - 0.25, 7)
         got = density(ts)
         want = np.array([float(horner(exact_density, F(t).limit_denominator(10**12)) / scale) for t in ts])
-        assert got == pytest.approx(want, rel=1e-9)
+        assert got / got.max() == pytest.approx(want / want.max(), rel=1e-9)
 
     @pytest.mark.parametrize(
         "datum",
