@@ -79,7 +79,15 @@ class BoundCheck:
 
     @property
     def margin(self) -> Fraction:
-        """Slack by which the relation holds (negative when violated)."""
+        """Slack by which the relation holds (negative when violated).
+
+        Its unit is that of the check's two sides, so margins of different
+        checks do not compare: a difference of R values for the X1 and
+        X3(n, k < n) bounds, the squared form for X3(n, n), and the raw
+        integral for `lemma_x1_sign`, which passes a float's range by n = 50
+        (float() raises OverflowError there).  Render it with
+        `exactnum.to_significant`, which takes any magnitude.
+        """
         return self.lhs - self.rhs if self.relation == "lower-bound" else self.rhs - self.lhs
 
     @property

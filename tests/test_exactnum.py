@@ -5,11 +5,12 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grlb.exactnum import (
     InvalidIntervalError,
+    _linear_pow_int,
     int_to_str,
     integrate,
     poly_product,
@@ -61,6 +62,19 @@ class TestPolynomialBasics:
         for _ in range(9):
             direct = poly_product([direct, base])
         assert poly_product([base] * 9) == direct
+
+    @given(
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=0, max_value=60),
+    )
+    @settings(max_examples=200)
+    @example(0, 0, 0)
+    @example(0, 7, 5)
+    @example(-3, 0, 60)
+    def test_linear_pow_int_is_the_binomial_expansion(self, c0, c1, m):
+        expected = [math.comb(m, k) * c0 ** (m - k) * c1**k for k in range(m + 1)]
+        assert _linear_pow_int(c0, c1, m) == expected
 
 
 class TestPolyProduct:

@@ -311,6 +311,14 @@ class TestCrosscheck:
         with pytest.raises(EvaluationFailureError):
             crosscheck(datum, Estimate(3.0, 8.0, volume, 1.0))
 
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_zero_barycenter_gives_one(self, first):
+        datum = HorosphericalDatum("X2")
+        segment = engine.report(datum).segment
+        rep = crosscheck(datum, Estimate(float(segment.a), float(segment.b), 1.0, first))
+        assert rep.t_bar_quad == 0.0
+        assert rep.r_quad == 1.0
+
     def test_ok_follows_from_the_errors_and_segments(self):
         def report(t_err=CROSSCHECK_REL_TOL, r_err=CROSSCHECK_REL_TOL, segment_oracle=(3.0, 8.0)):
             return CrosscheckReport(-0.5, 0.9, t_err, r_err, (3, 8), segment_oracle)
