@@ -33,9 +33,8 @@ its relation and both sides, and it holds when its margin is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactnum import _int_mul, _linear_pow_int
 
@@ -61,21 +60,27 @@ class InvalidParameterError(ValueError):
     """Raised for parameters outside a formula's domain."""
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    """Outcome of one exact inequality instance.
-
-    relation is "lower-bound" (lhs > rhs) or "upper-bound" (lhs < rhs); a
-    sign check is a lower bound against 0.  `holds` is the sign of `margin`.
-    """
-
+class _BoundCheckFields(NamedTuple):
     relation: str
     lhs: Fraction
     rhs: Fraction
 
-    def __post_init__(self) -> None:
-        if self.relation not in ("lower-bound", "upper-bound"):
-            raise ValueError(f"unknown relation tag {self.relation!r}")
+
+class BoundCheck(_BoundCheckFields):
+    """Outcome of one exact inequality instance.
+
+    relation is "lower-bound" (lhs > rhs) or "upper-bound" (lhs < rhs); a
+    sign check is a lower bound against 0.  `holds` is the sign of `margin`.
+    An unknown relation raises ValueError at construction; as a NamedTuple,
+    `_make` and `_replace` skip that check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, relation: str, lhs: Fraction, rhs: Fraction) -> BoundCheck:
+        if relation not in ("lower-bound", "upper-bound"):
+            raise ValueError(f"unknown relation tag {relation!r}")
+        return super().__new__(cls, relation, lhs, rhs)
 
     @property
     def margin(self) -> Fraction:

@@ -43,8 +43,8 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactnum import _int_mul, _linear_pow_int, poly_product
 from .rootsystems import (
@@ -109,39 +109,43 @@ def ceiling_error(n: int, ceiling: int) -> InvalidDatumError:
     )
 
 
-@dataclass(frozen=True)
-class HorosphericalDatum:
+class _DatumFields(NamedTuple):
+    family: str
+    n: int | None
+    k: int | None
+
+
+class HorosphericalDatum(_DatumFields):
     """Family tag plus the integer parameters the family takes.
 
     X1(n) needs n >= 3, X3(n, k) needs n >= k >= 2, and X2, X4, X5 are
     parameter-free.  Violations, and an n or k that is not an int (a bool
-    included), raise InvalidDatumError at construction.
+    included), raise InvalidDatumError at construction, unpickling included.
+    A NamedTuple: `_make` and `_replace` skip this validation.
     """
 
-    family: str
-    n: int | None = None
-    k: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        f = self.family
-        if f not in FAMILIES:
+    def __new__(cls, family: str, n: int | None = None, k: int | None = None) -> HorosphericalDatum:
+        self = super().__new__(cls, family, n, k)
+        if family not in FAMILIES:
             raise InvalidDatumError(
-                f"unknown family {f!r}: the classification lists X1..X5"
+                f"unknown family {family!r}: the classification lists X1..X5"
             )
         for name, value in self.params.items():
             if type(value) is not int:
                 raise InvalidDatumError(f"{name} must be an integer, got {value!r}")
-        if f == "X1":
-            if self.n is None or self.n < 3:
+        if family == "X1":
+            if n is None or n < 3:
                 raise InvalidDatumError("family X1 requires n >= 3")
-            if self.k is not None:
+            if k is not None:
                 raise InvalidDatumError("family X1 takes no parameter k")
-        elif f == "X3":
-            if self.n is None or self.k is None or not self.n >= self.k >= 2:
+        elif family == "X3":
+            if n is None or k is None or not n >= k >= 2:
                 raise InvalidDatumError("family X3 requires n >= k >= 2")
-        else:
-            if self.n is not None or self.k is not None:
-                raise InvalidDatumError(f"family {f} takes no parameters")
+        elif n is not None or k is not None:
+            raise InvalidDatumError(f"family {family} takes no parameters")
+        return self
 
     @property
     def params(self) -> dict[str, int]:
@@ -158,8 +162,7 @@ class HorosphericalDatum:
         return f"{self.family}({values})" if values else self.family
 
 
-@dataclass(frozen=True)
-class MomentSegment:
+class MomentSegment(NamedTuple):
     """The anticanonical moment polytope as a parametrized line segment.
 
     Points are gamma(t) = (a+t) w_i + (b-t) w_j for t in [-a, b], where
@@ -172,8 +175,7 @@ class MomentSegment:
     b: int
 
 
-@dataclass(frozen=True)
-class ComputationReport:
+class ComputationReport(NamedTuple):
     """Every exact quantity the pipeline produces for one datum."""
 
     datum: HorosphericalDatum

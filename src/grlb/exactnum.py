@@ -216,7 +216,7 @@ def to_significant(r: RationalLike, digits: int) -> str:
     num, den = abs(rf.numerator), rf.denominator
 
     def below(e: int) -> bool:  # num/den < 10**e, in integers
-        return num < den * 10**e if e >= 0 else num * 10**-e < den
+        return num * 10 ** max(-e, 0) < den * 10 ** max(e, 0)
 
     # Estimate floor(log10 |r|) from bit lengths, then correct it exactly.
     exp = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import engine
@@ -82,8 +81,7 @@ class EvaluationFailureError(ArithmeticError):
     """The integrand returned a non-finite value, or the density a zero volume."""
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(NamedTuple):
     #: The integral, or one integral per row when f returns rows of values.
     estimate: float | np.ndarray
     #: L of the rule's 2^L + 1 nodes.
@@ -283,8 +281,7 @@ def estimates(data: Sequence[HorosphericalDatum]) -> list[Estimate]:
     return [Estimate(*row) for row in np.column_stack((*segment, moments)).tolist()]
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     """The oracle's own tbar and R, their relative errors against the engine's, and both segments."""
 
     t_bar_quad: float

@@ -22,7 +22,6 @@ cell, the symbolic formula strings for the parametric rows) is stored here.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -239,7 +238,7 @@ def verify_rows(suite: str, max_n: int, results: Sequence[CheckResult]) -> Rows:
         "suite": suite,
         "max_n": max_n,
         "passed": all(r.passed for r in results),
-        "checks": [asdict(r) for r in results],
+        "checks": [r._asdict() for r in results],
     }
     text = [[f"{'ok  ' if r.passed else 'FAIL'} {r.name}: {r.detail}"] for r in results]
     text.append([f"{sum(r.passed for r in results)}/{len(results)} checks passed"])

@@ -46,10 +46,9 @@ roots.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 RootVector = tuple[int, ...]
 
@@ -67,8 +66,7 @@ class UnsupportedRootSystemError(ValueError):
     """Raised for a (type, rank) pair outside B(n>=2), C(n>=2), F4, G2."""
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Positive roots of an irreducible root system, in simple-root coordinates."""
 
     type_label: str

@@ -13,8 +13,7 @@ datum's comparison with the engine, or a non-finite row, fails only its check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import closedforms, engine, oracle
 from .engine import HorosphericalDatum, InvalidDatumError
@@ -23,8 +22,7 @@ from .exactnum import frac_str, to_significant
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

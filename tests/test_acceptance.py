@@ -7,7 +7,6 @@ through the verbose test names).
 
 import time
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 from grlb import closedforms, engine, oracle
@@ -207,7 +206,7 @@ def test_criterion_9_property_suite():
         assert t_bar == engine.report(datum).barycenter_t, datum.label()
         r_value = engine.ricci_bound(seg.a, seg.b, t_bar)
         for lam in (F(2), F(1, 3)):
-            scaled = replace(rs, half_lengths=tuple(lam * d for d in rs.half_lengths))
+            scaled = rs._replace(half_lengths=tuple(lam * d for d in rs.half_lengths))
             assert engine.dh_polynomial_on(scaled, seg) == poly_product(
                 [(lam ** len(roots),), engine.dh_polynomial_on(rs, seg)]
             ), datum.label()

@@ -501,20 +501,36 @@ def test_help_exits_0_and_lists_every_option(run_grlb, command, entries):
     assert {"-h,", *entries} <= listed, result.stdout
 
 
-def test_cli_import_leaves_out_numpy_and_mpmath():
-    # compute and table need neither; the oracle imports numpy on use,
-    # mpmath is only a test dependency, and the parser is argparse's.
-    # suites, oracle and closedforms load only for verify or the closed-form route.
+def _fresh_import(module: str) -> list[str]:
+    """The heavy modules, then the grlb modules, that a fresh `import module` loads."""
     code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import grlb.cli; "
-        "print(sorted({'numpy', 'mpmath', 'click'} & set(sys.modules))); "
+        f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; "
+        "print(sorted({'numpy', 'mpmath', 'click', 'dataclasses', 'inspect'} & set(sys.modules))); "
         "print(sorted(name for name in sys.modules if name.split('.')[0] == 'grlb'))"
     )
     src = str(Path(grlb.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == [
+    return out.stdout.splitlines()
+
+
+def test_cli_import_leaves_out_numpy_and_mpmath():
+    # compute and table need neither; the oracle imports numpy on use,
+    # mpmath is only a test dependency, and the parser is argparse's.
+    # Every record is a NamedTuple, so dataclasses and the inspect it pulls
+    # in stay out of cold start.
+    # suites, oracle and closedforms load only for verify or the closed-form route.
+    assert _fresh_import("grlb.cli") == [
         "[]",
         str(["grlb", "grlb.cli", "grlb.engine", "grlb.exactnum", "grlb.records", "grlb.rootsystems"]),
+    ]
+
+
+def test_suites_import_leaves_out_dataclasses_and_inspect():
+    # The whole verify stack; perfbench's setup_s probe imports grlb.cli only.
+    assert _fresh_import("grlb.suites") == [
+        "[]",
+        str(["grlb", "grlb.closedforms", "grlb.engine", "grlb.exactnum", "grlb.oracle",
+             "grlb.rootsystems", "grlb.suites"]),
     ]
 
 

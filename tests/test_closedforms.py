@@ -284,9 +284,20 @@ class TestBoundCheckSemantics:
         assert BoundCheck("upper-bound", F(1), F(2)).holds
         assert not BoundCheck("upper-bound", F(2), F(2)).holds
         # A sign check is a lower bound against 0; no other tag is accepted.
-        for tag in ("sign", "equality", "between"):
+        for tag in ("sign", "equality", "between", "sideways"):
             with pytest.raises(ValueError, match=f"unknown relation tag '{tag}'"):
                 BoundCheck(tag, F(1), F(1))
+        with pytest.raises(ValueError, match="unknown relation tag 'sideways'"):
+            BoundCheck(relation="sideways", lhs=F(1), rhs=F(0))
+
+    def test_fields_are_read_only(self):
+        from grlb.closedforms import BoundCheck
+
+        check = BoundCheck("lower-bound", F(2), F(1))
+        for name in ("relation", "lhs", "rhs", "other"):
+            with pytest.raises(AttributeError):
+                setattr(check, name, F(0))
+        assert check.holds
 
     def test_margins(self):
         from grlb.closedforms import BoundCheck

@@ -2,8 +2,8 @@
 
 import hashlib
 import math
+import pickle
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -115,6 +115,41 @@ class TestDatumValidation:
         # Caught at construction, not as a TypeError inside the root table.
         with pytest.raises(InvalidDatumError, match="must be an integer"):
             HorosphericalDatum(**kwargs)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("X9",), "unknown family 'X9': the classification lists X1..X5"),
+            (("X1", True), "n must be an integer, got True"),
+            (("X3", 5, 2.0), "k must be an integer, got 2.0"),
+            (("X1", 2), "family X1 requires n >= 3"),
+            (("X1", 4, 2), "family X1 takes no parameter k"),
+            (("X3", 3, 4), "family X3 requires n >= k >= 2"),
+            (("X2", 3), "family X2 takes no parameters"),
+        ],
+    )
+    def test_positional_and_keyword_give_the_same_error(self, args, message):
+        kwargs = dict(zip(("family", "n", "k"), args))
+        for call in (lambda: HorosphericalDatum(*args), lambda: HorosphericalDatum(**kwargs)):
+            with pytest.raises(InvalidDatumError) as info:
+                call()
+            assert str(info.value) == message
+
+    def test_fields_are_read_only(self):
+        datum = HorosphericalDatum("X3", n=7, k=4)
+        for name in ("family", "n", "k", "other"):
+            with pytest.raises(AttributeError):
+                setattr(datum, name, 5)
+        assert datum == HorosphericalDatum("X3", 7, 4)
+
+    def test_pickle_round_trip_validates_again(self):
+        for datum in (HorosphericalDatum("X1", n=5), HorosphericalDatum("X3", 7, 4), HorosphericalDatum("X5")):
+            loaded = pickle.loads(pickle.dumps(datum))
+            assert type(loaded) is HorosphericalDatum and loaded == datum
+        # _make skips the validation; loading the pickle runs it.
+        bad = pickle.dumps(HorosphericalDatum._make(("X1", 2, None)))
+        with pytest.raises(InvalidDatumError, match="family X1 requires n >= 3"):
+            pickle.loads(bad)
 
     def test_label(self):
         assert HorosphericalDatum("X1", n=5).label() == "X1(5)"
@@ -397,7 +432,7 @@ class TestBarycenterAndBound:
         datum = HorosphericalDatum("X5")
         rs, _, _ = resolve(datum)
         seg = moment_segment(datum)
-        crushed = replace(rs, half_lengths=(F(0), F(0)))
+        crushed = rs._replace(half_lengths=(F(0), F(0)))
         with pytest.raises(DegenerateMeasureError):
             barycenter_on(crushed, seg)
 
@@ -444,7 +479,7 @@ class TestInvariances:
     def test_scale_invariance(self, datum, lam):
         rs, _, _ = resolve(datum)
         seg = moment_segment(datum)
-        scaled = replace(rs, half_lengths=tuple(lam * d for d in rs.half_lengths))
+        scaled = rs._replace(half_lengths=tuple(lam * d for d in rs.half_lengths))
         count = len(phi_pu(rs, seg.i, seg.j))
         assert dh_polynomial_on(scaled, seg) == poly_product([(lam**count,), dh_polynomial_on(rs, seg)])
         assert barycenter_on(scaled, seg) == barycenter_on(rs, seg)
