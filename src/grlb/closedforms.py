@@ -9,8 +9,8 @@ is one integer sum over a common denominator, and each result one Fraction.
   powers of n+2 cancel in R, and against u^m each integral is the Horner
   split 2^(m+1) S(2) - S(1) of its cofactor (`_x1_moments`).
 - X3(n, k): s = b - t on [0, hi], b = 2n-2k+2 and hi = b+k; the integrand is
-  s^(b-1) (hi-s)^(k-1) (c+s)^(k-1), c = 4n-3k+4-b.  Only (c+s)^(k-1) is
-  expanded, and each of its terms integrates as the Beta integral
+  s^(b-1) (hi-s)^(k-1) (hi+s)^(k-1).  Only (hi+s)^(k-1) is expanded, and
+  each of its terms integrates as the Beta integral
   Int_0^hi s^(m+j) (hi-s)^p ds = hi^(m+j+p+1) (m+j)! p! / (m+j+p+1)!
   (`_beta_sum`).  The weight b - t = s raises m by one (`_x3_barycenter`).
 - The X1 comparison integral: s = t + n on [0, n+2]; the integrand is
@@ -19,6 +19,11 @@ is one integer sum over a common denominator, and each result one Fraction.
 
 On a 2-CPU host `r_x1_formula(400)` takes about 0.008 s and
 `r_x3_formula(800, 400)` about 0.013 s.
+
+`closed_form(family, n, k)` is a whole X1 or X3 record from these formulas
+alone: the dimension, the marked pair and moment segment, tbar and R.  The
+closed-form route of `records.record_for` and the closed-forms suite read
+it, so which formula serves which family is written only here.
 
 All of it is written from the paper's formulas, in integers, without
 touching the root-system pipeline or the engine's integration, so the two
@@ -44,6 +49,7 @@ __all__ = [
     "a_recurrence_factor",
     "a_sequence",
     "asymptotic_bounds",
+    "closed_form",
     "lemma_x1_sign",
     "lemma_x3nk_sign",
     "r_x1_formula",
@@ -153,36 +159,55 @@ def _beta_sum(m: int, p: int, q: Sequence[int], hi: int) -> tuple[int, int]:
     return hi ** (m + p + 1) * acc, den
 
 
-def _x3_cofactor(n: int, k: int) -> tuple[int, list[int], int]:
-    """(b, q, hi): the X3(n, k) integrand is s^(b-1) (hi-s)^(k-1) q(s) on [0, hi], s = b - t.
+def _x3_barycenter(n: int, k: int) -> Fraction:
+    """tbar = b - Int s f / Int f, f the X3(n, k) integrand in s = b - t.
 
-    k + t = hi-s and 4n-3k+4-t = c+s, so q(s) = (c+s)^(k-1), with
-    b = 2n-2k+2, hi = b+k and c = 4n-3k+4-b.
+    f = s^(b-1) (hi-s)^(k-1) (hi+s)^(k-1) on [0, hi], with b = 2n-2k+2 and
+    hi = b+k, since k + t = hi-s and 4n-3k+4-t = hi+s.
     """
     b = 2 * n - 2 * k + 2
-    return b, _linear_pow_int(4 * n - 3 * k + 4 - b, 1, k - 1), b + k
-
-
-def _x3_barycenter(n: int, k: int) -> Fraction:
-    """tbar = b - Int s f / Int f, f the X3(n, k) integrand in s = b - t (`_x3_cofactor`)."""
-    b, q, hi = _x3_cofactor(n, k)
+    hi = b + k
+    q = _linear_pow_int(hi, 1, k - 1)
     num0, den0 = _beta_sum(b - 1, k - 1, q, hi)
     num1, den1 = _beta_sum(b, k - 1, q, hi)
     return Fraction(b * num0 * den1 - num1 * den0, num0 * den1)
 
 
 def r_x3_formula(n: int, k: int) -> Fraction:
-    """R(X3(n, k)) = b / (b - tbar) on [-k, b], b = 2n-2k+2 (`_x3_barycenter`).
+    """R(X3(n, k)) = b / (b - tbar) on [-k, b], b = 2n-2k+2, the R of `closed_form("X3", n, k)`.
 
     tbar is the barycenter of f = (k+t)^(k-1) (b-t)^(b-1) (4n-3k+4-t)^(k-1).
     Valid for n >= k >= 2; at k == n it reproduces the factorial closed form.
     """
+    return closed_form("X3", n, k)[3]
+
+
+def closed_form(family: str, n: int, k: int | None = None) -> tuple[int, tuple[int, ...], Fraction, Fraction]:
+    """(dimension, (i, j, a, b), tbar, R) of X1(n) or X3(n, k), from the paper's formulas alone.
+
+    (i, j) is the marked pair, oriented as the engine's, and [-a, b] the
+    moment segment.  X1(n): dimension n(n+3)/2, pair (n-1, n), a = n, b = 2,
+    R from `r_x1_formula` and tbar = n/R - n, as R = a/(a + tbar) for
+    tbar > 0 (`lemma_x1_sign`).  X3(n, k): dimension k(4n-3k+3)/2, pair
+    (k-1, k), a = k, b = 2n-2k+2, tbar from `_x3_barycenter` and
+    R = b/(b - tbar), the paper's X3 ratio, as tbar < 0 (`lemma_x3nk_sign`
+    for k < n; at k == n this R is the factorial form `r_x3nn_closed`).
+    Raises InvalidParameterError outside X1(n >= 3) and X3(n >= k >= 2).
+    """
+    if family == "X1":
+        if k is not None:
+            raise InvalidParameterError("X1 formula takes no parameter k")
+        r = r_x1_formula(n)
+        return n * (n + 3) // 2, (n - 1, n, n, 2), n / r - n, r
+    if family != "X3":
+        raise InvalidParameterError(f"no closed form for family {family!r}")
     if not (isinstance(n, int) and isinstance(k, int) and n >= k >= 2):
         raise InvalidParameterError("X3 formula requires n >= k >= 2")
     b = 2 * n - 2 * k + 2
     t_bar = _x3_barycenter(n, k)
     # b / (b - tbar), normalized once.
-    return Fraction(b * t_bar.denominator, b * t_bar.denominator - t_bar.numerator)
+    r = Fraction(b * t_bar.denominator, b * t_bar.denominator - t_bar.numerator)
+    return k * (4 * n - 3 * k + 3) // 2, (k - 1, k, k, b), t_bar, r
 
 
 def r_x3nn_closed(n: int) -> Fraction:

@@ -2,7 +2,8 @@
 
 A command's output is a `Rows`: the JSON payload, the text rows and the CSV
 rows of one result.  Three builders make them: `record_for` for one computed
-manifold, straight from `engine.report`; `table_rows` for one of the three
+manifold, straight from `engine.report` or, on the closed-form route, from
+`closedforms.closed_form` alone; `table_rows` for one of the three
 published summary tables; and `verify_rows` for one verification report.
 `render` writes any of them as text (left-aligned columns), JSON (the payload
 after `schema_version`) or CSV.
@@ -84,34 +85,35 @@ def render(rows: Rows, fmt: str) -> str:
 def record_for(datum: HorosphericalDatum, digits: int = 4, route: str = "engine") -> Rows:
     """One computed manifold: every field as text; CSV carries the decimal R only.
 
-    route "closed-form" recomputes R from the family's integral formula
-    (X1 and X3 only), and only this route imports `closedforms`; everything
-    else always comes from the engine.  The route and family are checked
-    before the engine runs, and the engine runs before the formula, so the
-    ceiling's error comes first.  R, tbar and the segment's endpoints are
-    each rendered once, and every format reuses those strings.
+    Each route fills the whole record from its own source: "engine" from
+    `engine.report`, and "closed-form" (X1 and X3 only) from
+    `closedforms.closed_form`, the paper's formulas alone; only this route
+    imports `closedforms`.  The route and family are checked first, then
+    the closed-form route checks the engine's ceiling itself, before the
+    formula runs, so the ceiling's error comes first on both routes.  R,
+    tbar and the segment's endpoints are each rendered once, and every
+    format reuses those strings.
     """
-    if route not in ("engine", "closed-form"):
-        raise ValueError(f"unknown route {route!r}")
-    if route == "closed-form" and datum.family not in ("X1", "X3"):
-        raise InvalidDatumError("closed-form route exists only for families X1 and X3")
-    rep = engine.report(datum)
-    r_value = rep.R
-    if route == "closed-form":
+    if route == "engine":
+        record = engine.report(datum)[1:]
+    elif route == "closed-form":
+        if datum.family not in ("X1", "X3"):
+            raise InvalidDatumError("closed-form route exists only for families X1 and X3")
+        if datum.n > (ceiling := engine.max_exact_n()):
+            raise engine.ceiling_error(datum.n, ceiling)
         from . import closedforms
 
-        if datum.family == "X1":
-            r_value = closedforms.r_x1_formula(datum.n)
-        else:
-            r_value = closedforms.r_x3_formula(datum.n, datum.k)
-    seg = rep.segment
-    a, b, t_bar, r = (frac_str(x) for x in (seg.a, seg.b, rep.barycenter_t, r_value))
+        record = closedforms.closed_form(*datum)
+    else:
+        raise ValueError(f"unknown route {route!r}")
+    dimension, (i, j, a_int, b_int), t_bar_value, r_value = record
+    a, b, t_bar, r = (frac_str(x) for x in (a_int, b_int, t_bar_value, r_value))
     r_decimal = to_decimal(r_value, digits)
-    rho = sorted(((seg.i, seg.a, a), (seg.j, seg.b, b)))
+    rho = sorted(((i, a_int, a), (j, b_int, b)))
     payload = {
         "family": datum.family,
         "params": datum.params,
-        "dim": rep.dimension,
+        "dim": dimension,
         "two_rho_P": [[m, c, 1] for m, c, _ in rho],
         "interval": [a, b],
         "barycenter_t": t_bar,
@@ -122,7 +124,7 @@ def record_for(datum: HorosphericalDatum, digits: int = 4, route: str = "engine"
     text = [
         ["family", datum.family],
         ["params", ", ".join(f"{k}={v}" for k, v in datum.params.items()) or "-"],
-        ["dim", str(rep.dimension)],
+        ["dim", str(dimension)],
         ["2*rho_P", " + ".join(f"({c})*w{m}" for m, _, c in rho)],
         ["interval", f"t in [-{a}, {b}]"],
         ["barycenter_t", t_bar],
@@ -131,7 +133,7 @@ def record_for(datum: HorosphericalDatum, digits: int = 4, route: str = "engine"
         ["provenance", route],
     ]
     n, k = (str(datum.params.get(p, "")) for p in ("n", "k"))
-    csv = [["family", "n", "k", "dim", "R"], [datum.family, n, k, str(rep.dimension), r_decimal]]
+    csv = [["family", "n", "k", "dim", "R"], [datum.family, n, k, str(dimension), r_decimal]]
     return Rows(payload, text, csv)
 
 

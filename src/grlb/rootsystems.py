@@ -56,7 +56,6 @@ __all__ = [
     "RootSystem",
     "UnsupportedRootSystemError",
     "build_root_system",
-    "half_length",
     "unipotent_radical",
     "weight_of_root_sum",
 ]
@@ -135,14 +134,6 @@ def _root_data(
     if (type_label, rank) == ("G2", 2):
         return (_HALF, Fraction(3, 2)), (1, 2, -3), _G2_POSITIVE_ROOTS
     raise UnsupportedRootSystemError(f"unsupported root system ({type_label!r}, rank {rank})")
-
-
-def half_length(type_label: str, rank: int, m: int) -> Fraction:
-    """Half the squared length of alpha_m, for m in 1..rank."""
-    half_lengths = _root_data(type_label, rank)[0]
-    if not 1 <= m <= rank:
-        raise ValueError(f"simple root index must be in 1..{rank}, got {m}")
-    return half_lengths[m - 1]
 
 
 def build_root_system(type_label: str, rank: int) -> RootSystem:

@@ -9,6 +9,9 @@ exceptions propagate, an InvalidDatumError (an n past the ceiling, a bad
 GRLB_MAX_N) included.  `run_suite` raises that error before any check runs.
 The oracle suite integrates all its data in one `oracle.estimates` call; a
 datum's comparison with the engine, or a non-finite row, fails only its check.
+The closed-forms suite compares each X1 and X3 record of the engine, its
+dimension, segment, tbar and R, with `closedforms.closed_form`'s, and each
+check prints the engine's R.
 """
 
 from __future__ import annotations
@@ -86,14 +89,10 @@ def _suite_lemmas(max_n: int) -> list[CheckResult]:
     ]
 
 
-def _x1_engine_formula(n: int) -> tuple[bool, str]:
-    lhs = engine.report(HorosphericalDatum("X1", n=n)).R
-    return lhs == closedforms.r_x1_formula(n), "R=" + frac_str(lhs)
-
-
-def _x3_engine_formula(n: int, k: int) -> tuple[bool, str]:
-    lhs = engine.report(HorosphericalDatum("X3", n=n, k=k)).R
-    return lhs == closedforms.r_x3_formula(n, k), "R=" + frac_str(lhs)
+def _engine_formula(family: str, n: int, k: int | None = None) -> tuple[bool, str]:
+    """The engine's (dimension, segment, tbar, R) against `closedforms.closed_form`'s."""
+    rep = engine.report(HorosphericalDatum(family, n, k))
+    return rep[1:] == closedforms.closed_form(family, n, k), "R=" + frac_str(rep.R)
 
 
 def _x3_integral_factorial(n: int) -> tuple[bool, str]:
@@ -103,9 +102,9 @@ def _x3_integral_factorial(n: int) -> tuple[bool, str]:
 
 def _suite_closed_forms(max_n: int) -> list[CheckResult]:
     return [
-        *(_check(f"x1 engine=formula n={n}", _x1_engine_formula, n) for n in range(3, max_n + 1)),
+        *(_check(f"x1 engine=formula n={n}", _engine_formula, "X1", n) for n in range(3, max_n + 1)),
         *(
-            _check(f"x3 engine=formula n={n} k={k}", _x3_engine_formula, n, k)
+            _check(f"x3 engine=formula n={n} k={k}", _engine_formula, "X3", n, k)
             for n, k in _x3_pairs(max_n, strict=False)
         ),
         *(_check(f"x3 integral=factorial n={n}", _x3_integral_factorial, n) for n in range(2, max_n + 1)),

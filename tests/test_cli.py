@@ -9,9 +9,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import grlb
-from grlb import engine, exactnum, rootsystems
+from grlb import cli, engine, exactnum, rootsystems
 from grlb.engine import HorosphericalDatum, InvalidDatumError, report
 from grlb.records import (
     frac_str,
@@ -84,11 +86,15 @@ class TestCompute:
         assert json.loads(engine_result.output)["R"] == data["R"]
 
     def test_closed_form_route_at_ceiling(self, run_grlb):
+        # Each route fills the whole record; they differ in provenance alone.
         args = ["compute", "--family", "X1", "--n", "100", "--format", "json"]
         closed = run_grlb([*args, "--route", "closed-form"])
         assert closed.exit_code == 0
         engine_result = run_grlb([*args, "--route", "engine"])
-        assert json.loads(closed.output)["R"] == json.loads(engine_result.output)["R"]
+        closed_record, engine_record = json.loads(closed.output), json.loads(engine_result.output)
+        assert closed_record.pop("provenance") == "closed-form"
+        assert engine_record.pop("provenance") == "engine"
+        assert closed_record == engine_record
 
     def test_closed_form_route_rejected_for_fixed_families(self, run_grlb):
         result = run_grlb(["compute", "--family", "X5", "--route", "closed-form"])
@@ -264,13 +270,30 @@ class TestRecords:
             record_for(HorosphericalDatum("X1", n=5), route="nope")
 
     @pytest.mark.parametrize("datum", [HorosphericalDatum("X1", n=6), HorosphericalDatum("X3", n=6, k=3)], ids=str)
+    def test_closed_form_route_makes_no_engine_report(self, monkeypatch, datum):
+        # The closed-form record comes from the closed forms alone, whole.
+        from grlb import closedforms, records
+
+        def no_report(datum):
+            raise AssertionError(f"engine.report({datum.label()}) ran on the closed-form route")
+
+        want = {**record_for(datum).payload, "provenance": "closed-form"}
+        monkeypatch.setattr(records.engine, "report", no_report)
+        rows = record_for(datum, route="closed-form")
+        assert rows.payload == want
+        dim, _, t_bar, r = closedforms.closed_form(*datum)
+        assert (rows.payload["dim"], parse_frac(rows.payload["barycenter_t"])) == (dim, t_bar)
+        assert parse_frac(rows.payload["R"]) == r
+
+    @pytest.mark.parametrize("datum", [HorosphericalDatum("X1", n=6), HorosphericalDatum("X3", n=6, k=3)], ids=str)
     def test_closed_form_route_raises_the_ceiling_before_the_formula(self, monkeypatch, datum):
-        # The closed forms have no ceiling of their own: the engine's report must run first.
+        # The closed forms have no ceiling of their own: the route checks the engine's first.
         from grlb import closedforms
 
         def no_formula(*args):
             raise AssertionError("the formula ran before the ceiling was checked")
 
+        monkeypatch.setattr(closedforms, "closed_form", no_formula)
         monkeypatch.setattr(closedforms, "r_x1_formula", no_formula)
         monkeypatch.setattr(closedforms, "r_x3_formula", no_formula)
         monkeypatch.setenv("GRLB_MAX_N", "5")
@@ -469,6 +492,93 @@ def test_invalid_input_exits_2_with_one_error_line(max_n, command, error):
     errors = [line for line in lines if "error" in line.lower()]
     assert len(errors) == 1 and errors[0].startswith(f"{prog}: error: {error}"), stderr
     assert "Traceback" not in stderr and "FAIL" not in stderr
+
+
+def _one_in(n: int) -> st.SearchStrategy[bool]:
+    """True in one draw of n."""
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+def _values(valid, invalid) -> st.SearchStrategy[str | None]:
+    """A valid value in four draws of five, else an invalid one."""
+    valid, invalid = st.sampled_from(list(valid)), st.sampled_from(list(invalid))
+    return _one_in(5).flatmap(lambda bad: invalid if bad else valid)
+
+
+_SIZES = _values(map(str, range(2, 31)), ["-1", "0", "1", "abc", "", "2.5"])
+_FORMATS = _values(["text", "json", "csv"], ["xml"])
+_REQUIRED = {"--family", "--id", "--suite"}
+#: Each command's options and a strategy for their values, valid and invalid.
+_OPTIONS = {
+    "compute": {
+        "--family": _values(engine.FAMILIES, ["X6", "x1"]),
+        "--n": _SIZES,
+        "--k": _SIZES,
+        "--digits": _values(["1", "4", "12", "40"], ["-1", "0", "100001", "x"]),
+        "--format": _FORMATS,
+        # closed-form first: draws favour the first value, and engine is the default.
+        "--route": _values(["closed-form", "engine"], ["dense"]),
+    },
+    "table": {"--id": _values(["1", "2", "3"], ["0", "4", "x"]), "--format": _FORMATS},
+    "verify": {
+        "--suite": _values(cli._SUITES, ["nonsense"]),
+        "--max-n": _values(["2", "3", "6", "8"], ["-1", "1", "x"]),
+        "--format": _values(["text", "json"], ["csv", "xml"]),
+    },
+}
+#: GRLB_MAX_N: unset, a ceiling of at most a few hundred, or not a valid one.
+_MAX_N_VALUES = _values([None, "2", "5", "30", "100", "300"], ["abc", "", "-3", "0", "1"])
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    """A command line from grlb's grammar: known and unknown commands, flags and values.
+
+    Mostly a known command with its required option, the family's own
+    parameters and about half of the other options; now and then an unknown
+    command or flag, --help, --version, no command, or a flag without its
+    value.
+    """
+    if draw(_one_in(10)):
+        command = draw(st.sampled_from(["bogus", "--version", None]))
+    else:
+        command = draw(st.sampled_from(list(_OPTIONS)))
+    options = _OPTIONS.get(command, {})
+    values = {flag: draw(strategy) for flag, strategy in options.items()}
+    # The required options, and the family's own parameters, are rarely left out.
+    likely = _REQUIRED | {"X1": {"--n"}, "X3": {"--n", "--k"}}.get(values.get("--family"), set())
+
+    def included(flag: str) -> bool:
+        if flag in likely:
+            return not draw(_one_in(10))
+        return draw(_one_in(10 if flag in ("--n", "--k") else 2))
+
+    flags = [flag for flag in options if included(flag)]
+    flags += [flag for flag in ("--bogus", "--fam", "--help") if draw(_one_in(20))]
+    argv = [] if command is None else [command]
+    for flag in draw(st.permutations(flags)):
+        argv.append(flag)
+        if flag in options and not draw(_one_in(20)):
+            argv.append(values[flag])
+    return argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv(), max_n=_MAX_N_VALUES)
+# Each way an invalid datum reaches `main`, on every run, whatever is drawn.
+@example(argv="compute --family X1 --n 2 --route closed-form".split(), max_n=None)
+@example(argv="compute --family X3 --n 3 --k 4".split(), max_n=None)
+@example(argv="compute --family X5 --route closed-form".split(), max_n=None)
+@example(argv="compute --family X1 --n 9 --route closed-form".split(), max_n="5")
+@example(argv="table --id 2".split(), max_n="30")
+@example(argv="verify --suite closed-forms --max-n 8".split(), max_n="abc")
+def test_any_command_line_exits_0_2_or_3(run_grlb, argv, max_n):
+    # The contract of `main`: an exit code of 0, 2 or 3 and no exception but
+    # SystemExit (run_grlb lets any other escape), and a usage line with every 2.
+    result = run_grlb(argv, env={"GRLB_MAX_N": max_n})
+    assert result.exit_code in (0, 2, 3), (argv, max_n, result.output)
+    if result.exit_code == 2:
+        assert any(line.startswith("usage: grlb") for line in result.stderr.splitlines()), result.output
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv"])

@@ -14,6 +14,7 @@ from grlb.closedforms import (
     a_recurrence_factor,
     a_sequence,
     asymptotic_bounds,
+    closed_form,
     lemma_x1_sign,
     lemma_x3nk_sign,
     r_x1_formula,
@@ -64,6 +65,35 @@ class TestX3Formula:
             r_x3_formula(3, 1)
 
 
+class TestClosedForm:
+    """The whole X1/X3 record from the paper's formulas."""
+
+    def test_x3_7_4_record(self):
+        # dim = k(4n-3k+3)/2 = 38 on [-4, 8], R published as 0.958.
+        dim, seg, t_bar, r = closed_form("X3", 7, 4)
+        assert (dim, seg, r) == (38, (3, 4, 4, 8), r_x3_formula(7, 4))
+        assert r == 8 / (8 - t_bar)
+
+    def test_x1_record(self):
+        dim, seg, t_bar, r = closed_form("X1", 10)
+        assert (dim, seg, r) == (65, (9, 10, 10, 2), r_x1_formula(10))
+        assert t_bar > 0 and r == 10 / (10 + t_bar)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (("X2", 3), "no closed form for family 'X2'"),
+            (("X1", 5, 2), "X1 formula takes no parameter k"),
+            (("X1", 2), "X1 formula requires n >= 3"),
+            (("X3", 3, 4), "X3 formula requires n >= k >= 2"),
+            (("X3", 3), "X3 formula requires n >= k >= 2"),
+        ],
+    )
+    def test_domain(self, args, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            closed_form(*args)
+
+
 def dense_density(datum):
     """The engine's dense Duistermaat-Heckman density, built from the root table."""
     return engine.dh_polynomial_on(engine.resolve(datum)[0], engine.report(datum).segment)
@@ -110,9 +140,10 @@ class TestDenseReference:
     ids=lambda d: d.label(),
 )
 def test_engine_r_past_the_default_ceiling(monkeypatch, datum):
+    # The whole record, not R alone: dimension, segment, tbar and R.
     monkeypatch.setenv("GRLB_MAX_N", "800")
-    closed = r_x1_formula(datum.n) if datum.family == "X1" else r_x3_formula(datum.n, datum.k)
-    assert closed == engine.report(datum).R
+    rep = engine.report(datum)
+    assert closed_form(*datum) == (rep.dimension, rep.segment, rep.barycenter_t, rep.R)
 
 
 def test_only_integer_helpers_come_from_exactnum():

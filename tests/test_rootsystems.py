@@ -10,7 +10,6 @@ from grlb.rootsystems import (
     UnsupportedRootSystemError,
     _bc_walk,
     build_root_system,
-    half_length,
     unipotent_radical,
     weight_of_root_sum,
 )
@@ -274,11 +273,3 @@ class TestUnipotentRadical:
         for args in [("A", 3, 1, 2), ("B", 1, 1, 2), ("F4", 3, 1, 2)]:
             with pytest.raises(UnsupportedRootSystemError):
                 unipotent_radical(*args)
-
-    @pytest.mark.parametrize("type_label,n", SUPPORTED)
-    def test_half_length_is_the_table_entry(self, type_label, n):
-        rs = build_root_system(type_label, n)
-        assert tuple(half_length(type_label, n, m) for m in range(1, n + 1)) == rs.half_lengths
-        for m in (0, n + 1):
-            with pytest.raises(ValueError):
-                half_length(type_label, n, m)

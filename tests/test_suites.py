@@ -27,9 +27,26 @@ def test_lemmas_pass_where_values_exceed_float_range():
 def test_closed_forms_check_writes_r_past_the_str_digit_limit(monkeypatch):
     # R(X1(165)) has more than the 4300 digits str() of an int allows.
     monkeypatch.setenv("GRLB_MAX_N", "165")
-    result = suites._check("x1 engine=formula n=165", suites._x1_engine_formula, 165)
+    result = suites._check("x1 engine=formula n=165", suites._engine_formula, "X1", 165)
     assert result.passed, result.detail
     assert result.detail == "R=" + frac_str(report(HorosphericalDatum("X1", n=165)).R)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2], ids=["dimension", "segment", "tbar"])
+def test_closed_forms_check_compares_the_whole_record(monkeypatch, index):
+    # R alone agreeing is not enough: a wrong dimension, segment or tbar fails the check.
+    real = closedforms.closed_form
+
+    def off(*args):
+        record = list(real(*args))
+        record[index] = None
+        return tuple(record)
+
+    monkeypatch.setattr(closedforms, "closed_form", off)
+    results = run_suite("closed-forms", 4)
+    failed = [r.name for r in results if not r.passed]
+    assert failed == [r.name for r in results if "engine=formula" in r.name]
+    assert len(failed) == 2 + 6
 
 
 def test_comparison_check_writes_a_huge_value_as_a_failure(monkeypatch):
