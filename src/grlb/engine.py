@@ -60,6 +60,7 @@ __all__ = [
     "InvalidDatumError",
     "MomentSegment",
     "ceiling_error",
+    "check_ceiling",
     "dh_polynomial_on",
     "max_exact_n",
     "moment_segment",
@@ -107,6 +108,17 @@ def ceiling_error(n: int, ceiling: int) -> InvalidDatumError:
     return InvalidDatumError(
         f"n={n} exceeds the exact-computation ceiling {ceiling} (override with {_MAX_N_ENV})"
     )
+
+
+def check_ceiling(n: int | None) -> None:
+    """Raise `ceiling_error` for a size parameter n past the exact-computation ceiling.
+
+    The ceiling is read even when n is None, so a bad or too-low GRLB_MAX_N is
+    an InvalidDatumError whether or not the family takes an n.
+    """
+    ceiling = max_exact_n()
+    if n is not None and n > ceiling:
+        raise ceiling_error(n, ceiling)
 
 
 class _DatumFields(NamedTuple):
@@ -189,13 +201,10 @@ def _marked_pair(datum: HorosphericalDatum) -> tuple[str, int, int, int]:
     """(type_label, rank, i, j): the datum's root system and oriented marked pair.
 
     i is the index whose coefficient grows with t (see module docstring).
-    The ceiling is read for every datum, so a bad or too-low GRLB_MAX_N is an
-    InvalidDatumError whether or not the family takes an n.
+    The ceiling is checked first, for every datum (`check_ceiling`).
     """
-    ceiling = max_exact_n()
     n = datum.n
-    if n is not None and n > ceiling:
-        raise ceiling_error(n, ceiling)
+    check_ceiling(n)
     f = datum.family
     if f == "X1":
         return "B", n, n - 1, n

@@ -89,18 +89,18 @@ def record_for(datum: HorosphericalDatum, digits: int = 4, route: str = "engine"
     `engine.report`, and "closed-form" (X1 and X3 only) from
     `closedforms.closed_form`, the paper's formulas alone; only this route
     imports `closedforms`.  The route and family are checked first, then
-    the closed-form route checks the engine's ceiling itself, before the
-    formula runs, so the ceiling's error comes first on both routes.  R,
-    tbar and the segment's endpoints are each rendered once, and every
-    format reuses those strings.
+    the closed-form route checks the engine's ceiling with
+    `engine.check_ceiling`, as the engine route does, before the formula
+    runs, so the ceiling's error comes first on both routes.  R, tbar and
+    the segment's endpoints are each rendered once, and every format reuses
+    those strings.
     """
     if route == "engine":
         record = engine.report(datum)[1:]
     elif route == "closed-form":
         if datum.family not in ("X1", "X3"):
             raise InvalidDatumError("closed-form route exists only for families X1 and X3")
-        if datum.n > (ceiling := engine.max_exact_n()):
-            raise engine.ceiling_error(datum.n, ceiling)
+        engine.check_ceiling(datum.n)
         from . import closedforms
 
         record = closedforms.closed_form(*datum)

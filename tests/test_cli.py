@@ -296,6 +296,7 @@ class TestRecords:
         monkeypatch.setattr(closedforms, "closed_form", no_formula)
         monkeypatch.setattr(closedforms, "r_x1_formula", no_formula)
         monkeypatch.setattr(closedforms, "r_x3_formula", no_formula)
+        monkeypatch.setattr(closedforms, "r_x3_closed", no_formula)
         monkeypatch.setenv("GRLB_MAX_N", "5")
         with pytest.raises(InvalidDatumError, match="ceiling"):
             record_for(datum, route="closed-form")

@@ -18,6 +18,7 @@ from grlb.closedforms import (
     lemma_x1_sign,
     lemma_x3nk_sign,
     r_x1_formula,
+    r_x3_closed,
     r_x3_formula,
     r_x3nn_closed,
     x1_comparison_integral,
@@ -63,6 +64,65 @@ class TestX3Formula:
             r_x3_formula(3, 4)
         with pytest.raises(InvalidParameterError):
             r_x3_formula(3, 1)
+
+
+class TestX3Closed:
+    """The telescoped product against the two Beta-sum moments and the factorial form."""
+
+    @pytest.mark.parametrize("n", range(2, 101))
+    def test_equals_the_integral_route(self, n):
+        for k in range(2, n + 1):
+            assert r_x3_closed(n, k) == r_x3_formula(n, k), f"X3({n},{k})"
+
+    def test_k_equals_n_is_the_factorial_form(self):
+        for n in range(2, 101):
+            assert r_x3_closed(n, n) == r_x3nn_closed(n), n
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: closed_form("X3", 9, 4),
+            lambda: lemma_x3nk_sign(9, 4),
+            lambda: asymptotic_bounds("X3", 9, 4),
+        ],
+        ids=["closed_form", "lemma_x3nk_sign", "asymptotic_bounds"],
+    )
+    def test_x3_values_run_no_beta_sum(self, monkeypatch, call):
+        # The product is the one source of X3's closed-form values; the Beta
+        # sums only check it.
+        def no_beta_sum(*args):
+            raise AssertionError("a Beta sum ran for an X3 closed-form value")
+
+        monkeypatch.setattr(closedforms, "_beta_sum", no_beta_sum)
+        call()
+
+
+#: Each public entry with one parameter replaced by `v`.
+ENTRIES = {
+    "closed_form X1": lambda v: closed_form("X1", v),
+    "closed_form X3 n": lambda v: closed_form("X3", v, 3),
+    "closed_form X3 k": lambda v: closed_form("X3", 5, v),
+    "r_x1_formula": lambda v: r_x1_formula(v),
+    "r_x3_formula": lambda v: r_x3_formula(v, 3),
+    "r_x3_closed n": lambda v: r_x3_closed(v, 3),
+    "r_x3_closed k": lambda v: r_x3_closed(5, v),
+    "r_x3nn_closed": lambda v: r_x3nn_closed(v),
+    "a_sequence": lambda v: a_sequence(v),
+    "a_recurrence_factor": lambda v: a_recurrence_factor(v),
+    "lemma_x1_sign": lambda v: lemma_x1_sign(v),
+    "x1_comparison_integral": lambda v: x1_comparison_integral(v),
+    "lemma_x3nk_sign": lambda v: lemma_x3nk_sign(v, 3),
+    "asymptotic_bounds X1": lambda v: asymptotic_bounds("X1", v),
+    "asymptotic_bounds X3": lambda v: asymptotic_bounds("X3", v, 3),
+}
+
+
+@pytest.mark.parametrize("value", [3.0, True, "5"], ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_non_int_parameters_are_invalid(entry, value):
+    # As in HorosphericalDatum: only an int is a parameter, and a bool is not one.
+    with pytest.raises(InvalidParameterError):
+        ENTRIES[entry](value)
 
 
 class TestClosedForm:
@@ -144,6 +204,21 @@ def test_engine_r_past_the_default_ceiling(monkeypatch, datum):
     monkeypatch.setenv("GRLB_MAX_N", "800")
     rep = engine.report(datum)
     assert closed_form(*datum) == (rep.dimension, rep.segment, rep.barycenter_t, rep.R)
+
+
+def test_imports_nothing_from_the_engine():
+    # The closed forms are a route independent of the engine: of grlb they
+    # read only exactnum's integer helpers.
+    tree = ast.parse(inspect.getsource(closedforms))
+    grlb_modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "grlb"):
+            grlb_modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("grlb.")):
+            grlb_modules.add(node.module.split(".")[-1])
+        elif isinstance(node, ast.Import):
+            grlb_modules |= {alias.name for alias in node.names if alias.name.startswith("grlb")}
+    assert grlb_modules == {"exactnum"}
 
 
 def test_only_integer_helpers_come_from_exactnum():
