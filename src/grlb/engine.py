@@ -24,11 +24,13 @@ The density is never expanded to compute tbar.  Under sigma = (t+a)/(a+b) it
 is a positive constant, which cancels in tbar and is never formed, times a few
 coprime integer forms (c0 + c1 sigma)^m, built in integers straight from the
 walk's multiset of (c_i, c_j).  Its two moments are integers taken in the
-variable of the form of largest m, and tbar is the one Fraction, built from
-them.  `dh_polynomial_on` returns the coefficients of the dense polynomial in
-t over a given root system and segment, lowest degree first: it is the tests'
-dense reference, which perfbench traces by name, and no computation of R uses
-it.
+variable tau of the form of largest m, and tbar is the one Fraction, built from
+them.  Only the other forms are expanded, but for a form that vanishes at the
+end of the segment where tau does not (X2, X5, every X3): then each moment is
+a sum of Beta integrals, taken by binary splitting.  `dh_polynomial_on`
+returns the coefficients of the dense polynomial in t over a given root system
+and segment, lowest degree first: it is the tests' dense reference, which
+perfbench traces by name, and no computation of R uses it.
 
 Orientation convention: `resolve` returns the marked pair (i, j) with *i*
 the index whose fundamental-weight coefficient grows with t.  For X3 and X5
@@ -287,24 +289,81 @@ def _forms(marked: Counter[tuple[int, int]], d_i: Fraction, d_j: Fraction) -> Co
     return forms
 
 
+_LEAF = 32
+
+
+def _beta_split(q0: list[int], q1: list[int], m: int, p: int, w: int) -> tuple[int, int, int]:
+    """(T(q0), T(q1), PB(0, L)) for two coefficient lists of one length L.
+
+    T(q) = sum_l q_l*PA(0, l)*PB(l+1, L), PA(i, l) = prod_{i<r<=l} (m+r)*w and
+    PB(l, j) = prod_{l<=r<j} (m+p+1+r), by binary splitting:
+    T(i, j) = T(i, k)*PB(k, j) + PA(i, k)*T(k, j), Horner at _LEAF terms or fewer.
+    """
+
+    def split(i: int, j: int) -> tuple[int, int, int, int]:
+        if j - i <= _LEAF:
+            t0 = t1 = 0
+            pa = 1
+            for l in range(i, j):
+                b = m + p + 1 + l
+                t0 = t0 * b + q0[l] * pa
+                t1 = t1 * b + q1[l] * pa
+                pa *= (m + l + 1) * w
+            return t0, t1, pa, math.prod(range(m + p + 1 + i, m + p + 1 + j))
+        k = (i + j) // 2
+        l0, l1, la, lb = split(i, k)
+        r0, r1, ra, rb = split(k, j)
+        return l0 * rb + la * r0, l1 * rb + la * r1, la * ra, lb * rb
+
+    t0, t1, _, pb = split(0, len(q0))
+    return t0, t1, pb
+
+
 def _form_moments(forms: Counter[tuple[int, int]]) -> tuple[int, int, int]:
     """(c1, num0, num1) for P = prod (c0 + c1*sigma)^m over `forms`.
 
-    The form of largest multiplicity m becomes tau = c0 + c1*sigma, c1 its slope;
-    only the others are expanded, as c1*(d0 + d1*sigma) = (c1*d0 - c0*d1) + d1*tau,
-    into q.  For N the total multiplicity and den = lcm(m+1, ..., N+2), P and
-    sigma*P integrate over [0, 1] to num0/(den*c1^(N-m+1)) and num1/(den*c1^(N-m+2)),
-    num_k = den * Int tau^m q_k dtau over [c0, c0 + c1], q_0 = q, q_1 = q*(tau - c0).
-    Each is a Horner split hi^(m+1)*S(hi) - lo^(m+1)*S(lo) with
+    The form of largest multiplicity m, on a tie one that vanishes at 0 or 1,
+    becomes tau = c0 + c1*sigma, c1 its slope; the others become
+    c1*(d0 + d1*sigma) = (c1*d0 - c0*d1) + d1*tau.  For N the
+    total multiplicity and den = lcm(m+1, ..., N+2), P and sigma*P integrate over
+    [0, 1] to num0/(den*c1^(N-m+1)) and num1/(den*c1^(N-m+2)),
+    num_k = den * Int tau^m q_k dtau over [c0, c0 + c1], q_0 the product of the
+    other forms in tau and q_1 = q_0*(tau - c0).
+
+    If tau vanishes at one end of [0, 1] and a form (d0, d1)^p at the other,
+    where tau = w, that form is (-d1*(w - tau))^p and is not expanded into q_0.
+    As Int_0^w tau^(m+l) (w - tau)^p dtau = w^(m+l+p+1) (m+l)! p!/(m+l+p+1)!,
+    num_k = +-den*(-d1)^p*w^(m+p+1)*T_k/(C(m+p, p)*PB), - if tau falls to 0,
+    one exact division each, T_k and PB from `_beta_split`.  Otherwise (X1, X4)
+    num_k is the Horner split hi^(m+1)*S(hi) - lo^(m+1)*S(lo) with
     S(x) = sum_l q_l*(den/(m+1+l))*x^l.
     """
-    (c0, c1), m = max(forms.items(), key=lambda item: item[1], default=((0, 1), 0))
+    (c0, c1), m = max(
+        forms.items(), key=lambda item: (item[1], not item[0][0] * sum(item[0])), default=((0, 1), 0)
+    )
+    den = math.lcm(*range(m + 1, sum(forms.values()) + 3))
+    # sigma at the end where tau is not 0, if tau vanishes at the other end
+    far = 1 if not c0 else 0 if not c0 + c1 else None
+    p, kept = max(
+        ((mult, (d0, d1)) for (d0, d1), mult in forms.items()
+         if far is not None and not d0 + d1 * far),
+        default=(0, None),
+    )
+
     q = [1]
     for (d0, d1), mult in forms.items():
-        if (d0, d1) != (c0, c1):
+        if (d0, d1) not in ((c0, c1), kept):
             q = _int_mul(q, _linear_pow_int(c1 * d0 - c0 * d1, d1, mult))
-    q1 = _int_mul(q, [-c0, 1])
-    den = math.lcm(*range(m + 1, m + len(q1) + 1))
+    q1 = [u - c0 * v for u, v in zip([0, *q], [*q, 0])]
+    if kept:
+        w = c0 + c1 * far
+        t0, t1, pb = _beta_split(q + [0], q1, m, p, w)
+        scale = (1 if far else -1) * den * (-kept[1]) ** p * w ** (m + p + 1)
+        divisor = math.comb(m + p, p) * pb
+        (num0, rem0), (num1, rem1) = (divmod(scale * t, divisor) for t in (t0, t1))
+        if rem0 or rem1:
+            raise ArithmeticError("a Beta moment is not an integer at its documented scale")
+        return c1, num0, num1
 
     def moment(coeffs: list[int]) -> int:
         s_lo = s_hi = 0

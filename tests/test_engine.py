@@ -1,6 +1,8 @@
 """Tests for the moment-segment pipeline: goldens, invariances, error paths."""
 
+import ast
 import hashlib
+import inspect
 import math
 import pickle
 from collections import Counter
@@ -621,6 +623,31 @@ form_multisets = st.lists(st.tuples(coprime_forms, st.integers(1, 9)), max_size=
 )
 
 
+@st.composite
+def beta_form_multisets(draw):
+    """Forms whose dominant form vanishes at one end of [0, 1] and a kept form at
+    the other, with more than one leaf of `_beta_split` left to expand."""
+    dominant = draw(st.sampled_from([(1, -1), (-1, 1), (0, 1), (0, -1)]))
+    kept = draw(st.sampled_from([(1, -1), (-1, 1)] if dominant[0] == 0 else [(0, 1), (0, -1)]))
+    rest = draw(
+        st.lists(coprime_forms.filter(lambda f: f not in (dominant, kept)), min_size=1, max_size=2, unique=True)
+    )
+    mults = [draw(st.integers(engine._LEAF, 80))] + [draw(st.integers(1, 20)) for _ in rest[1:]]
+    p = draw(st.integers(1, 20))
+    m = max(p, *mults) + draw(st.integers(1, 5))
+    return Counter({dominant: m, kept: p, **dict(zip(rest, mults))})
+
+
+def assert_matches_dense_integrals(forms):
+    dense = poly_product(forms.elements())
+    c1, num0, num1 = _form_moments(forms)
+    m, n = max(forms.values(), default=0), sum(forms.values())
+    assert c1 in ({d1 for (_, d1), k in forms.items() if k == m} if forms else {1})
+    norm = math.lcm(*range(m + 1, n + 3)) * c1 ** (n - m + 1)
+    assert num0 == norm * integrate(dense, 0, 1)
+    assert num1 == c1 * norm * integrate(poly_product([(0, 1), dense]), 0, 1)
+
+
 class TestFormMoments:
     """The dominant-form rule against the dense product integrated over [0, 1]:
     num0 and num1 are the two moments times den*c1^(N-m+1) and den*c1^(N-m+2),
@@ -636,13 +663,52 @@ class TestFormMoments:
     @example(Counter({(1, 1): 4, (2, -1): 4, (0, 1): 2}))
     @example(Counter({(-3, 2): 6, (1, -4): 2, (3, -1): 6}))
     def test_matches_dense_integrals(self, forms):
-        dense = poly_product(forms.elements())
-        c1, num0, num1 = _form_moments(forms)
-        m, n = max(forms.values(), default=0), sum(forms.values())
-        assert c1 in ({d1 for (_, d1), k in forms.items() if k == m} if forms else {1})
-        norm = math.lcm(*range(m + 1, n + 3)) * c1 ** (n - m + 1)
-        assert num0 == norm * integrate(dense, 0, 1)
-        assert num1 == c1 * norm * integrate(poly_product([(0, 1), dense]), 0, 1)
+        assert_matches_dense_integrals(forms)
+
+    # X3(n, k)'s forms are sigma^(k-1), (2 - sigma)^(k-1) and (1 - sigma)^(2n-2k+1):
+    # for k <= 2n/3 the dominant form is 1 - sigma and sigma^(k-1) is kept, as at
+    # X3(60, 36); past 2n/3 it is sigma, tied with 2 - sigma, and (1 - sigma) is
+    # kept, as at X3(60, 50).  (2 - sigma)^(k-1) is expanded into a sum of k terms.
+    @given(beta_form_multisets())
+    @settings(max_examples=40, deadline=None)
+    @example(Counter({(0, 1): 35, (2, -1): 35, (1, -1): 49}))
+    @example(Counter({(0, 1): 49, (2, -1): 49, (1, -1): 21}))
+    def test_beta_sums_longer_than_a_leaf_match_dense_integrals(self, forms):
+        assert_matches_dense_integrals(forms)
+
+    def test_a_tie_takes_the_form_that_vanishes_at_an_end(self):
+        # X3(n, n)'s forms with 2 - sigma first: sigma must still be tau, or
+        # (2 - sigma)^(n-1) and sigma^(n-1) would both be expanded.
+        assert _form_moments(Counter({(2, -1): 9, (0, 1): 9, (1, -1): 1}))[0] == 1
+
+    def test_binary_split_equals_the_flat_sum(self):
+        q0, q1 = list(range(-40, 60)), [3 * c * c - 7 for c in range(100)]
+        m, p, w = 11, 5, -2
+        t0, t1, pb = engine._beta_split(q0, q1, m, p, w)
+
+        def flat(q):
+            return sum(
+                q[l] * math.prod((m + r) * w for r in range(1, l + 1))
+                * math.prod(m + p + 1 + r for r in range(l + 1, len(q)))
+                for l in range(len(q))
+            )
+
+        assert (t0, t1, pb) == (flat(q0), flat(q1), math.prod(m + p + 1 + r for r in range(len(q0))))
+
+
+def test_imports_nothing_from_closedforms_or_the_oracle():
+    # The engine is a route independent of the closed forms and the oracle: of
+    # grlb it reads only exactnum's integer helpers and the root data.
+    tree = ast.parse(inspect.getsource(engine))
+    grlb_modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "grlb"):
+            grlb_modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("grlb.")):
+            grlb_modules.add(node.module.split(".")[-1])
+        elif isinstance(node, ast.Import):
+            grlb_modules |= {alias.name for alias in node.names if alias.name.startswith("grlb")}
+    assert grlb_modules == {"exactnum", "rootsystems"}
 
 
 class TestFactorialForm:
