@@ -7,8 +7,11 @@ Fraction.
 
 - X1(n): s = t + 2n + 2 = (n+2)u on [n+2, 2n+4], so u runs over [1, 2] and
   the integrand is (n+2)^(m+n) u^m (2-u) (u-1)^(n-1), m = n(n-1)/2.  The
-  powers of n+2 cancel in R, and against u^m each integral is the Horner
-  split 2^(m+1) S(2) - S(1) of its cofactor (`_x1_moments`).
+  powers of n+2 cancel in R.  In x = u - 1 both moments are differences of
+  I(a) = Int_0^1 x^a (1+x)^m dx, and integration by parts,
+  2^(m+1) = a I(a-1) + (a+m+1) I(a), takes I(n-1) to I(n) and I(n+1).  So
+  one Horner split 2^(m+1) S(2) - S(1), of the cofactor (u-1)^(n-1) against
+  u^m, serves R, tbar and the sign lemma (`_x1_moments`).
 - X3(n, k): s = b - t on [0, hi], b = 2n-2k+2 = 2p and hi = b+k = 2n-k+2;
   the factors k + t and 4n-3k+4-t are hi - s and hi + s, so the integrand
   is s^(b-1) (hi-s)^(k-1) (hi+s)^(k-1) = s^(b-1) (hi^2 - s^2)^(k-1).
@@ -28,8 +31,9 @@ Fraction.
   s^(n-1) (s-n) (n+2-s), times the constant (2n+2)^(n(n-1)/2): one more
   Beta sum.
 
-On a 2-CPU host (Python 3.11, best of 5) `r_x1_formula(400)` takes about
-0.004 s and `r_x3_formula(800, 400)` about 0.006 s; the product
+On a 2-CPU host (Python 3.11, best of 5) `r_x1_formula` takes about
+0.004 s at X1(400), 0.02 s at X1(800) and 0.17 s at X1(1600), and
+`r_x3_formula(800, 400)` about 0.006 s; the product
 `r_x3_closed` takes about 0.00014 s at X3(800, 400), 0.0004 s at
 X3(1600, 800) and 0.0025 s at X3(4000, 2000).
 
@@ -56,7 +60,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .exactnum import _int_mul, _linear_pow_int
+from .exactnum import _linear_pow_int
 
 __all__ = [
     "BoundCheck",
@@ -131,23 +135,29 @@ def _x1_moments(n: int) -> tuple[int, int, int]:
     """(num0, num1, den): Int_1^2 u^m (2-u) (u-1)^(n-1+l) du = num_l/den for l = 0, 1.
 
     m = n(n-1)/2.  Under s = (n+2)u the X1(n) integrand is (n+2)^(m+n) times
-    u^m (2-u) (u-1)^(n-1), so each integral is over [1, 2].  With
-    den = lcm(m+1, ..., m+n+2) and S(x) = sum_j q_j (den/(m+j+1)) x^j for the
-    cofactor q, den * Int_1^2 u^m q(u) du = 2^(m+1) S(2) - S(1).
+    u^m (2-u) (u-1)^(n-1), so each integral is over [1, 2].  In x = u - 1
+    moment l is I(n-1+l) - I(n+l), I(a) = Int_0^1 x^a (1+x)^m dx, and
+    integrating d/dx [x^a (1+x)^(m+1)] by parts gives
+    2^(m+1) = a I(a-1) + (a+m+1) I(a).  So one Horner split gives I(n-1):
+    with S(x) = sum_j q_j (c/(m+j+1)) x^j for q = (u-1)^(n-1) and
+    c = lcm(m+1, ..., m+n), c I(n-1) = 2^(m+1) S(2) - S(1).  The recurrence
+    at a = n and n+1 gives I(n) and I(n+1), all in integers over
+    den = c (n+m+1) (n+m+2).
     """
     m = n * (n - 1) // 2
-    den = math.lcm(*range(m + 1, m + n + 3))
-
-    def split(q: list[int]) -> int:
-        s1 = s2 = 0
-        for e in range(m + len(q), m, -1):
-            w = q[e - m - 1] * (den // e)
-            s1 += w
-            s2 = 2 * s2 + w
-        return (s2 << (m + 1)) - s1
-
-    num0, num1 = (split(_int_mul([2, -1], _linear_pow_int(-1, 1, n - 1 + l))) for l in (0, 1))
-    return num0, num1, den
+    c = math.lcm(*range(m + 1, m + n + 1))
+    s1 = s2 = 0
+    for e, q in zip(range(m + n, m, -1), reversed(_linear_pow_int(-1, 1, n - 1))):
+        w = q * (c // e)
+        s1 += w
+        s2 = 2 * s2 + w
+    top = c << (m + 1)  # c 2^(m+1)
+    i0 = (s2 << (m + 1)) - s1  # c I(n-1)
+    i1 = top - n * i0  # c (n+m+1) I(n)
+    i2 = (n + m + 1) * top - (n + 1) * i1  # c (n+m+1) (n+m+2) I(n+1)
+    i0 *= (n + m + 1) * (n + m + 2)
+    i1 *= n + m + 2
+    return i0 - i1, i1 - i2, c * (n + m + 1) * (n + m + 2)
 
 
 def r_x1_formula(n: int) -> Fraction:

@@ -244,6 +244,8 @@ def estimates(data: Sequence[HorosphericalDatum]) -> list[Estimate]:
 
     See the module docstring; a row with a non-finite value gets NaN moments.
     """
+    if not data:
+        return []
     import numpy as np
 
     systems: dict[tuple[str, int], list[tuple[int, int, int]]] = {}

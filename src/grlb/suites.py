@@ -159,14 +159,17 @@ SUITES = tuple(_RUNNERS)
 
 
 def run_suite(suite: str, max_n: int) -> list[CheckResult]:
-    """Run one named suite up to parameter max_n.
+    """Run one named suite up to parameter max_n, an int of at least 2.
 
-    The ceiling is read once, up front: every suite's grid reaches max_n, so
-    if max_n is past the ceiling this raises `engine.ceiling_error(ceiling + 1,
-    ceiling)` itself, the error for the first n past it, before any check runs.
+    Any other max_n (a bool included) raises ValueError.  The ceiling is read
+    once, up front: every suite's grid reaches max_n, so if max_n is past the
+    ceiling this raises `engine.ceiling_error(ceiling + 1, ceiling)` itself,
+    the error for the first n past it.  Both errors come before any check runs.
     """
     if suite not in _RUNNERS:
         raise ValueError(f"unknown suite {suite!r}; valid suites: {', '.join(SUITES)}")
+    if type(max_n) is not int or max_n < 2:
+        raise ValueError(f"max_n must be an int of at least 2, not {max_n!r}")
     ceiling = engine.max_exact_n()
     if max_n > ceiling:
         raise engine.ceiling_error(ceiling + 1, ceiling)

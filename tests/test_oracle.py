@@ -172,6 +172,10 @@ class TestMarkedForms:
         pairing = 2 * omega @ alpha.T / (alpha**2).sum(axis=1)
         assert np.array_equal(pairing, np.eye(rank))
 
+    def test_no_data_gives_no_rows(self):
+        assert estimates([]) == []
+        assert estimates(()) == []
+
     def test_segment_is_the_engines_over_the_oracle_grid(self):
         data = list(_oracle_data(30))
         for datum, estimate in zip(data, estimates(data)):

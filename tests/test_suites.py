@@ -262,3 +262,21 @@ def test_ceiling_is_checked_before_any_check_runs(monkeypatch, suite):
     with pytest.raises(InvalidDatumError, match="GRLB_MAX_N must be an integer"):
         run_suite(suite, 4)
 
+
+@pytest.mark.parametrize("suite", ["lemmas", "closed-forms", "bounds", "oracle"])
+@pytest.mark.parametrize("max_n", [True, False, 2.5, 4.0, "4", None, 1, 0, -3])
+def test_max_n_is_checked_before_any_check_runs(monkeypatch, suite, max_n):
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(suites, "_check", no_check)
+    monkeypatch.setattr(oracle, "estimates", no_check)
+    with pytest.raises(ValueError, match="^max_n must be an int of at least 2") as raised:
+        run_suite(suite, max_n)
+    assert not isinstance(raised.value, InvalidDatumError)
+
+
+@pytest.mark.parametrize("suite", ["lemmas", "closed-forms", "bounds", "oracle"])
+def test_max_n_of_two_is_the_smallest_grid(suite):
+    results = run_suite(suite, 2)
+    assert results and all(r.passed for r in results)
