@@ -17,8 +17,8 @@ exact rational arithmetic:
 `report` builds no root table: `rootsystems.unipotent_radical` walks Phi_Pu
 in the orthonormal basis of B_n and C_n, in O(n^2) time and O(n) memory, and
 reads the fixed tables of F4 and G2.  `resolve` still builds the table; only
-the tests read it, to check the walk against it, and perfbench traces the
-table functions by name.
+the tests' reference module, tests/reference.py, reads it, to check the walk
+against it, and perfbench traces the table functions by name.
 
 The density is never expanded to compute tbar.  Under sigma = (t+a)/(a+b) it
 is a positive constant, which cancels in tbar and is never formed, times a few
@@ -29,8 +29,10 @@ them.  Only the other forms are expanded, but for a form that vanishes at the
 end of the segment where tau does not (X2, X5, every X3): then each moment is
 a sum of Beta integrals, taken by binary splitting.  `dh_polynomial_on`
 returns the coefficients of the dense polynomial in t over a given root system
-and segment, lowest degree first: it is the tests' dense reference, which
-perfbench traces by name, and no computation of R uses it.
+and segment, lowest degree first: it is the dense reference of
+tests/reference.py, which perfbench traces by name, and no computation of R
+uses it.  `resolve`, `phi_pu`, `dh_polynomial_on` and `moment_segment` serve
+only that module, and are not in `__all__`.
 
 Orientation convention: `resolve` returns the marked pair (i, j) with *i*
 the index whose fundamental-weight coefficient grows with t.  For X3 and X5
@@ -63,12 +65,8 @@ __all__ = [
     "MomentSegment",
     "ceiling_error",
     "check_ceiling",
-    "dh_polynomial_on",
     "max_exact_n",
-    "moment_segment",
-    "phi_pu",
     "report",
-    "resolve",
     "ricci_bound",
 ]
 
@@ -190,9 +188,8 @@ class MomentSegment(NamedTuple):
 
 
 class ComputationReport(NamedTuple):
-    """Every exact quantity the pipeline produces for one datum."""
+    """Every exact quantity the pipeline produces for one datum, in `closedforms.closed_form`'s order."""
 
-    datum: HorosphericalDatum
     dimension: int
     segment: MomentSegment
     barycenter_t: Fraction
@@ -222,8 +219,8 @@ def _marked_pair(datum: HorosphericalDatum) -> tuple[str, int, int, int]:
 def resolve(datum: HorosphericalDatum) -> tuple[RootSystem, int, int]:
     """Root table and oriented marked simple roots (i, j) for a datum.
 
-    Neither `report` nor the oracle calls this; only the tests read the table,
-    and perfbench traces the table functions by name.
+    Neither `report` nor the oracle calls this; only tests/reference.py reads
+    the table, and perfbench traces the table functions by name.
     """
     type_label, rank, i, j = _marked_pair(datum)
     return build_root_system(type_label, rank), i, j
@@ -410,7 +407,6 @@ def report(datum: HorosphericalDatum) -> ComputationReport:
     half_lengths = _root_data(type_label, rank)[0]
     t_bar = _barycenter(seg, _forms(marked, half_lengths[i - 1], half_lengths[j - 1]))
     return ComputationReport(
-        datum=datum,
         dimension=sum(marked.values()) + 1,
         segment=seg,
         barycenter_t=t_bar,

@@ -10,8 +10,10 @@ arbitrary precision, always reduced, and always carries a positive denominator.
 - ``poly_product`` and ``integrate`` are the dense route: no computation of
   R uses them.  A dense polynomial is the tuple of its exact coefficients,
   lowest degree first, with trailing zeros trimmed (``()`` is 0).  They
-  serve only ``engine.dh_polynomial_on`` and the tests, which integrate the
-  dense densities as an independent reference.
+  serve only ``engine.dh_polynomial_on`` and the tests' reference module,
+  tests/reference.py, which integrates the dense densities as an
+  independent reference; they and ``InvalidIntervalError`` are not in
+  ``__all__``.
 - ``int_to_str``, ``str_to_int``, ``frac_str``, ``parse_frac``,
   ``to_decimal`` and ``to_significant`` write and read exact values at any
   size; every exact value the package prints goes through them.
@@ -29,13 +31,10 @@ Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 __all__ = [
-    "InvalidIntervalError",
     "Rational",
     "frac_str",
     "int_to_str",
-    "integrate",
     "parse_frac",
-    "poly_product",
     "str_to_int",
     "to_decimal",
     "to_significant",
@@ -190,10 +189,11 @@ def to_decimal(r: RationalLike, digits: int) -> str:
     """Decimal expansion of r with exactly `digits` fractional digits.
 
     Rounds half to even, so the parsed result never differs from r by more
-    than half a unit in the last place.
+    than half a unit in the last place.  `digits` must be an int (not a bool)
+    of at least 1, or ValueError is raised.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    if type(digits) is not int or digits < 1:
+        raise ValueError(f"digits must be an int of at least 1, not {digits!r}")
     rf = Fraction(r)
     num, den = abs(rf).numerator, abs(rf).denominator
     s = int_to_str(_round_half_even(num * 10**digits, den)).rjust(digits + 1, "0")
@@ -205,10 +205,11 @@ def to_significant(r: RationalLike, digits: int) -> str:
     """r with `digits` significant digits, laid out like format(float(r), f".{digits}g").
 
     Works at any magnitude: the value never passes through a float, whose
-    range ends near 1.8e308, nor through str() of a huge integer.
+    range ends near 1.8e308, nor through str() of a huge integer.  `digits`
+    must be an int (not a bool) of at least 1, or ValueError is raised.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
+    if type(digits) is not int or digits < 1:
+        raise ValueError(f"digits must be an int of at least 1, not {digits!r}")
     rf = Fraction(r)
     if not rf:
         return "0"

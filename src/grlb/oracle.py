@@ -98,8 +98,8 @@ def quad(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, degree: in
     coefficients of each interpolant come from one real FFT of the even
     extension of its values, and its estimate is their exact integral.
     """
-    if not lo < hi:
-        raise ValueError(f"quad requires lo < hi, got [{lo}, {hi}]")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"quad requires finite lo < hi, got [{lo}, {hi}]")
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
         raise ValueError(f"degree must be a nonnegative int, got {degree!r}")
     import numpy as np

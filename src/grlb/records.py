@@ -96,7 +96,7 @@ def record_for(datum: HorosphericalDatum, digits: int = 4, route: str = "engine"
     those strings.
     """
     if route == "engine":
-        record = engine.report(datum)[1:]
+        record = engine.report(datum)
     elif route == "closed-form":
         if datum.family not in ("X1", "X3"):
             raise InvalidDatumError("closed-form route exists only for families X1 and X3")
@@ -228,9 +228,12 @@ _TABLES = {1: _table1, 2: _table2, 3: _table3}
 
 
 def table_rows(table_id: int) -> Rows:
-    """Published table 1, 2 or 3, recomputed from the engine."""
-    if table_id not in _TABLES:
-        raise ValueError(f"unknown table id {table_id}; valid ids are 1, 2, 3")
+    """Published table 1, 2 or 3, recomputed from the engine.
+
+    Any other id, a bool or a float equal to one of them included, raises ValueError.
+    """
+    if type(table_id) is not int or table_id not in _TABLES:
+        raise ValueError(f"unknown table id {table_id!r}; valid ids are 1, 2, 3")
     return _TABLES[table_id]()
 
 

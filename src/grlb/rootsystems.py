@@ -41,6 +41,11 @@ root sum of column sums t as 2 t_l - t_{l-1} - t_{l+1}, but for that entry.
 `_coroot_pairings` is that one rule: `unipotent_radical` applies it to the
 walk's column sums and `weight_of_root_sum` to the column sums of any list of
 roots.
+
+`RootSystem`, `build_root_system` and `weight_of_root_sum` make and read the
+full root table.  No route builds it: only the tests' reference module,
+tests/reference.py, reads it, to check the walk against it, and perfbench
+traces them by name.  They are not in `__all__`.
 """
 
 from __future__ import annotations
@@ -53,11 +58,8 @@ from typing import Iterable, NamedTuple
 RootVector = tuple[int, ...]
 
 __all__ = [
-    "RootSystem",
     "UnsupportedRootSystemError",
-    "build_root_system",
     "unipotent_radical",
-    "weight_of_root_sum",
 ]
 
 

@@ -92,7 +92,7 @@ def _suite_lemmas(max_n: int) -> list[CheckResult]:
 def _engine_formula(family: str, n: int, k: int | None = None) -> tuple[bool, str]:
     """The engine's (dimension, segment, tbar, R) against `closedforms.closed_form`'s."""
     rep = engine.report(HorosphericalDatum(family, n, k))
-    return rep[1:] == closedforms.closed_form(family, n, k), "R=" + frac_str(rep.R)
+    return rep == closedforms.closed_form(family, n, k), "R=" + frac_str(rep.R)
 
 
 def _x3_integral_factorial(n: int) -> tuple[bool, str]:

@@ -11,9 +11,11 @@ from fractions import Fraction
 
 from grlb import closedforms, engine, oracle
 from grlb.engine import HorosphericalDatum
-from grlb.exactnum import poly_product
 from grlb.records import parse_frac, table_rows
-from grlb.rootsystems import weight_of_root_sum
+from grlb.suites import _oracle_data
+from reference import (
+    barycenter_on, dh_polynomial_on, moment_segment, phi_pu, poly_product, resolve, two_rho_P, weight_of_root_sum,
+)
 
 F = Fraction
 
@@ -87,17 +89,6 @@ def test_criterion_3_barycenter_goldens():
     _announce(3, "barycenter goldens")
 
 
-def _grid_data(max_n: int):
-    yield HorosphericalDatum("X2")
-    yield HorosphericalDatum("X4")
-    yield HorosphericalDatum("X5")
-    for n in range(3, max_n + 1):
-        yield HorosphericalDatum("X1", n=n)
-    for n in range(2, max_n + 1):
-        for k in range(2, n + 1):
-            yield HorosphericalDatum("X3", n=n, k=k)
-
-
 def _minus(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
     """u - v as a dict of the nonzero coefficients."""
     diff = Counter(u)
@@ -113,9 +104,9 @@ def test_criterion_4_cross_derivation():
         "X1": lambda d: {d.n - 1: d.n, d.n: 2},
         "X3": lambda d: {d.k - 1: d.k, d.k: 2 * d.n - 2 * d.k + 2},
     }
-    for datum in _grid_data(12):
-        rs, i, j = engine.resolve(datum)
-        unipotent_sum = weight_of_root_sum(rs, engine.phi_pu(rs, i, j))
+    for datum in _oracle_data(12):
+        rs, i, j = resolve(datum)
+        unipotent_sum = two_rho_P(rs, i, j)
         # Complementary derivation: all positive roots minus the Levi part.
         levi = [r for r in rs.positive_roots if r[i - 1] == 0 and r[j - 1] == 0]
         two_rho_g = weight_of_root_sum(rs, rs.positive_roots)
@@ -175,7 +166,7 @@ def test_criterion_7_bounds():
 
 
 def test_criterion_8_oracle_agreement():
-    for datum in _grid_data(8):
+    for datum in _oracle_data(8):
         rep = oracle.crosscheck(datum)
         assert rep.ok, (
             f"{datum.label()}: tbar_err={rep.t_bar_rel_err:.2e} r_err={rep.r_rel_err:.2e}"
@@ -193,22 +184,17 @@ def test_criterion_9_property_suite():
         HorosphericalDatum("X5"),
     ]
 
-    def barycenter_on(rs, seg):
-        marked = Counter((r[seg.i - 1], r[seg.j - 1]) for r in engine.phi_pu(rs, seg.i, seg.j))
-        d_i, d_j = rs.half_lengths[seg.i - 1], rs.half_lengths[seg.j - 1]
-        return engine._barycenter(seg, engine._forms(marked, d_i, d_j))
-
     for datum in small:
-        rs, i, j = engine.resolve(datum)
-        roots = engine.phi_pu(rs, i, j)
-        seg = engine.moment_segment(datum)
+        rs, i, j = resolve(datum)
+        roots = phi_pu(rs, i, j)
+        seg = moment_segment(datum)
         t_bar = barycenter_on(rs, seg)
         assert t_bar == engine.report(datum).barycenter_t, datum.label()
         r_value = engine.ricci_bound(seg.a, seg.b, t_bar)
         for lam in (F(2), F(1, 3)):
             scaled = rs._replace(half_lengths=tuple(lam * d for d in rs.half_lengths))
-            assert engine.dh_polynomial_on(scaled, seg) == poly_product(
-                [(lam ** len(roots),), engine.dh_polynomial_on(rs, seg)]
+            assert dh_polynomial_on(scaled, seg) == poly_product(
+                [(lam ** len(roots),), dh_polynomial_on(rs, seg)]
             ), datum.label()
             assert barycenter_on(scaled, seg) == t_bar, datum.label()
         flipped = engine.MomentSegment(seg.j, seg.i, seg.b, seg.a)
@@ -227,7 +213,7 @@ def test_criterion_9_property_suite():
     for n in range(2, 13):
         for k in range(2, n + 1):
             datum = HorosphericalDatum("X3", n=n, k=k)
-            rs, i, j = engine.resolve(datum)
-            assert dimension(datum) == len(engine.phi_pu(rs, i, j)) + 1
+            rs, i, j = resolve(datum)
+            assert dimension(datum) == len(phi_pu(rs, i, j)) + 1
             assert dimension(datum) == k * (4 * n - 3 * k + 3) // 2
     _announce(9, "scale, orientation and dimension properties")

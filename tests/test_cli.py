@@ -381,6 +381,12 @@ class TestTable:
         result = run_grlb(["table", "--id", "4"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("table_id", [True, 1.0, 2.0, "1"])
+    def test_table_rows_takes_only_an_int_id(self, table_id):
+        # True and 1.0 are equal to the key 1 of a dict, yet neither is a table id.
+        with pytest.raises(ValueError, match="unknown table id"):
+            table_rows(table_id)
+
 
 class TestVerify:
     def test_lemmas_pass(self, run_grlb):

@@ -19,57 +19,24 @@ from grlb.engine import (
     HorosphericalDatum,
     InvalidDatumError,
     MomentSegment,
-    dh_polynomial_on,
-    moment_segment,
-    phi_pu,
     report,
-    resolve,
     ricci_bound,
 )
 from grlb.engine import _barycenter, _form_moments, _forms, _segment
-from grlb.exactnum import integrate, poly_product
-from grlb.rootsystems import build_root_system, unipotent_radical, weight_of_root_sum
+from grlb.rootsystems import unipotent_radical
 from grlb.suites import _oracle_data, run_suite
+from reference import (
+    barycenter_on, build_root_system, dense_density, dense_moments, dh_polynomial_on, integrate,
+    moment_segment, phi_pu, poly_product, resolve, table_marked, two_rho_P, weight_of_root_sum,
+)
 
 F = Fraction
 
 FIXED = [HorosphericalDatum("X2"), HorosphericalDatum("X4"), HorosphericalDatum("X5")]
 
 
-def dh_polynomial(datum):
-    """The datum's dense Duistermaat-Heckman density in t."""
-    rs, _, _ = resolve(datum)
-    return dh_polynomial_on(rs, moment_segment(datum))
-
-
 def dimension(datum):
     return report(datum).dimension
-
-
-def two_rho_P(rs, i, j):
-    return weight_of_root_sum(rs, phi_pu(rs, i, j))
-
-
-def table_marked(rs, i, j):
-    """Multiset of the marked coefficients (c_i, c_j) of Phi_Pu, read from a root table."""
-    return Counter((r[i - 1], r[j - 1]) for r in phi_pu(rs, i, j))
-
-
-def barycenter_on(rs, seg):
-    """tbar of a segment over a given root system, Phi_Pu read from its marked pair."""
-    marked = table_marked(rs, seg.i, seg.j)
-    forms = _forms(marked, rs.half_lengths[seg.i - 1], rs.half_lengths[seg.j - 1])
-    return _barycenter(seg, forms)
-
-
-def dense_moments(datum):
-    """(volume, first moment) of the dense density over the datum's segment."""
-    seg = moment_segment(datum)
-    density = dh_polynomial(datum)
-    return (
-        integrate(density, -seg.a, seg.b),
-        integrate(poly_product([(0, 1), density]), -seg.a, seg.b),
-    )
 
 
 def small_grid():
@@ -333,10 +300,10 @@ class TestDhPolynomial:
     def test_x2_matches_displayed_closed_form(self):
         # (49/4)(3+t)^2 (4-t)^3 (5+t/2), coefficient for coefficient.
         expected = poly_product([(F(49, 4),)] + [(3, 1)] * 2 + [(4, -1)] * 3 + [(5, F(1, 2))])
-        assert dh_polynomial(HorosphericalDatum("X2")) == expected
+        assert dense_density(HorosphericalDatum("X2")) == expected
 
     def test_x5_at_zero(self, horner):
-        assert horner(dh_polynomial(HorosphericalDatum("X5")), 0) == 3240
+        assert horner(dense_density(HorosphericalDatum("X5")), 0) == 3240
 
     def test_degrees(self):
         # Combinations with equal marked contributions produce constant
@@ -346,13 +313,13 @@ class TestDhPolynomial:
             (HorosphericalDatum("X5"), 5),
             (HorosphericalDatum("X4"), 15),
         ]:
-            degree = len(dh_polynomial(datum)) - 1
+            degree = len(dense_density(datum)) - 1
             assert degree == expected_degree
             assert degree <= dimension(datum) - 1
 
     @pytest.mark.parametrize("datum", small_grid(), ids=lambda d: d.label())
     def test_positive_inside_zero_at_endpoints(self, datum, horner):
-        density = dh_polynomial(datum)
+        density = dense_density(datum)
         seg = moment_segment(datum)
         assert horner(density, -seg.a) == 0
         assert horner(density, seg.b) == 0
@@ -368,7 +335,7 @@ class TestDhPolynomial:
             + [(n, 1)] * (n - 1)
             + [(2 * n + 2, 1)] * (n * (n - 1) // 2)
         )
-        assert dh_polynomial(HorosphericalDatum("X1", n=n)) == expected
+        assert dense_density(HorosphericalDatum("X1", n=n)) == expected
 
     def test_x3nn_closed_form(self):
         # 2 (2n+4)^(n(n-1)/2) (n+t)^(n-1) (2-t) (n+4-t)^(n-1)
@@ -379,7 +346,7 @@ class TestDhPolynomial:
             + [(2, -1)]
             + [(n + 4, -1)] * (n - 1)
         )
-        assert dh_polynomial(HorosphericalDatum("X3", n=n, k=n)) == expected
+        assert dense_density(HorosphericalDatum("X3", n=n, k=n)) == expected
 
     def test_x3nk_closed_form(self):
         # 2 (2n-k+2)^(2(k-1)(n-k)) (2(2n-k+2))^(k(k-1)/2)
@@ -397,7 +364,7 @@ class TestDhPolynomial:
             + [(b, -1)] * (2 * n - 2 * k + 1)
             + [(4 * n - 3 * k + 4, -1)] * (k - 1)
         )
-        assert dh_polynomial(HorosphericalDatum("X3", n=n, k=k)) == expected
+        assert dense_density(HorosphericalDatum("X3", n=n, k=k)) == expected
 
 
 class TestBarycenterAndBound:

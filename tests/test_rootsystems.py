@@ -1,18 +1,11 @@
 """Tests for root-system construction, conversions and count invariants."""
 
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from grlb.engine import phi_pu
-from grlb.rootsystems import (
-    UnsupportedRootSystemError,
-    _bc_walk,
-    build_root_system,
-    unipotent_radical,
-    weight_of_root_sum,
-)
+from grlb.rootsystems import UnsupportedRootSystemError, _bc_walk, unipotent_radical
+from reference import build_root_system, phi_pu, table_marked, weight_of_root_sum
 
 F = Fraction
 
@@ -247,7 +240,7 @@ class TestUnipotentRadical:
                     continue
                 roots = phi_pu(rs, i, j)
                 marked, two_rho_p = unipotent_radical(type_label, n, i, j)
-                assert marked == Counter((r[i - 1], r[j - 1]) for r in roots), (i, j)
+                assert marked == table_marked(rs, i, j), (i, j)
                 assert two_rho_p == weight_of_root_sum(rs, roots), (i, j)
                 assert two_rho_p.keys() == {i, j}
                 walked, column_sums = _bc_walk(n, type_label == "C", i, j)
@@ -263,7 +256,7 @@ class TestUnipotentRadical:
                 if i != j:
                     roots = phi_pu(rs, i, j)
                     marked, two_rho_p = unipotent_radical(type_label, n, i, j)
-                    assert marked == Counter((r[i - 1], r[j - 1]) for r in roots), (i, j)
+                    assert marked == table_marked(rs, i, j), (i, j)
                     assert two_rho_p == weight_of_root_sum(rs, roots), (i, j)
 
     def test_validation(self):
