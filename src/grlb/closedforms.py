@@ -293,7 +293,8 @@ def x1_comparison_integral(n: int) -> Fraction:
         raise InvalidParameterError("comparison integral requires n >= 3")
     # s = t + n: t = s-n, 2-t = n+2-s and (n+t)^(n-1) = s^(n-1) on [0, n+2].
     num, den = _beta_sum(n - 1, 1, [-n, 1], n + 2)
-    return Fraction((2 * n + 2) ** (n * (n - 1) // 2) * num, den)
+    # The sum is 0 at every n; the frozen factor's power is formed only when it is not.
+    return Fraction((2 * n + 2) ** (n * (n - 1) // 2) * num, den) if num else Fraction(0)
 
 
 def lemma_x3nk_sign(n: int, k: int) -> BoundCheck:

@@ -7,11 +7,16 @@ tests check it against.  This is the only test module that imports them from
 re-exported below are defined in `grlb` but left out of their modules'
 `__all__`.
 
-The helpers read Phi_Pu of a marked pair (i, j) from the table: its multiset
-of marked coefficients (c_i, c_j), its sum 2*rho_P, and the barycenter and
-dense moments they give.
+`REFERENCE_NAMES` lists the ten, by the grlb module that defines them.  The
+helpers read Phi_Pu of a marked pair (i, j) from the table: its multiset of
+marked coefficients (c_i, c_j), its sum 2*rho_P, and the barycenter and dense
+moments they give.  `grlb_imports` reads what a module imports from grlb.
 """
 
+import ast
+import importlib
+import importlib.util
+import inspect
 from collections import Counter
 
 from grlb.engine import _barycenter, _forms, dh_polynomial_on, moment_segment, phi_pu, resolve
@@ -19,6 +24,7 @@ from grlb.exactnum import InvalidIntervalError, integrate, poly_product
 from grlb.rootsystems import RootSystem, build_root_system, weight_of_root_sum
 
 __all__ = [
+    "REFERENCE_NAMES",
     "InvalidIntervalError",
     "RootSystem",
     "barycenter_on",
@@ -26,6 +32,7 @@ __all__ = [
     "dense_density",
     "dense_moments",
     "dh_polynomial_on",
+    "grlb_imports",
     "integrate",
     "moment_segment",
     "phi_pu",
@@ -35,6 +42,13 @@ __all__ = [
     "two_rho_P",
     "weight_of_root_sum",
 ]
+
+#: The dense route and the root table, by the grlb module that defines each name.
+REFERENCE_NAMES = {
+    "grlb.engine": ("dh_polynomial_on", "moment_segment", "phi_pu", "resolve"),
+    "grlb.exactnum": ("InvalidIntervalError", "integrate", "poly_product"),
+    "grlb.rootsystems": ("RootSystem", "build_root_system", "weight_of_root_sum"),
+}
 
 
 def table_marked(rs, i, j):
@@ -67,3 +81,25 @@ def dense_moments(datum):
         integrate(density, -seg.a, seg.b),
         integrate(poly_product([(0, 1), density]), -seg.a, seg.b),
     )
+
+
+def grlb_imports(module):
+    """Each grlb module that `module`'s source imports from, mapped to the set of
+    names it takes; a grlb module imported whole maps to {"*"}."""
+    taken = {}
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "grlb":
+                    taken.setdefault(alias.name, set()).add("*")
+        elif isinstance(node, ast.ImportFrom):
+            source = importlib.util.resolve_name("." * node.level + (node.module or ""), module.__package__)
+            if source.split(".")[0] != "grlb":
+                continue
+            package = hasattr(importlib.import_module(source), "__path__")
+            for alias in node.names:
+                if package and importlib.util.find_spec(f"{source}.{alias.name}"):
+                    taken.setdefault(f"{source}.{alias.name}", set()).add("*")
+                else:
+                    taken.setdefault(source, set()).add(alias.name)
+    return taken

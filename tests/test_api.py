@@ -10,6 +10,7 @@ import inspect
 from pathlib import Path
 
 import pytest
+from reference import REFERENCE_NAMES
 
 MODULES = [
     "grlb",
@@ -30,14 +31,9 @@ def test_all_names_resolve(module_name):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
-#: The dense route and the root table.  No route needs them: they stay in
-#: their modules, out of every __all__, and the tests reach them only through
-#: tests/reference.py.
-REFERENCE_NAMES = {
-    "grlb.engine": ("dh_polynomial_on", "moment_segment", "phi_pu", "resolve"),
-    "grlb.exactnum": ("InvalidIntervalError", "integrate", "poly_product"),
-    "grlb.rootsystems": ("RootSystem", "build_root_system", "weight_of_root_sum"),
-}
+# The dense route and the root table.  No route needs them: they stay in
+# their modules, out of every __all__, and the tests reach them only through
+# tests/reference.py.
 NAMES = {name for names in REFERENCE_NAMES.values() for name in names}
 TESTS = Path(__file__).parent
 

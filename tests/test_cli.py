@@ -1,6 +1,7 @@
 """Tests for the command-line interface and result serialization."""
 
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import grlb
-from grlb import cli, engine, exactnum, rootsystems
+from grlb import cli, engine
 from grlb.engine import HorosphericalDatum, InvalidDatumError, report
 from grlb.records import (
     frac_str,
@@ -23,6 +24,7 @@ from grlb.records import (
     render,
     table_rows,
 )
+import reference
 
 F = Fraction
 
@@ -678,12 +680,13 @@ def test_fresh_process_reaches_every_deferred_import(run_grlb, command):
     assert out.stdout.decode() == run_grlb(command.split(), env={"GRLB_MAX_N": None}).stdout
 
 
-#: The dense polynomial and the root table: the tests' references, which no command needs.
-REFERENCE_ROUTE = {
-    exactnum: ("poly_product", "integrate"),
-    engine: ("dh_polynomial_on", "resolve", "phi_pu"),
-    rootsystems: ("build_root_system", "weight_of_root_sum"),
-}
+#: Every function of the dense polynomial and the root table: the tests' references, which no command needs.
+REFERENCE_ROUTE = [
+    name
+    for names in reference.REFERENCE_NAMES.values()
+    for name in names
+    if inspect.isfunction(getattr(reference, name))
+]
 
 
 @pytest.mark.parametrize(
@@ -701,9 +704,7 @@ REFERENCE_ROUTE = {
 )
 def test_no_command_reaches_the_reference_route(run_grlb, monkeypatch, command):
     """Every command exits 0 with each reference function raising, at every grlb attribute that holds it."""
-    reference = {
-        id(getattr(module, name)): name for module, names in REFERENCE_ROUTE.items() for name in names
-    }
+    functions = {id(getattr(reference, name)): name for name in REFERENCE_ROUTE}
 
     def unreachable(name):
         def raise_(*args, **kwargs):
@@ -715,8 +716,8 @@ def test_no_command_reaches_the_reference_route(run_grlb, monkeypatch, command):
     for module_name, module in list(sys.modules.items()):
         if module_name == "grlb" or module_name.startswith("grlb."):
             for attr, value in list(vars(module).items()):
-                if id(value) in reference:
-                    monkeypatch.setattr(module, attr, unreachable(reference[id(value)]))
+                if id(value) in functions:
+                    monkeypatch.setattr(module, attr, unreachable(functions[id(value)]))
                     patched.add(f"{module_name}.{attr}")
     # Besides each home module, engine holds the two it imports.
     assert {"grlb.engine.poly_product", "grlb.engine.build_root_system"} <= patched

@@ -1,7 +1,5 @@
 """Tests for the closed-form formulas, inequalities and asymptotic bounds."""
 
-import ast
-import inspect
 from fractions import Fraction
 
 import mpmath
@@ -24,7 +22,7 @@ from grlb.closedforms import (
     x1_comparison_integral,
 )
 from grlb.exactnum import to_decimal
-from reference import dense_density, integrate, poly_product
+from reference import dense_density, grlb_imports, integrate, poly_product
 
 F = Fraction
 
@@ -216,30 +214,13 @@ def test_engine_r_past_the_default_ceiling(monkeypatch, datum):
 def test_imports_nothing_from_the_engine():
     # The closed forms are a route independent of the engine: of grlb they
     # read only exactnum's integer helpers.
-    tree = ast.parse(inspect.getsource(closedforms))
-    grlb_modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in (None, "grlb"):
-            grlb_modules |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("grlb.")):
-            grlb_modules.add(node.module.split(".")[-1])
-        elif isinstance(node, ast.Import):
-            grlb_modules |= {alias.name for alias in node.names if alias.name.startswith("grlb")}
-    assert grlb_modules == {"exactnum"}
+    assert set(grlb_imports(closedforms)) == {"grlb.exactnum"}
 
 
 def test_only_integer_helpers_come_from_exactnum():
     # The closed forms work in integers: no dense polynomial, no integration.
-    tree = ast.parse(inspect.getsource(closedforms))
-    taken = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exactnum":
-            taken |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.module in (None, "grlb"):
-            assert "exactnum" not in {alias.name for alias in node.names}
-        elif isinstance(node, ast.Import):
-            assert "grlb.exactnum" not in {alias.name for alias in node.names}
-    assert taken == {"_linear_pow_int"}
+    # An import of exactnum whole would add "*".
+    assert grlb_imports(closedforms)["grlb.exactnum"] == {"_linear_pow_int"}
 
 
 class TestX3nnClosed:

@@ -1,8 +1,6 @@
 """Tests for the moment-segment pipeline: goldens, invariances, error paths."""
 
-import ast
 import hashlib
-import inspect
 import math
 import pickle
 from collections import Counter
@@ -26,8 +24,8 @@ from grlb.engine import _barycenter, _form_moments, _forms, _segment
 from grlb.rootsystems import unipotent_radical
 from grlb.suites import _oracle_data, run_suite
 from reference import (
-    barycenter_on, build_root_system, dense_density, dense_moments, dh_polynomial_on, integrate,
-    moment_segment, phi_pu, poly_product, resolve, table_marked, two_rho_P, weight_of_root_sum,
+    barycenter_on, build_root_system, dense_density, dense_moments, dh_polynomial_on, grlb_imports,
+    integrate, moment_segment, phi_pu, poly_product, resolve, table_marked, two_rho_P, weight_of_root_sum,
 )
 
 F = Fraction
@@ -666,16 +664,7 @@ class TestFormMoments:
 def test_imports_nothing_from_closedforms_or_the_oracle():
     # The engine is a route independent of the closed forms and the oracle: of
     # grlb it reads only exactnum's integer helpers and the root data.
-    tree = ast.parse(inspect.getsource(engine))
-    grlb_modules = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module in (None, "grlb"):
-            grlb_modules |= {alias.name for alias in node.names}
-        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("grlb.")):
-            grlb_modules.add(node.module.split(".")[-1])
-        elif isinstance(node, ast.Import):
-            grlb_modules |= {alias.name for alias in node.names if alias.name.startswith("grlb")}
-    assert grlb_modules == {"exactnum", "rootsystems"}
+    assert set(grlb_imports(engine)) == {"grlb.exactnum", "grlb.rootsystems"}
 
 
 class TestFactorialForm:
