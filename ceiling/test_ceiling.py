@@ -62,7 +62,7 @@ def test_oracle_suite_at_the_default_ceiling(tmp_path):
 @pytest.mark.parametrize("datum, max_n", [  # X1(165)'s R is past the str(int) digit limit.
     ("X1 --n 100", None), ("X1 --n 165", 800), ("X1 --n 300", 800), ("X1 --n 400", 800),
     ("X3 --n 300 --k 150", 800), ("X3 --n 800 --k 400", 800), ("X3 --n 800 --k 600", 800),
-    ("X3 --n 800 --k 800", 800), ("X3 --n 4000 --k 2000", 4000),
+    ("X3 --n 800 --k 800", 800), ("X3 --n 4000 --k 2000", 4000), ("X3 --n 4000 --k 3000", 4000),
 ])
 def test_closed_form_record_is_the_engines_but_for_provenance(datum, max_n):
     closed, engine_ = (json.loads(grlb_stdout(f"compute --family {datum} --route {route} --format json", max_n))

@@ -26,8 +26,10 @@ coprime integer forms (c0 + c1 sigma)^m, built in integers straight from the
 walk's multiset of (c_i, c_j).  Its two moments are integers taken in the
 variable tau of the form of largest m, and tbar is the one Fraction, built from
 them.  Only the other forms are expanded, but for a form that vanishes at the
-end of the segment where tau does not (X2, X5, every X3): then each moment is
-a sum of Beta integrals, taken by binary splitting.  `dh_polynomial_on`
+end of the segment where tau does not (X2, X5, every X3), kept as
+(w - tau)^p.  Every family then takes one formula: each moment is a sum over
+tau's two ends of Beta integrals, taken by binary splitting, up to a factor
+that both moments share and tbar cancels.  `dh_polynomial_on`
 returns the coefficients of the dense polynomial in t over a given root system
 and segment, lowest degree first: it is the dense reference of
 tests/reference.py, which perfbench traces by name, and no computation of R
@@ -289,12 +291,15 @@ def _forms(marked: Counter[tuple[int, int]], d_i: Fraction, d_j: Fraction) -> Co
 _LEAF = 32
 
 
-def _beta_split(q0: list[int], q1: list[int], m: int, p: int, w: int) -> tuple[int, int, int]:
-    """(T(q0), T(q1), PB(0, L)) for two coefficient lists of one length L.
+def _beta_split(q0: list[int], q1: list[int], m: int, p: int, w: int) -> tuple[int, int]:
+    """(T(q0), T(q1)) for two coefficient lists of one length L.
 
     T(q) = sum_l q_l*PA(0, l)*PB(l+1, L), PA(i, l) = prod_{i<r<=l} (m+r)*w and
     PB(l, j) = prod_{l<=r<j} (m+p+1+r), by binary splitting:
     T(i, j) = T(i, k)*PB(k, j) + PA(i, k)*T(k, j), Horner at _LEAF terms or fewer.
+    As Int_0^w tau^(m+l) (w - tau)^p dtau = w^(m+l+p+1) (m+l)! p!/(m+l+p+1)!,
+    w^(m+p+1)*T(q) is Int_0^w tau^m (w - tau)^p q(tau) dtau times
+    C(m+p, p)*PB(0, L), a factor that does not depend on w or q.
     """
 
     def split(i: int, j: int) -> tuple[int, int, int, int]:
@@ -312,8 +317,7 @@ def _beta_split(q0: list[int], q1: list[int], m: int, p: int, w: int) -> tuple[i
         r0, r1, ra, rb = split(k, j)
         return l0 * rb + la * r0, l1 * rb + la * r1, la * ra, lb * rb
 
-    t0, t1, _, pb = split(0, len(q0))
-    return t0, t1, pb
+    return split(0, len(q0))[:2]
 
 
 def _form_moments(forms: Counter[tuple[int, int]]) -> tuple[int, int, int]:
@@ -321,24 +325,21 @@ def _form_moments(forms: Counter[tuple[int, int]]) -> tuple[int, int, int]:
 
     The form of largest multiplicity m, on a tie one that vanishes at 0 or 1,
     becomes tau = c0 + c1*sigma, c1 its slope; the others become
-    c1*(d0 + d1*sigma) = (c1*d0 - c0*d1) + d1*tau.  For N the
-    total multiplicity and den = lcm(m+1, ..., N+2), P and sigma*P integrate over
-    [0, 1] to num0/(den*c1^(N-m+1)) and num1/(den*c1^(N-m+2)),
-    num_k = den * Int tau^m q_k dtau over [c0, c0 + c1], q_0 the product of the
-    other forms in tau and q_1 = q_0*(tau - c0).
+    c1*(d0 + d1*sigma) = (c1*d0 - c0*d1) + d1*tau.  If tau vanishes at one end
+    of [0, 1] and a form (d0, d1)^p at the other, where tau = w, that form is
+    (-d1*(w - tau))^p and is kept as (w - tau)^p; else p = 0.  q_0 is the
+    product of the other forms in tau and q_1 = q_0*(tau - c0).
 
-    If tau vanishes at one end of [0, 1] and a form (d0, d1)^p at the other,
-    where tau = w, that form is (-d1*(w - tau))^p and is not expanded into q_0.
-    As Int_0^w tau^(m+l) (w - tau)^p dtau = w^(m+l+p+1) (m+l)! p!/(m+l+p+1)!,
-    num_k = +-den*(-d1)^p*w^(m+p+1)*T_k/(C(m+p, p)*PB), - if tau falls to 0,
-    one exact division each, T_k and PB from `_beta_split`.  Otherwise (X1, X4)
-    num_k is the Horner split hi^(m+1)*S(hi) - lo^(m+1)*S(lo) with
-    S(x) = sum_l q_l*(den/(m+1+l))*x^l.
+    num_k is the sum over tau's two ends of +-w^(m+p+1)*T_k(w) from
+    `_beta_split`, + at sigma = 1 and - at sigma = 0, where an end with
+    tau = 0 adds nothing: Int tau^m (w - tau)^p q_k dtau over [c0, c0 + c1]
+    times one factor that both share.  So num0 and num1 are Int P and
+    c1*Int sigma*P over [0, 1] times one shared factor, and
+    tbar = (a+b)*num1/(c1*num0) - a.
     """
     (c0, c1), m = max(
         forms.items(), key=lambda item: (item[1], not item[0][0] * sum(item[0])), default=((0, 1), 0)
     )
-    den = math.lcm(*range(m + 1, sum(forms.values()) + 3))
     # sigma at the end where tau is not 0, if tau vanishes at the other end
     far = 1 if not c0 else 0 if not c0 + c1 else None
     p, kept = max(
@@ -352,25 +353,14 @@ def _form_moments(forms: Counter[tuple[int, int]]) -> tuple[int, int, int]:
         if (d0, d1) not in ((c0, c1), kept):
             q = _int_mul(q, _linear_pow_int(c1 * d0 - c0 * d1, d1, mult))
     q1 = [u - c0 * v for u, v in zip([0, *q], [*q, 0])]
-    if kept:
-        w = c0 + c1 * far
-        t0, t1, pb = _beta_split(q + [0], q1, m, p, w)
-        scale = (1 if far else -1) * den * (-kept[1]) ** p * w ** (m + p + 1)
-        divisor = math.comb(m + p, p) * pb
-        (num0, rem0), (num1, rem1) = (divmod(scale * t, divisor) for t in (t0, t1))
-        if rem0 or rem1:
-            raise ArithmeticError("a Beta moment is not an integer at its documented scale")
-        return c1, num0, num1
-
-    def moment(coeffs: list[int]) -> int:
-        s_lo = s_hi = 0
-        for e in range(m + len(coeffs), m, -1):
-            w = coeffs[e - m - 1] * (den // e)
-            s_lo = s_lo * c0 + w
-            s_hi = s_hi * (c0 + c1) + w
-        return (c0 + c1) ** (m + 1) * s_hi - c0 ** (m + 1) * s_lo
-
-    return c1, moment(q), moment(q1)
+    num0 = num1 = 0
+    for sign, w in ((1, c0 + c1), (-1, c0)):
+        if w:
+            t0, t1 = _beta_split(q + [0], q1, m, p, w)
+            scale = sign * w ** (m + p + 1)
+            num0 += scale * t0
+            num1 += scale * t1
+    return c1, num0, num1
 
 
 def _barycenter(seg: MomentSegment, forms: Counter[tuple[int, int]]) -> Fraction:

@@ -243,9 +243,12 @@ def estimates(data: Sequence[HorosphericalDatum]) -> list[Estimate]:
     """One `Estimate` per datum, in order: one root build per root system, one `quad` per block.
 
     See the module docstring; a row with a non-finite value gets NaN moments.
+    The largest n of the data is checked against the exact ceiling first
+    (`engine.check_ceiling`), before any array is built.
     """
     if not data:
         return []
+    engine.check_ceiling(max((datum.n for datum in data if datum.n is not None), default=None))
     import numpy as np
 
     systems: dict[tuple[str, int], list[tuple[int, int, int]]] = {}

@@ -394,6 +394,19 @@ class TestCrosscheck:
         with pytest.raises(InvalidDatumError, match="^n=5 exceeds the exact-computation ceiling 4"):
             crosscheck(HorosphericalDatum("X1", n=5))
 
+    @pytest.mark.parametrize("max_n, data, message", [
+        (None, [("X2",), ("X1", 150), ("X3", 120, 3)], "^n=150 exceeds the exact-computation ceiling 100 "),
+        ("400", [("X3", 401, 2), ("X1", 3)], "^n=401 exceeds the exact-computation ceiling 400 "),
+    ], ids=["default", "raised"])
+    def test_estimates_cap(self, monkeypatch, max_n, data, message):
+        # The largest n is refused before any array is built, as crosscheck refuses it.
+        monkeypatch.delenv("GRLB_MAX_N", raising=False)
+        if max_n is not None:
+            monkeypatch.setenv("GRLB_MAX_N", max_n)
+        monkeypatch.setattr(oracle, "_plate", None)
+        with pytest.raises(InvalidDatumError, match=message):
+            estimates([HorosphericalDatum(*args) for args in data])
+
 
 coeffs_strategy = st.lists(
     st.integers(min_value=0, max_value=1000), min_size=1, max_size=61
