@@ -59,6 +59,16 @@ def test_oracle_suite_at_the_default_ceiling(tmp_path):
     assert max(errors) <= 1e-12
 
 
+def test_oracle_crosscheck_at_x1_1600_in_bounded_memory():
+    env = os.environ | {"GRLB_MAX_N": "1600", "PYTHONWARNINGS": "error::RuntimeWarning"}
+    code = "from grlb import engine, oracle; assert oracle.crosscheck(engine.HorosphericalDatum('X1', n=1600)).ok"
+    _, status, usage = os.wait4(os.posix_spawn(sys.executable, [sys.executable, "-c", code], env), 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    # The forms take B_1600's 2.56 million roots in blocks within the budget (one gather of them
+    # all peaked at about 405 MB); what is left is the quadrature's node axis, about 230 MB.
+    assert usage.ru_maxrss / 1024 <= 256
+
+
 @pytest.mark.parametrize("datum, max_n", [  # X1(165)'s R is past the str(int) digit limit.
     ("X1 --n 100", None), ("X1 --n 165", 800), ("X1 --n 300", 800), ("X1 --n 400", 800),
     ("X3 --n 300 --k 150", 800), ("X3 --n 800 --k 400", 800), ("X3 --n 800 --k 600", 800),

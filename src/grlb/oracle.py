@@ -18,21 +18,26 @@ or v is nonzero.  The segment comes from 2 rho_P = sum of Phi_Pu in the same
 basis, a = 2 (2 rho_P, alpha_i) / (alpha_i, alpha_i) and b likewise.  Every
 coordinate there is a multiple of 1/2, so these floats are exact.
 
-`estimates` works per root system: it builds the roots once, pairs them
-with omega_i, omega_j, alpha_i and alpha_j of every marked pair in one
-product, and groups each datum's forms by one `numpy.unique` over (datum,
-u, v) keys; the same arrays give the segments.  In x = (2t - b + a)/(a+b),
-a form divided by its maximum (a+b) max(u, v) on the segment is
-(u (1+x) + v (1-x)) / (2 max(u, v)), so every density lies in [0, 1] on
-[-1, 1] at any n.  The rows of forms, padded to one width with forms of
-multiplicity 0, are integrated by one `quad` per block of rows that share a
-node count: the exponential of one (rows x nodes x forms) log array times
-the multiplicities, less each row's largest log value at the nodes.  So
-every row peaks at 1.0 there and none underflows, past n ~ 650 either; the
-shift cancels in tbar and R.  Each block, and each chunk of pairs times
-roots, holds at most `_ENTRY_BUDGET` entries, but one marked pair's gather
-of its roots and one row's node axis are never split, so memory still
-grows with n: `crosscheck(X1(1600))` peaks at about 405 MB.
+`estimates` makes one pass per root family: B for X1 and X2, C for X3, and
+the one-rank F4 and G2.  It sorts the family's marked pairs by rank and cuts
+them into chunks.  A chunk generates the epsilon-roots block by block, in the
+order of their larger index q, so that the roots of B_r and C_r are a prefix
+of one list and a root past a pair's own rank is masked out for it.  Each
+block is paired with omega_i, omega_j, alpha_i and alpha_j of every pair at
+its own rank, and each datum's forms are counted by one `numpy.bincount`
+over fixed (datum, 2u, 2v) keys, summed over the blocks with the segments.
+In x = (2t - b + a)/(a+b), a form divided by its maximum (a+b) max(u, v) on
+the segment is (u (1+x) + v (1-x)) / (2 max(u, v)), so every density lies
+in [0, 1] on [-1, 1] at any n.  The rows of forms, padded to one width with
+forms of multiplicity 0, are integrated by one `quad` per block of rows that
+share a node count: the exponential of one (rows x nodes x forms) log array
+times the multiplicities, less each row's largest log value at the nodes.
+So every row peaks at 1.0 there and none underflows, past n ~ 650 either;
+the shift cancels in tbar and R.  Every array of the forms pass, each block
+of rows, and each slice of rows that `quad` transforms at once holds at most
+`_ENTRY_BUDGET` entries, but one row's node axis is never split, so memory
+still grows with the density's degree: `crosscheck(X1(1600))` peaks at about
+230 MB, nearly all of it in the quadrature.
 A row with a non-finite value fails only its own datum's check.
 
 `crosscheck` maps each family to its group and oriented marked pair
@@ -41,7 +46,7 @@ segment endpoints, tbar and R.  It passes when its segment equals the
 engine's exactly and its barycenter and Ricci bound match the engine's, at
 every n up to the exact ceiling, so an engine that flips a marked pair
 fails it.  Its report stores the numbers only, and `ok` is read off them.
-On a 2-CPU host `crosscheck(X1(400))` takes about 0.08 s.
+On a 2-CPU host `crosscheck(X1(400))` takes about 0.15 s.
 
 numpy is imported inside the functions that use it, so importing this module
 does not load it; the CLI imports this module only for `verify`.
@@ -72,8 +77,9 @@ __all__ = [
 #: crosscheck's relative tolerance on tbar and R against the exact values.
 CROSSCHECK_REL_TOL = 1e-9
 
-#: Entries of the largest array the oracle builds: a chunk of one system's
-#: marked pairs times its roots, or a block of rows times nodes times forms.
+#: Entries of the largest array the oracle builds: a chunk of one family's
+#: marked pairs times a block of its roots, a block of rows times nodes times
+#: forms, or the rows of one FFT; one row of nodes is never split.
 _ENTRY_BUDGET = 1 << 14
 
 
@@ -112,7 +118,16 @@ def quad(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, degree: in
     vals = np.asarray(f(ts), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise EvaluationFailureError("integrand returned a non-finite value")
-    coeffs = np.fft.rfft(np.concatenate([vals, vals[..., n - 1 : 0 : -1]], axis=-1)).real / n
+    # One real FFT per slice of rows within the budget: an rfft of many long
+    # rows at once holds several copies of all of them.
+    rows = vals.reshape(-1, n + 1)
+    coeffs = np.empty_like(rows)
+    step = max(1, _ENTRY_BUDGET // (2 * n))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        coeffs[start : start + step] = np.fft.rfft(np.concatenate([block, block[:, n - 1 : 0 : -1]], axis=1)).real
+    coeffs = coeffs.reshape(vals.shape)
+    coeffs /= n
     coeffs[..., [0, n]] /= 2.0
     # The integral of T_j over [-1, 1] is 2/(1 - j^2) for even j, 0 for odd j.
     even = np.arange(0, n + 1, 2)
@@ -121,7 +136,7 @@ def quad(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, degree: in
 
 #: Bourbaki's Plates VIII (F4, in R^4) and IX (G2, in the plane x1+x2+x3 = 0
 #: of R^3), in the epsilon basis: the simple roots and fundamental weights in
-#: index order, and G2's positive roots.  F4's are generated in `_plate`.
+#: index order, and G2's positive roots.  F4's are generated in `_roots`.
 _F4_SIMPLE = ((0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (0.5, -0.5, -0.5, -0.5))
 _F4_WEIGHTS = ((1, 1, 0, 0), (2, 1, 1, 0), (1.5, 0.5, 0.5, 0.5), (1, 0, 0, 0))
 _G2_SIMPLE = ((1, -1, 0), (-2, 1, 1))
@@ -139,69 +154,127 @@ def _root_system(datum: HorosphericalDatum) -> tuple[str, int, int, int]:
     return {"X2": ("B", 3, 1, 3), "X4": ("F4", 4, 2, 3), "X5": ("G2", 2, 1, 2)}[f]
 
 
-def _plate(type_label: str, rank: int) -> tuple[np.ndarray, ...]:
-    """(idx, coef, omega, alpha): one root system's plate in the epsilon basis.
+def _root_shape(type_label: str, rank):
+    """(positive roots, epsilon coordinates) of the family's system of this rank, an int or an array."""
+    if type_label in ("B", "C"):
+        return rank * rank, rank
+    return {"F4": (24, 4), "G2": (6, 3)}[type_label]
 
-    Root r is sum_c coef[r, c] L_{idx[r, c]}, and row m - 1 of omega and
-    alpha is omega_m and alpha_m.  B_n and C_n store each root by its two
-    epsilon coordinates, so the arrays hold O(n^2) numbers; F4 and G2 store
-    their roots dense.
+
+def _roots(type_label: str, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, coef): roots start..stop-1 of the family's list, root r being sum_c coef[r, c] L_{idx[r, c]}.
+
+    B and C list their epsilon-roots block by block in the larger index q
+    (from 0): L_p - L_q and L_p + L_q for p < q, then L_q (B) or 2 L_q (C).
+    Block q holds 2q + 1 roots, so roots 0..r^2-1 are those of B_r or C_r,
+    and a slice of the list is generated without the roots before it.  F4 and
+    G2 list their 24 and 6 positive roots dense.
     """
     import numpy as np
 
     if type_label in ("B", "C"):
-        p, q = np.triu_indices(rank, 1)
-        diag = np.arange(rank)
-        idx = np.stack([np.concatenate([p, p, diag]), np.concatenate([q, q, diag])], axis=1)
-        omega, alpha = np.tri(rank), np.eye(rank) - np.eye(rank, k=1)
-        # L_p - L_q, L_p + L_q, then L_p and omega_n / 2 (B_n) or 2 L_p and alpha_n = 2 L_n (C_n).
-        if type_label == "B":
-            last = 1.0
-            omega[-1] /= 2
-        else:
-            last = alpha[-1, -1] = 2.0
-        coef = np.repeat([[1.0, -1.0], [1.0, 1.0], [last, 0.0]], [len(p), len(p), rank], axis=0)
-        return idx, coef, omega, alpha
+        k = np.arange(start, stop)
+        q = np.sqrt(k).astype(np.intp)  # floor(sqrt(k)), exact for k < 2^52
+        offset = k - q * q  # L_p - L_q at p = offset < q, L_p + L_q at p = offset - q, then L_q
+        minus, last = offset < q, offset == 2 * q
+        idx = np.stack((np.where(minus, offset, offset - q), q), axis=1)
+        coef = np.stack((np.where(last, 1.0 if type_label == "B" else 2.0, 1.0), np.where(minus, -1.0, 1.0 - last)), axis=1)
+        return idx, coef
     if type_label == "F4":
         eye = np.eye(4)
         p, q = np.triu_indices(4, 1)
         halves = [(0.5, *signs) for signs in itertools.product((0.5, -0.5), repeat=3)]
         dense = np.concatenate([eye, eye[p] - eye[q], eye[p] + eye[q], halves])
-        omega, alpha = np.array(_F4_WEIGHTS, dtype=float), np.array(_F4_SIMPLE, dtype=float)
     else:
         dense = np.array(_G2_POSITIVE, dtype=float)
-        omega, alpha = np.array(_G2_WEIGHTS, dtype=float), np.array(_G2_SIMPLE, dtype=float)
-    return np.broadcast_to(np.arange(dense.shape[1]), dense.shape), dense, omega, alpha
+    dense = dense[start:stop]
+    return np.broadcast_to(np.arange(dense.shape[1]), dense.shape), dense
 
 
-def _forms(type_label: str, rank: int, members: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Phi_Pu's distinct forms and the segment of each marked pair of one system.
+def _weights(type_label: str, rank: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(omega, alpha): rows omega_m and alpha_m, m = index[r], each of the system of rank rank[r].
 
-    members holds one row (datum, i, j) per pair.  Returns the arrays
-    (datum, slot, u, v, mult) of the forms, slot numbering a datum's forms
-    from 0, then (datum, a, b) of the pairs.  u = (alpha, omega_i) is the
-    engine's c_i d_i for B_n, C_n and F4, and twice it for G2, whose plate
-    scales the inner product by 2; a common factor cancels in tbar and R.
+    B_r and C_r have omega_m = L_1 + ... + L_m, halved for m = r in B_r, and
+    alpha_m = L_m - L_{m+1}, but alpha_r = L_r (B_r) or 2 L_r (C_r); their
+    rows are padded with zeros to the largest rank.  F4 and G2 take theirs
+    from the plates.
     """
     import numpy as np
 
-    idx, coef, omega, alpha = _plate(type_label, rank)
-    chunks, step = [], max(1, _ENTRY_BUDGET // (4 * idx.size))
-    for start in range(0, len(members), step):
-        datum, i, j = members[start : start + step].T
-        vectors = np.concatenate((omega[i - 1], omega[j - 1], alpha[i - 1], alpha[j - 1]))
-        u, v, on_i, on_j = np.einsum("rc,krc->kr", coef, vectors[:, idx]).reshape(4, len(datum), -1)
-        keep = (u != 0) | (v != 0)
-        a = 2 * (on_i * keep).sum(axis=1) / (alpha[i - 1] ** 2).sum(axis=1)
-        b = 2 * (on_j * keep).sum(axis=1) / (alpha[j - 1] ** 2).sum(axis=1)
-        # Every u and v is a multiple of 1/2, so 2u and 2v are small integers.
-        row, u, v = np.nonzero(keep)[0], u[keep], v[keep]
-        base = 2 * max(u.max(), v.max()) + 1
-        _, first, mult = np.unique((row * base + 2 * u) * base + 2 * v, return_index=True, return_counts=True)
-        row = row[first]
+    if type_label == "F4":
+        return np.array(_F4_WEIGHTS, dtype=float)[index - 1], np.array(_F4_SIMPLE, dtype=float)[index - 1]
+    if type_label == "G2":
+        return np.array(_G2_WEIGHTS, dtype=float)[index - 1], np.array(_G2_SIMPLE, dtype=float)[index - 1]
+    coord, m = np.arange(rank.max()), index[:, None]
+    last = (index == rank)[:, None]
+    omega = (coord < m) * np.where(last & (type_label == "B"), 0.5, 1.0)
+    alpha = (coord == m - 1) * np.where(last & (type_label == "C"), 2.0, 1.0) - ((coord == m) & ~last)
+    return omega, alpha
+
+
+def _forms(type_label: str, members: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Phi_Pu's distinct forms and the segment of each marked pair of one root family, in one pass.
+
+    members holds one row (datum, rank, i, j) per pair, in any order.
+    Returns the arrays (datum, slot, u, v, mult) of the forms, slot
+    numbering a datum's forms from 0 in order of (u, v), then (datum, a, b)
+    of the pairs.  u = (alpha, omega_i) is the engine's c_i d_i for B_n, C_n
+    and F4, and twice it for G2, whose plate scales the inner product by 2;
+    a common factor cancels in tbar and R.
+
+    The pairs are sorted by rank and cut into chunks.  A chunk takes the
+    family's roots in blocks up to its largest rank; a block skips the pairs
+    whose roots all lie before it, and masks out a root past a pair's own
+    rank.  Every array of the pass holds at most `_ENTRY_BUDGET` entries.
+    """
+    import numpy as np
+
+    # u and v are at least 0, since omega_i and omega_j are dominant, and
+    # multiples of 1/2 at most 2 in B_n and C_n, 3 in F4 and 6 in G2's
+    # scale, so 2 u base + 2 v is one key per form, 0 for a root off Phi_Pu.
+    base = {"F4": 7, "G2": 13}.get(type_label, 5)
+    members = members[np.argsort(members[:, 1], kind="stable")]
+    _, count, dim = np.broadcast_arrays(members[:, 1], *_root_shape(type_label, members[:, 1]))
+    # A chunk's (key, alpha_i, alpha_j) rows and its counts fit the budget.
+    entries = np.maximum(3 * dim, base * base).tolist()
+    parts, start = [], 0
+    while start < len(members):
+        stop = start + 1
+        while stop < len(members) and (stop + 1 - start) * entries[stop] <= _ENTRY_BUDGET:
+            stop += 1
+        datum, rank, i, j = members[start:stop].T
+        limit = count[start:stop]
+        start = stop
+        omega, alpha = _weights(type_label, np.concatenate((rank, rank)), np.concatenate((i, j)))
+        # Row 0 pairs to 2 u base + 2 v with a root, rows 1 and 2 to (root, alpha_i) and (root, alpha_j).
+        m = len(datum)
+        vectors = np.stack((2 * base * omega[:m] + 2 * omega[m:], alpha[:m], alpha[m:]))
+        counts = np.zeros(m * base * base, dtype=np.intp)
+        on = np.zeros((2, m))
+        first = 0
+        while first < limit[-1]:
+            live = int(np.searchsorted(limit, first, side="right"))
+            last = min(first + max(1, _ENTRY_BUDGET // (3 * (m - live))), int(limit[-1]))
+            idx, coef = _roots(type_label, first, last)
+            rows = vectors[:, live:]
+            values = coef[:, 0] * rows[..., idx[:, 0]]
+            for c in range(1, idx.shape[1]):
+                values += coef[:, c] * rows[..., idx[:, c]]
+            key, on_ij = values[0], values[1:]
+            keep = key != 0
+            if last > limit[live]:
+                keep &= np.arange(first, last) < limit[live:, None]
+            on[:, live:] += (on_ij * keep).sum(axis=-1)
+            key += (np.arange(live, m) * base * base)[:, None]
+            counts += np.bincount(key[keep].astype(np.intp), minlength=len(counts))
+            first = last
+        found = np.flatnonzero(counts)
+        row, key = np.divmod(found, base * base)
+        u, v = np.divmod(key, base)
         slot = np.arange(len(row)) - np.searchsorted(row, row)
-        chunks.append((datum[row], slot, u[first], v[first], mult, datum, a, b))
-    return tuple(map(np.concatenate, zip(*chunks)))
+        a, b = 2 * on / (vectors[1:] ** 2).sum(axis=-1)
+        parts.append((datum[row], slot, u / 2, v / 2, counts[found], datum, a, b))
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _density(u: np.ndarray, v: np.ndarray, mult: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -240,7 +313,7 @@ class Estimate(NamedTuple):
 
 
 def estimates(data: Sequence[HorosphericalDatum]) -> list[Estimate]:
-    """One `Estimate` per datum, in order: one root build per root system, one `quad` per block.
+    """One `Estimate` per datum, in order: one forms pass per root family, one `quad` per block.
 
     See the module docstring; a row with a non-finite value gets NaN moments.
     The largest n of the data is checked against the exact ceiling first
@@ -251,11 +324,11 @@ def estimates(data: Sequence[HorosphericalDatum]) -> list[Estimate]:
     engine.check_ceiling(max((datum.n for datum in data if datum.n is not None), default=None))
     import numpy as np
 
-    systems: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
+    families: dict[str, list[tuple[int, int, int, int]]] = {}
     for position, datum in enumerate(data):
-        type_label, rank, i, j = _root_system(datum)
-        systems.setdefault((type_label, rank), []).append((position, i, j))
-    parts = [_forms(*system, np.array(members)) for system, members in systems.items()]
+        type_label, *pair = _root_system(datum)
+        families.setdefault(type_label, []).append((position, *pair))
+    parts = [_forms(type_label, np.array(members)) for type_label, members in families.items()]
     owner, slot, u, v, mult, position, a, b = map(np.concatenate, zip(*parts))
     segment = np.empty((2, len(data)))
     segment[:, position] = a, b

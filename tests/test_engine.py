@@ -198,30 +198,31 @@ class TestNoRootTable:
         ids=str,
     )
     def test_crosscheck_builds_one_table(self, calls, monkeypatch, datum):
-        """The one table a cross-check builds is the oracle's epsilon-basis root list."""
+        """The one table a cross-check builds is the oracle's epsilon-basis root list, in one block here."""
         built = Counter()
 
-        def counted(*args, _fn=oracle._plate):
+        def counted(*args, _fn=oracle._roots):
             built[args] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(oracle, "_plate", counted)
+        monkeypatch.setattr(oracle, "_roots", counted)
         assert oracle.crosscheck(datum).ok
         assert calls == {}
-        assert built == {oracle._root_system(datum)[:2]: 1}
+        type_label, rank, _, _ = oracle._root_system(datum)
+        assert built == {(type_label, 0, oracle._root_shape(type_label, rank)[0]): 1}
 
     def test_oracle_suite_builds_one_table_per_root_system(self, calls, monkeypatch):
-        """The suite batches its data by root system: one epsilon-basis root list each."""
+        """The suite batches its data by root family: at --max-n 10, one root list each, up to its largest rank."""
         built = Counter()
 
-        def counted(*args, _fn=oracle._plate):
+        def counted(*args, _fn=oracle._roots):
             built[args] += 1
             return _fn(*args)
 
-        monkeypatch.setattr(oracle, "_plate", counted)
+        monkeypatch.setattr(oracle, "_roots", counted)
         assert all(r.passed for r in run_suite("oracle", 10))
         assert calls == {}
-        assert built == Counter({oracle._root_system(d)[:2]: 1 for d in _oracle_data(10)})
+        assert built == Counter({("B", 0, 100): 1, ("C", 0, 100): 1, ("F4", 0, 24): 1, ("G2", 0, 6): 1})
 
 
 class TestPhiPu:

@@ -1,5 +1,6 @@
 """Tests for the quadrature oracle and its engine cross-checks."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -105,9 +106,9 @@ class TestQuad:
 
 
 def _one_pair(datum):
-    """(u, v, mult, a, b): the oracle's forms and segment for one datum, from its batched forms."""
+    """(u, v, mult, a, b): the oracle's forms and segment for one datum, from its family's pass."""
     type_label, rank, i, j = _root_system(datum)
-    _, _, u, v, mult, _, a, b = oracle._forms(type_label, rank, np.array([(0, i, j)]))
+    _, _, u, v, mult, _, a, b = oracle._forms(type_label, np.array([(0, rank, i, j)]))
     return u, v, mult, float(a[0]), float(b[0])
 
 
@@ -130,11 +131,11 @@ def _table_forms(rs, i, j):
     return forms, (two_rho.get(i, 0), two_rho.get(j, 0))
 
 
-def _batched_forms(type_label, rank, pairs, scale=1):
-    """The (u, v) multiset and the (a, b) segment of every marked pair, from one batch of the oracle."""
-    members = np.array([(position, i, j) for position, (i, j) in enumerate(pairs)])
+def _batched_forms(type_label, pairs, scale=1):
+    """The (u, v) multiset and the (a, b) segment of every (rank, i, j) marked pair, from one pass of the oracle."""
+    members = np.array([(position, *pair) for position, pair in enumerate(pairs)])
     forms, segments = [Counter() for _ in pairs], [None] * len(pairs)
-    owner, _, u, v, mult, position, a, b = oracle._forms(type_label, rank, members)
+    owner, _, u, v, mult, position, a, b = oracle._forms(type_label, members)
     for row, u_r, v_r, m in zip(owner.tolist(), u.tolist(), v.tolist(), mult.tolist()):
         forms[row][(F(u_r) / scale, F(v_r) / scale)] = m
     for row, a_r, b_r in zip(position.tolist(), a.tolist(), b.tolist()):
@@ -142,13 +143,35 @@ def _batched_forms(type_label, rank, pairs, scale=1):
     return list(zip(forms, segments))
 
 
-def _check_every_ordered_pair(type_label, rank, scale=1):
-    rs = build_root_system(type_label, rank)
-    pairs = [(i, j) for i in range(1, rank + 1) for j in range(1, rank + 1) if i != j]
-    for (i, j), (forms, segment) in zip(pairs, _batched_forms(type_label, rank, pairs, scale)):
-        want, want_segment = _table_forms(rs, i, j)
-        assert forms == want, (i, j)
-        assert segment == want_segment, (i, j)
+def _check_every_ordered_pair(type_label, ranks, scale=1):
+    """Every ordered marked pair of every rank in ranks, taken in one `_forms` call, against the root table."""
+    tables = {rank: build_root_system(type_label, rank) for rank in ranks}
+    pairs = [(rank, i, j) for rank in ranks for i in range(1, rank + 1) for j in range(1, rank + 1) if i != j]
+    for (rank, i, j), (forms, segment) in zip(pairs, _batched_forms(type_label, pairs, scale)):
+        want, want_segment = _table_forms(tables[rank], i, j)
+        assert forms == want, (rank, i, j)
+        assert segment == want_segment, (rank, i, j)
+
+
+def _estimates_and_forms(monkeypatch, data):
+    """estimates(data), and each datum's forms [(u, v, mult)] in slot order and segment (a, b), from its `_forms` calls."""
+    passes = []
+
+    def spy(*args, _fn=oracle._forms):
+        passes.append(_fn(*args))
+        return passes[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_forms", spy)
+        rows = estimates(data)
+    forms, segments = [[] for _ in data], [None] * len(data)
+    for owner, slot, u, v, mult, position, a, b in passes:
+        for row, s, *form in zip(owner.tolist(), slot.tolist(), u.tolist(), v.tolist(), mult.tolist()):
+            assert s == len(forms[row])
+            forms[row].append(tuple(form))
+        for row, *segment in zip(position.tolist(), a.tolist(), b.tolist()):
+            segments[row] = tuple(segment)
+    return rows, forms, segments
 
 
 class TestMarkedForms:
@@ -157,26 +180,94 @@ class TestMarkedForms:
     @pytest.mark.parametrize("type_label", ["B", "C"])
     @pytest.mark.parametrize("rank", range(2, 25))
     def test_bc_every_ordered_pair(self, type_label, rank):
-        _check_every_ordered_pair(type_label, rank)
+        _check_every_ordered_pair(type_label, [rank])
+
+    @pytest.mark.parametrize("type_label", ["B", "C"])
+    def test_bc_every_ordered_pair_of_every_rank_in_one_pass(self, type_label):
+        # Ranks 2..12 in one call, largest first: the pass sorts them, and a
+        # pair of a smaller rank masks out the roots past its own.
+        _check_every_ordered_pair(type_label, range(12, 1, -1))
 
     def test_f4_every_ordered_pair(self):
-        _check_every_ordered_pair("F4", 4)
+        _check_every_ordered_pair("F4", [4])
 
     def test_g2_every_ordered_pair_up_to_plate_ix_scale(self):
         # Plate IX's inner product is twice the one of the half lengths.
-        _check_every_ordered_pair("G2", 2, scale=2)
+        _check_every_ordered_pair("G2", [2], scale=2)
 
     @pytest.mark.parametrize(
         ("type_label", "rank"),
         [*((t, n) for t in ("B", "C") for n in range(2, 11)), ("F4", 4), ("G2", 2)],
     )
     def test_plate_weights_are_dual_to_the_simple_coroots(self, type_label, rank):
-        idx, coef, omega, alpha = oracle._plate(type_label, rank)
-        assert idx.shape == coef.shape
-        assert len(coef) == {"F4": 24, "G2": 6}.get(type_label, rank * rank)
+        count, dim = oracle._root_shape(type_label, rank)
+        assert count == {"F4": 24, "G2": 6}.get(type_label, rank * rank)
+        idx, coef = oracle._roots(type_label, 0, count)
+        assert idx.shape == coef.shape and len(coef) == count and idx.max() == dim - 1
+        omega, alpha = oracle._weights(type_label, np.full(rank, rank), np.arange(1, rank + 1))
+        assert omega.shape == alpha.shape == (rank, dim)
         # 2 (omega_l, alpha_m) / (alpha_m, alpha_m) is the Kronecker delta.
         pairing = 2 * omega @ alpha.T / (alpha**2).sum(axis=1)
         assert np.array_equal(pairing, np.eye(rank))
+
+    @pytest.mark.parametrize("type_label", ["B", "C"])
+    def test_root_blocks_slice_one_list(self, type_label):
+        # Any block of the list is generated alone, and the roots of B_r and C_r are its first r^2.
+        idx, coef = oracle._roots(type_label, 0, 144)
+        for start, stop in [(0, 1), (1, 4), (5, 11), (11, 100), (100, 144)]:
+            block_idx, block_coef = oracle._roots(type_label, start, stop)
+            assert np.array_equal(block_idx, idx[start:stop]) and np.array_equal(block_coef, coef[start:stop])
+        for rank in range(1, 13):
+            roots = idx[: rank * rank]
+            assert roots.max() == rank - 1
+            assert len({(*i, *c) for i, c in zip(roots.tolist(), coef[: rank * rank].tolist())}) == rank * rank
+
+    def test_one_pass_over_the_grid_is_each_datum_alone(self, monkeypatch):
+        data = list(_oracle_data(24))
+        rows, forms, segments = _estimates_and_forms(monkeypatch, data)
+        for datum, row, datum_forms, segment in zip(data, rows, forms, segments):
+            (alone,), (alone_forms,), (alone_segment,) = _estimates_and_forms(monkeypatch, [datum])
+            assert alone_forms == datum_forms, datum.label()
+            assert alone_segment == segment == (row.a, row.b) == (alone.a, alone.b), datum.label()
+            # Padding to the grid's widest row and its blocks may reorder a sum of logs.
+            assert (alone.volume, alone.first) == pytest.approx((row.volume, row.first), rel=1e-12, abs=0.0)
+
+    def test_a_budget_of_64_entries_gives_the_same_forms(self, monkeypatch):
+        # At 64 entries every chunk holds one or two pairs, and most pairs' roots come in several blocks.
+        data = list(_oracle_data(12))
+        _, forms, segments = _estimates_and_forms(monkeypatch, data)
+        blocks = []
+
+        def spy(*args, _fn=oracle._roots):
+            blocks.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(oracle, "_ENTRY_BUDGET", 64)
+        monkeypatch.setattr(oracle, "_roots", spy)
+        _, split_forms, split_segments = _estimates_and_forms(monkeypatch, data)
+        assert split_forms == forms
+        assert split_segments == segments
+        assert sum(start > 0 for _, start, _ in blocks) > len(data)
+
+    def test_forms_stage_memory_at_x1_200(self, monkeypatch):
+        # A B_200 plate of all 40000 roots alone would take about 1.6 MB; the pass takes them in blocks.
+        monkeypatch.setenv("GRLB_MAX_N", "200")
+        peaks = []
+
+        def traced(*args, _fn=oracle._forms):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = _fn(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setattr(oracle, "_forms", traced)
+        tracemalloc.start()
+        try:
+            estimates([HorosphericalDatum("X1", n=200)])
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and peaks[0] <= 1 << 20
 
     def test_no_data_gives_no_rows(self):
         assert estimates([]) == []
@@ -403,7 +494,7 @@ class TestCrosscheck:
         monkeypatch.delenv("GRLB_MAX_N", raising=False)
         if max_n is not None:
             monkeypatch.setenv("GRLB_MAX_N", max_n)
-        monkeypatch.setattr(oracle, "_plate", None)
+        monkeypatch.setattr(oracle, "_roots", None)
         with pytest.raises(InvalidDatumError, match=message):
             estimates([HorosphericalDatum(*args) for args in data])
 

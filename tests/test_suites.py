@@ -82,13 +82,13 @@ def test_oracle_no_convergence_is_a_failed_check(monkeypatch):
 
 
 def test_oracle_nonfinite_row_fails_only_its_check(monkeypatch):
-    # X3(5,3) is C_5's marked pair (2, 3): its forms turn NaN inside C_5's batch.
+    # X3(5,3) is C_5's marked pair (2, 3): its forms turn NaN inside the C family's pass.
     real_forms = oracle._forms
 
-    def forms(type_label, rank, members):
-        out = real_forms(type_label, rank, members)
-        if (type_label, rank) == ("C", 5):
-            (position,) = [p for p, i, j in members.tolist() if (i, j) == (2, 3)]
+    def forms(type_label, members):
+        out = real_forms(type_label, members)
+        if type_label == "C":
+            (position,) = [p for p, rank, i, j in members.tolist() if (rank, i, j) == (5, 2, 3)]
             out[2][out[0] == position] = np.nan
         return out
 
@@ -149,11 +149,13 @@ def test_oracle_suite_is_crosscheck_per_datum(monkeypatch):
 
 
 def test_oracle_suite_leaves_numpy_ma_unimported():
-    # numpy.ma adds about 2.5 MB of RSS; a plain np.unique(x) imports it.
+    # numpy.ma adds about 2.5 MB of RSS; a plain np.unique(x) imports it.  X1(80)'s
+    # 3 * 80^2 = 19200 gathered entries pass the budget, so its roots come in blocks.
     code = (
         "import sys; sys.path.insert(0, sys.argv[1])\n"
-        "from grlb import suites\n"
+        "from grlb import engine, oracle, suites\n"
         "assert all(r.passed for r in suites.run_suite('oracle', 6))\n"
+        "assert oracle.crosscheck(engine.HorosphericalDatum('X1', n=80)).ok\n"
         "print('numpy.ma' in sys.modules, 'numpy' in sys.modules)"
     )
     src = str(Path(grlb.__file__).resolve().parents[1])
