@@ -53,20 +53,34 @@ def test_oracle_suite_at_the_default_ceiling(tmp_path):
     assert "5051/5051 checks passed" in stdout.splitlines(), stdout[-2000:]
     # The oracle's quadrature runs in bounded blocks; one (rows x nodes x forms) array would pass 128 MB.
     assert usage.ru_maxrss / 1024 <= 128
-    # About 3e-13 today, far inside each check's 1e-9: a loss of precision shows here first.
+    # About 5e-13 today, far inside each check's 1e-9: a loss of precision shows here first.
     errors = [float(x) for x in re.findall(r"\b(?:tbar|R)_err=(\S+)", stdout)]
     assert len(errors) == 2 * 5051
     assert max(errors) <= 1e-12
 
 
-def test_oracle_crosscheck_at_x1_1600_in_bounded_memory():
+def crosscheck_peak_rss_mb(datum: str) -> float:
+    """The peak RSS of a child that asserts `oracle.crosscheck(datum).ok` under GRLB_MAX_N=1600, read by wait4."""
     env = os.environ | {"GRLB_MAX_N": "1600", "PYTHONWARNINGS": "error::RuntimeWarning"}
-    code = "from grlb import engine, oracle; assert oracle.crosscheck(engine.HorosphericalDatum('X1', n=1600)).ok"
+    code = f"from grlb import engine, oracle; assert oracle.crosscheck(engine.HorosphericalDatum({datum})).ok"
     _, status, usage = os.wait4(os.posix_spawn(sys.executable, [sys.executable, "-c", code], env), 0)
     assert os.waitstatus_to_exitcode(status) == 0
+    return usage.ru_maxrss / 1024
+
+
+def test_oracle_crosscheck_at_x1_1600_in_bounded_memory():
     # The forms take B_1600's 2.56 million roots in blocks within the budget (one gather of them
-    # all peaked at about 405 MB); what is left is the quadrature's node axis, about 230 MB.
-    assert usage.ru_maxrss / 1024 <= 256
+    # all peaked at about 405 MB).  What is left is the quadrature's node axis, about 230 MB:
+    # X1(1600)'s density has degree n(n+1)/2 = 1,280,800, so its rule takes 2^21 + 1 nodes.
+    assert crosscheck_peak_rss_mb("'X1', n=1600") <= 256
+
+
+@pytest.mark.parametrize("k", [800, 1067])
+def test_oracle_crosscheck_at_x3_1600_in_bounded_memory(k):
+    # The rule is sized by the density's own degree, 2n - 1 = 3199, so it takes 4097 nodes: about
+    # 30 MB.  Sized by |Phi_Pu| = k(4n-3k+3)/2, with the forms constant on the segment counted,
+    # it would take 2^21 + 1 nodes and about 227 MB.
+    assert crosscheck_peak_rss_mb(f"'X3', n=1600, k={k}") <= 64
 
 
 @pytest.mark.parametrize("datum, max_n", [  # X1(165)'s R is past the str(int) digit limit.

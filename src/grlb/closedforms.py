@@ -21,7 +21,8 @@ Fraction.
   Gamma(j+3/2) Gamma(j) / (Gamma(j+1/2) Gamma(j+1)) = (2j+1)/(2j), and
   R = b / (b - tbar) is the product
       R(X3(n, k)) = (2p / hi) prod_{j=p}^{n} (2j+1)/(2j)   (`r_x3_closed`),
-  which `closed_form` reads.  At k = n it is 2/a_n (`r_x3nn_closed`).
+  which `closed_form` and the X3(n, k < n) bound read.  At k = n it is
+  2/a_n (`r_x3nn_closed`).
   `r_x3_formula` keeps the integral route, to check the product: only
   (hi+s)^(k-1) is expanded, and in the moment of weight s^l each of its
   terms integrates as the Beta integral, with m = b-1+l,
@@ -51,7 +52,7 @@ checks that control the limiting behaviour of each family.  Every check is
 exact: the one bound that involves pi, at X3(n, n), is tested with the
 rational PI_UPPER > pi in its place, so a pass proves the bound itself.  A
 `BoundCheck` stores only its relation and both sides, and it holds when its
-margin is positive.
+margin is positive, which one comparison of the sides decides.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ class BoundCheck(_BoundCheckFields):
     """Outcome of one exact inequality instance.
 
     relation is "lower-bound" (lhs > rhs) or "upper-bound" (lhs < rhs); a
-    sign check is a lower bound against 0.  `holds` is the sign of `margin`.
+    sign check is a lower bound against 0.  `holds` compares the two sides,
+    so it is `margin > 0` without building the margin.
     An unknown relation raises ValueError at construction; as a NamedTuple,
     `_make` and `_replace` skip that check.
     """
@@ -128,7 +130,7 @@ class BoundCheck(_BoundCheckFields):
 
     @property
     def holds(self) -> bool:
-        return self.margin > 0
+        return self.lhs > self.rhs if self.relation == "lower-bound" else self.lhs < self.rhs
 
 
 def _x1_moments(n: int) -> tuple[int, int, int]:
@@ -342,7 +344,7 @@ def asymptotic_bounds(family: str, n: int, k: int | None = None) -> BoundCheck:
         if not (_ints(n, k) and n >= k >= 2):
             raise InvalidParameterError("X3 bound requires n >= k >= 2")
         if k < n:
-            lhs = closed_form("X3", n, k)[3]
+            lhs = r_x3_closed(n, k)
             return BoundCheck("lower-bound", lhs, Fraction(2 * n - 2 * k + 2, 2 * n - k + 2))
         return _x3nn_stirling(n)
     raise InvalidParameterError(f"no asymptotic bound for family {family!r}")

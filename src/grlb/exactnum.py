@@ -205,33 +205,42 @@ def to_significant(r: RationalLike, digits: int) -> str:
     """r with `digits` significant digits, laid out like format(float(r), f".{digits}g").
 
     Works at any magnitude: the value never passes through a float, whose
-    range ends near 1.8e308, nor through str() of a huge integer.  `digits`
-    must be an int (not a bool) of at least 1, or ValueError is raised.
+    range ends near 1.8e308, nor through str() of a huge integer.  An int or
+    a Fraction is read as it is; any other r goes through Fraction(r).
+    `digits` must be an int (not a bool) of at least 1, or ValueError is
+    raised.
     """
     if type(digits) is not int or digits < 1:
         raise ValueError(f"digits must be an int of at least 1, not {digits!r}")
-    rf = Fraction(r)
-    if not rf:
+    if not isinstance(r, (int, Fraction)):
+        r = Fraction(r)
+    num, den = r.numerator, r.denominator
+    if not num:
         return "0"
-    sign = "-" if rf < 0 else ""
-    num, den = abs(rf.numerator), rf.denominator
-
-    def below(e: int) -> bool:  # num/den < 10**e, in integers
-        return num * 10 ** max(-e, 0) < den * 10 ** max(e, 0)
-
-    # Estimate floor(log10 |r|) from bit lengths, then correct it exactly.
+    sign = "-" if num < 0 else ""
+    num = abs(num)
+    # Estimate floor(log10 |r|) from bit lengths, then correct it exactly:
+    # with shift = exp - digits + 1, one divmod of |r| by 10**shift gives a
+    # quotient in [10**(digits-1), 10**digits) just when exp is right, and
+    # that quotient and its remainder are the mantissa, rounded half to even
+    # below.  Rounding up may reach 10**digits, which carries into exp.
     exp = math.floor((num.bit_length() - den.bit_length()) * math.log10(2))
-    while below(exp):
-        exp -= 1
-    while not below(exp + 1):
-        exp += 1
-    # |r| / 10**shift lies in [10**(digits-1), 10**digits); rounded half to
-    # even it may reach 10**digits, which carries into the exponent.
-    shift = exp - digits + 1
-    mant = _round_half_even(num * 10 ** max(-shift, 0), den * 10 ** max(shift, 0))
-    if mant == 10**digits:
-        mant //= 10
-        exp += 1
+    low, high = 10 ** (digits - 1), 10**digits
+    while True:
+        shift = exp - digits + 1
+        top, bottom = num * 10 ** max(-shift, 0), den * 10 ** max(shift, 0)
+        mant, rem = divmod(top, bottom)
+        if mant < low:
+            exp -= 1
+        elif mant >= high:
+            exp += 1
+        else:
+            break
+    if 2 * rem > bottom or (2 * rem == bottom and mant % 2):
+        mant += 1
+        if mant == high:
+            mant //= 10
+            exp += 1
     ds = str(mant)
     if -4 <= exp < digits:
         whole, frac = (ds[: exp + 1], ds[exp + 1 :]) if exp >= 0 else ("0", "0" * (-exp - 1) + ds)

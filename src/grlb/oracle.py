@@ -28,16 +28,20 @@ its own rank, and each datum's forms are counted by one `numpy.bincount`
 over fixed (datum, 2u, 2v) keys, summed over the blocks with the segments.
 In x = (2t - b + a)/(a+b), a form divided by its maximum (a+b) max(u, v) on
 the segment is (u (1+x) + v (1-x)) / (2 max(u, v)), so every density lies
-in [0, 1] on [-1, 1] at any n.  The rows of forms, padded to one width with
-forms of multiplicity 0, are integrated by one `quad` per block of rows that
-share a node count: the exponential of one (rows x nodes x forms) log array
-times the multiplicities, less each row's largest log value at the nodes.
-So every row peaks at 1.0 there and none underflows, past n ~ 650 either;
-the shift cancels in tbar and R.  Every array of the forms pass, each block
-of rows, and each slice of rows that `quad` transforms at once holds at most
-`_ENTRY_BUDGET` entries, but one row's node axis is never split, so memory
-still grows with the density's degree: `crosscheck(X1(1600))` peaks at about
-230 MB, nearly all of it in the quadrature.
+in [0, 1] on [-1, 1] at any n.  A form with u == v is constant there, so
+`estimates` gives it multiplicity 0, and each row's rule is sized by its
+non-constant forms: their multiplicities sum to the density's own degree,
+2n - 1 for X3(n, k) and n(n+1)/2 for X1(n), not |Phi_Pu|.  The rows of
+forms, padded to one width with forms of multiplicity 0, are integrated by
+one `quad` per block of rows that share a node count: the exponential of
+one (rows x nodes x forms) log array times the multiplicities, less each
+row's largest log value at the nodes.  So every row peaks at 1.0 there and
+none underflows, past n ~ 650 either; the shift cancels in tbar and R.
+Every array of the forms pass, each block of rows, and each slice of rows
+that `quad` transforms at once holds at most `_ENTRY_BUDGET` entries, but
+one row's node axis is never split, so memory still grows with the
+density's degree: `crosscheck(X3(1600, 800))` peaks at about 30 MB, but
+`crosscheck(X1(1600))` at about 230 MB, nearly all of it in the quadrature.
 A row with a non-finite value fails only its own datum's check.
 
 `crosscheck` maps each family to its group and oriented marked pair
@@ -281,8 +285,9 @@ def _density(u: np.ndarray, v: np.ndarray, mult: np.ndarray, xs: np.ndarray) -> 
     """(rows x nodes): each row's density at xs in [-1, 1], divided by its largest value there.
 
     Row r is the product of the forms (u (1+x) + v (1-x)) / (2 max(u, v))
-    to the powers mult over its columns; a column with u == v == 1 and
-    mult 0 is padding.  Its degree is at most the row's sum of mult.  Each
+    to the powers mult over its columns; a column with u == v is 1 at every
+    x, and with u == v == 1 and mult 0 it is padding.  Its degree is at most
+    the row's sum of mult over the columns with u != v.  Each
     row is then divided by its largest value at xs, which becomes 1.0, so
     no row underflows to zero at any n; the factor cancels in tbar and R.
     A row that is zero at every x stays zero.
@@ -330,6 +335,8 @@ def estimates(data: Sequence[HorosphericalDatum]) -> list[Estimate]:
         families.setdefault(type_label, []).append((position, *pair))
     parts = [_forms(type_label, np.array(members)) for type_label, members in families.items()]
     owner, slot, u, v, mult, position, a, b = map(np.concatenate, zip(*parts))
+    # A form with u == v is constant on the segment: it counts for no degree.
+    mult = np.where(u == v, 0, mult)
     segment = np.empty((2, len(data)))
     segment[:, position] = a, b
     centre, half = (segment[1] - segment[0]) / 2, segment.sum(axis=0) / 2

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grlb import closedforms, engine
 from grlb.closedforms import (
@@ -382,6 +384,21 @@ class TestBoundCheckSemantics:
                 BoundCheck(tag, F(1), F(1))
         with pytest.raises(ValueError, match="unknown relation tag 'sideways'"):
             BoundCheck(relation="sideways", lhs=F(1), rhs=F(0))
+
+    @given(
+        st.sampled_from(["lower-bound", "upper-bound"]),
+        st.fractions(),
+        st.fractions() | st.just(None),
+    )
+    @example("lower-bound", F(7, 3), None)
+    @example("upper-bound", F(-10**40, 3), None)
+    @settings(max_examples=200, deadline=None)
+    def test_holds_is_a_positive_margin(self, relation, lhs, rhs):
+        # holds compares the sides; it must agree with the margin's sign, and fail at lhs == rhs.
+        from grlb.closedforms import BoundCheck
+
+        check = BoundCheck(relation, lhs, lhs if rhs is None else rhs)
+        assert check.holds == (check.margin > 0)
 
     def test_fields_are_read_only(self):
         from grlb.closedforms import BoundCheck

@@ -193,15 +193,23 @@ class TestToSignificant:
         assert to_significant(value, digits) == format(float(value), f".{digits}g")
 
     @given(
-        st.integers(min_value=1, max_value=10**40),
-        st.integers(min_value=1, max_value=10**40),
-        st.integers(min_value=1450, max_value=1550),
-        st.booleans(),
+        st.builds(
+            lambda p, q, e, small: F(p, q) * F(10) ** (-e if small else e),
+            st.integers(min_value=1, max_value=10**40),
+            st.integers(min_value=1, max_value=10**40),
+            st.integers(min_value=1450, max_value=1550),
+            st.booleans(),
+        ),
         st.integers(min_value=1, max_value=15),
     )
+    @example(F(9999995, 10**6), 6)  # rounds up to 10**6, a carry into the exponent
+    @example(F(125, 100), 2)  # a tie below an even digit stays
+    @example(F(135, 100), 2)  # a tie below an odd digit rounds up
+    @example(10**30 + 5 * 10**25, 5)  # an int, at a tie
+    @example(-F(2**4000 + 1, 3**1000), 9)  # a negative value
+    @example(0.1, 17)  # a float, which Fraction() takes exactly
     @settings(max_examples=100, deadline=None)
-    def test_matches_fraction_algorithm_far_outside_float_range(self, p, q, e, small, digits):
-        value = F(p, q) * F(10) ** (-e if small else e)
+    def test_matches_fraction_algorithm_far_outside_float_range(self, value, digits):
         assert to_significant(value, digits) == _to_significant_by_fractions(value, digits)
 
 

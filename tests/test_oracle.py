@@ -282,6 +282,29 @@ class TestMarkedForms:
             _, _, mult, _, _ = _one_pair(datum)
             assert int(mult.sum()) == exact.dimension - 1, datum.label()
 
+    def test_rule_degree_is_one_past_the_density_degree(self, monkeypatch):
+        # Counted, the forms with u == v, constant on the segment, would size X3(n, k)'s rule
+        # by |Phi_Pu| + 1 = k(4n-3k+3)/2 + 1 rather than by 2n.
+        degrees = []
+
+        def spy(f, lo, hi, degree, _fn=oracle.quad):
+            degrees.append(degree)
+            return _fn(f, lo, hi, degree)
+
+        monkeypatch.setattr(oracle, "quad", spy)
+        for datum in _oracle_data(10):
+            degrees.clear()
+            estimates([datum])
+            type_label, rank, i, j = engine._marked_pair(datum)
+            marked, _ = engine.unipotent_radical(type_label, rank, i, j)
+            half_lengths = engine._root_data(type_label, rank)[0]
+            want = 1 + sum(engine._forms(marked, half_lengths[i - 1], half_lengths[j - 1]).values())
+            assert degrees == [want], datum.label()
+            if datum.family == "X1":
+                assert want == datum.n * (datum.n + 1) // 2 + 1, datum.label()
+            elif datum.family == "X3":
+                assert want == 2 * datum.n, datum.label()
+
 
 class TestDensityEvaluator:
     """`oracle._density` on one datum's row, against quadrature goldens and the exact dense density."""
