@@ -51,8 +51,8 @@ other value.  The module also carries the inequality and asymptotic-bound
 checks that control the limiting behaviour of each family.  Every check is
 exact: the one bound that involves pi, at X3(n, n), is tested with the
 rational PI_UPPER > pi in its place, so a pass proves the bound itself.  A
-`BoundCheck` stores only its relation and both sides, and it holds when its
-margin is positive, which one comparison of the sides decides.
+`BoundCheck` stores only its two sides, and it holds when lhs > rhs: an upper
+bound puts the bound on the left.
 """
 
 from __future__ import annotations
@@ -92,32 +92,20 @@ def _ints(*values: object) -> bool:
     return all(type(v) is int for v in values)
 
 
-class _BoundCheckFields(NamedTuple):
-    relation: str
+class BoundCheck(NamedTuple):
+    """Outcome of one exact inequality instance, which holds when lhs > rhs.
+
+    An upper bound puts the bound on the left, and a sign check is a lower
+    bound against 0.  `holds` compares the two sides, so it is `margin > 0`
+    without building the margin.
+    """
+
     lhs: Fraction
     rhs: Fraction
 
-
-class BoundCheck(_BoundCheckFields):
-    """Outcome of one exact inequality instance.
-
-    relation is "lower-bound" (lhs > rhs) or "upper-bound" (lhs < rhs); a
-    sign check is a lower bound against 0.  `holds` compares the two sides,
-    so it is `margin > 0` without building the margin.
-    An unknown relation raises ValueError at construction; as a NamedTuple,
-    `_make` and `_replace` skip that check.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, relation: str, lhs: Fraction, rhs: Fraction) -> BoundCheck:
-        if relation not in ("lower-bound", "upper-bound"):
-            raise ValueError(f"unknown relation tag {relation!r}")
-        return super().__new__(cls, relation, lhs, rhs)
-
     @property
     def margin(self) -> Fraction:
-        """Slack by which the relation holds (negative when violated).
+        """lhs - rhs, the slack by which the check holds (negative when violated).
 
         Its unit is that of the check's two sides, so margins of different
         checks do not compare: a difference of R values for the X1 and
@@ -126,11 +114,11 @@ class BoundCheck(_BoundCheckFields):
         (float() raises OverflowError there).  Render it with
         `exactnum.to_significant`, which takes any magnitude.
         """
-        return self.lhs - self.rhs if self.relation == "lower-bound" else self.rhs - self.lhs
+        return self.lhs - self.rhs
 
     @property
     def holds(self) -> bool:
-        return self.lhs > self.rhs if self.relation == "lower-bound" else self.lhs < self.rhs
+        return self.lhs > self.rhs
 
 
 def _x1_moments(n: int) -> tuple[int, int, int]:
@@ -282,7 +270,7 @@ def lemma_x1_sign(n: int) -> BoundCheck:
     num0, num1, den = _x1_moments(n)
     # t = (n+2)(u-1) - n, and the integrand carries (n+2)^(m+n+1) with du.
     value = Fraction((n + 2) ** (n * (n - 1) // 2 + n + 1) * ((n + 2) * num1 - n * num0), den)
-    return BoundCheck("lower-bound", value, Fraction(0))
+    return BoundCheck(value, Fraction(0))
 
 
 def x1_comparison_integral(n: int) -> Fraction:
@@ -300,23 +288,23 @@ def x1_comparison_integral(n: int) -> Fraction:
 
 
 def lemma_x3nk_sign(n: int, k: int) -> BoundCheck:
-    """The (k+t)-weighted mean of the X3 integrand stays strictly below k."""
+    """The (k+t)-weighted mean of the X3 integrand stays strictly below k: lhs is k, rhs that mean."""
     if not (_ints(n, k) and n > k >= 2):
         raise InvalidParameterError("X3(n, k) sign lemma requires n > k >= 2")
     # The (k+t)-weighted mean is k + tbar: below k exactly when tbar < 0.
-    return BoundCheck("upper-bound", k + closed_form("X3", n, k)[2], Fraction(k))
+    return BoundCheck(Fraction(k), k + closed_form("X3", n, k)[2])
 
 
 def _x3nn_stirling(n: int) -> BoundCheck:
     """R(X3(n, n)) < 2 sqrt(2n+1) c / (pi (n+2)), c = (1 + 1/(2n))^(2n+1), exactly.
 
-    The bound is equivalent to (R pi (n+2) / (2c))^2 < 2n+1.  The left side
-    grows with pi, so the check uses PI_UPPER for pi: lhs is that square and
-    rhs is 2n+1, and a pass proves the bound.
+    The bound is equivalent to 2n+1 > (R pi (n+2) / (2c))^2.  The square
+    grows with pi, so the check uses PI_UPPER for pi: lhs is 2n+1 and rhs is
+    that square, and a pass proves the bound.
     """
     c = Fraction(2 * n + 1, 2 * n) ** (2 * n + 1)
-    lhs = (r_x3nn_closed(n) * PI_UPPER * (n + 2) / (2 * c)) ** 2
-    return BoundCheck("upper-bound", lhs, Fraction(2 * n + 1))
+    square = (r_x3nn_closed(n) * PI_UPPER * (n + 2) / (2 * c)) ** 2
+    return BoundCheck(Fraction(2 * n + 1), square)
 
 
 def asymptotic_bounds(family: str, n: int, k: int | None = None) -> BoundCheck:
@@ -325,8 +313,8 @@ def asymptotic_bounds(family: str, n: int, k: int | None = None) -> BoundCheck:
     X1: R(X1(n)) > n/(n+2), exact.
     X3 with k < n: R(X3(n, k)) > (2n-2k+2)/(2n-k+2), exact.
     X3 with k == n: R(X3(n, n)) < 2 sqrt(2n+1) (1 + 1/(2n))^(2n+1) / (pi (n+2)),
-    exact in the squared form with pi bounded above by PI_UPPER; lhs and rhs
-    are the two sides of that form (see `_x3nn_stirling`).
+    exact in the squared form with pi bounded above by PI_UPPER; lhs is 2n+1
+    and rhs the square (see `_x3nn_stirling`).
 
     Only the X3(n, n) check carries a rate.  The other two are a/(a+b) and
     b/(a+b) on the segment [-a, b], with a = n, b = 2 for X1(n) and a = k,
@@ -339,12 +327,12 @@ def asymptotic_bounds(family: str, n: int, k: int | None = None) -> BoundCheck:
         if k is not None:
             raise InvalidParameterError("X1 bound takes no parameter k")
         lhs = r_x1_formula(n)
-        return BoundCheck("lower-bound", lhs, Fraction(n, n + 2))
+        return BoundCheck(lhs, Fraction(n, n + 2))
     if family == "X3":
         if not (_ints(n, k) and n >= k >= 2):
             raise InvalidParameterError("X3 bound requires n >= k >= 2")
         if k < n:
             lhs = r_x3_closed(n, k)
-            return BoundCheck("lower-bound", lhs, Fraction(2 * n - 2 * k + 2, 2 * n - k + 2))
+            return BoundCheck(lhs, Fraction(2 * n - 2 * k + 2, 2 * n - k + 2))
         return _x3nn_stirling(n)
     raise InvalidParameterError(f"no asymptotic bound for family {family!r}")

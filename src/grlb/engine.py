@@ -265,11 +265,12 @@ def dh_polynomial_on(rs: RootSystem, seg: MomentSegment) -> tuple[Fraction, ...]
     return poly_product(factors)
 
 
-def _forms(marked: Counter[tuple[int, int]], d_i: Fraction, d_j: Fraction) -> Counter[tuple[int, int]]:
+def _forms(marked: Counter[tuple[int, int]], d_i: Fraction | int, d_j: Fraction | int) -> Counter[tuple[int, int]]:
     """Coprime integer forms (c0, c1) of the density, from Phi_Pu's marked coefficients.
 
     A root with coefficients (c_i, c_j) on the marked simple roots contributes
-    c_i*d_i*(a+t) + c_j*d_j*(b-t), d_m the half squared lengths.  With
+    c_i*d_i*(a+t) + c_j*d_j*(b-t), d_m the half squared lengths or, as from
+    `_root_data`, twice them: the gcd takes a common factor out.  With
     s = lcm of their denominators and e_m = d_m*s, under sigma = (t+a)/(a+b)
     this is (a+b)/s times c_j*e_j + (c_i*e_i - c_j*e_j)*sigma, reduced by its
     gcd to c0 + c1*sigma.  A form constant in sigma is dropped.
@@ -394,8 +395,8 @@ def report(datum: HorosphericalDatum) -> ComputationReport:
     type_label, rank, i, j = _marked_pair(datum)
     marked, two_rho_p = unipotent_radical(type_label, rank, i, j)
     seg = _segment(i, j, two_rho_p)
-    half_lengths = _root_data(type_label, rank)[0]
-    t_bar = _barycenter(seg, _forms(marked, half_lengths[i - 1], half_lengths[j - 1]))
+    lengths = _root_data(type_label, rank)[0]
+    t_bar = _barycenter(seg, _forms(marked, lengths[i - 1], lengths[j - 1]))
     return ComputationReport(
         dimension=sum(marked.values()) + 1,
         segment=seg,

@@ -32,9 +32,10 @@ tuple built.
 
 F4 and G2 are small fixed tables.  `_root_data(type_label, rank)` is the one
 function that branches on the type (the B_n and C_n code takes only the flag
-long_last).  It gives the half squared lengths of the simple roots, under the
-normalization in which a simple root pairs with its own fundamental weight to
-its half length (the factors of the Duistermaat-Heckman density); the one
+long_last).  It gives the squared lengths of the simple roots as ints, under
+the normalization in which a simple root pairs with its own fundamental
+weight to half its squared length (those halves are the factors of the
+Duistermaat-Heckman density, and `build_root_system` stores them); the one
 Cartan entry off the path pattern; and F4's or G2's table.  Every supported
 Dynkin diagram is the path 1 - 2 - ... - rank, so alpha_l^vee pairs with a
 root sum of column sums t as 2 t_l - t_{l-1} - t_{l+1}, but for that entry.
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 RootVector = tuple[int, ...]
@@ -94,9 +94,6 @@ _F4_POSITIVE_ROOTS: tuple[RootVector, ...] = (
     (2, 3, 4, 2),
 )
 
-_ONE = Fraction(1)
-_HALF = Fraction(1, 2)
-
 
 def _type_bc_roots(rank: int, long_last: bool) -> tuple[RootVector, ...]:
     """Positive roots of B_rank (long_last=False) or C_rank (long_last=True)."""
@@ -115,26 +112,24 @@ def _type_bc_roots(rank: int, long_last: bool) -> tuple[RootVector, ...]:
     return tuple(roots)
 
 
-@lru_cache(maxsize=128)
 def _root_data(
     type_label: str, rank: int
-) -> tuple[tuple[Fraction, ...], tuple[int, int, int], tuple[RootVector, ...] | None]:
-    """(half_lengths, off_path_entry, fixed_table), half_lengths those of alpha_1..alpha_rank.
+) -> tuple[tuple[int, ...], tuple[int, int, int], tuple[RootVector, ...] | None]:
+    """(lengths, off_path_entry, fixed_table), lengths the squared lengths of alpha_1..alpha_rank.
 
-    off_path_entry is (l, m, <alpha_l^vee, alpha_m>), the one Cartan entry not
-    2, -1 or 0; fixed_table is None for B_n and C_n, which are walked.  Cached:
-    an uncached C_70 call builds Fraction(2) and a rank-long tuple, 2.3 us
-    against 0.12 us for a hit, and without the cache the 77 X3(n, k) records
-    for n = 60..70, k = 2..8 took 1.2% longer (Xeon, CPython 3.11).
+    The lengths are ints, twice the half lengths that `build_root_system`
+    stores; the engine's forms depend only on their ratios.  off_path_entry
+    is (l, m, <alpha_l^vee, alpha_m>), the one Cartan entry not 2, -1 or 0;
+    fixed_table is None for B_n and C_n, which are walked.
     """
     if type_label == "B" and rank >= 2:
-        return (_ONE,) * (rank - 1) + (_HALF,), (rank, rank - 1, -2), None
+        return (2,) * (rank - 1) + (1,), (rank, rank - 1, -2), None
     if type_label == "C" and rank >= 2:
-        return (_ONE,) * (rank - 1) + (Fraction(2),), (rank - 1, rank, -2), None
+        return (2,) * (rank - 1) + (4,), (rank - 1, rank, -2), None
     if (type_label, rank) == ("F4", 4):
-        return (_ONE, _ONE, _HALF, _HALF), (3, 2, -2), _F4_POSITIVE_ROOTS
+        return (2, 2, 1, 1), (3, 2, -2), _F4_POSITIVE_ROOTS
     if (type_label, rank) == ("G2", 2):
-        return (_HALF, Fraction(3, 2)), (1, 2, -3), _G2_POSITIVE_ROOTS
+        return (1, 3), (1, 2, -3), _G2_POSITIVE_ROOTS
     raise UnsupportedRootSystemError(f"unsupported root system ({type_label!r}, rank {rank})")
 
 
@@ -143,9 +138,10 @@ def build_root_system(type_label: str, rank: int) -> RootSystem:
 
     Supported pairs: ("B", n>=2), ("C", n>=2), ("F4", 4), ("G2", 2).
     """
-    half_lengths, _, roots = _root_data(type_label, rank)
+    lengths, _, roots = _root_data(type_label, rank)
     if roots is None:
         roots = _type_bc_roots(rank, long_last=type_label == "C")
+    half_lengths = tuple(Fraction(length, 2) for length in lengths)
     return RootSystem(type_label=type_label, rank=rank, positive_roots=roots, half_lengths=half_lengths)
 
 

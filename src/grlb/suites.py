@@ -60,7 +60,7 @@ def _x1_sign(n: int) -> tuple[bool, str]:
 
 def _x3_ratio(n: int, k: int) -> tuple[bool, str]:
     check = closedforms.lemma_x3nk_sign(n, k)
-    return check.holds, f"ratio={to_significant(check.lhs, 12)} < {k}"
+    return check.holds, f"ratio={to_significant(check.rhs, 12)} < {k}"
 
 
 def _a_exceeds_two(n: int) -> tuple[bool, str]:

@@ -467,6 +467,7 @@ INVALID_INPUTS = [
     ("abc", "verify --suite lemmas --max-n 4", "GRLB_MAX_N must be an integer, got 'abc'"),
     ("5", "verify --suite bounds --max-n 8", "n=6 exceeds the exact-computation ceiling 5"),
     ("100", "verify --suite oracle --max-n 101", "n=101 exceeds the exact-computation ceiling 100"),
+    (None, "verify --suite oracle --max-n 101", "n=101 exceeds the exact-computation ceiling 100"),
     (None, "compute --family X6", "argument --family: invalid choice: 'X6'"),
     (None, "compute --family X1 --n abc", "argument --n: invalid int value: 'abc'"),
     (None, "compute", "the following arguments are required: --family"),

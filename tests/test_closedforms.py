@@ -177,7 +177,7 @@ class TestDenseReference:
             volume = integrate(base, -k, b)
             assert r_x3_formula(n, k) == b * volume / integrate(poly_product([base, (b, -1)]), -k, b)
             if k < n:
-                assert lemma_x3nk_sign(n, k).lhs == integrate(poly_product([base, (k, 1)]), -k, b) / volume
+                assert lemma_x3nk_sign(n, k).rhs == integrate(poly_product([base, (k, 1)]), -k, b) / volume
 
     @pytest.mark.parametrize("n", range(3, 41))
     def test_x1_integration_by_parts(self, n):
@@ -272,7 +272,7 @@ class TestLemmas:
     def test_x1_sign_holds(self, n):
         check = lemma_x1_sign(n)
         assert check.holds and check.lhs > 0
-        assert check.relation == "lower-bound" and check.rhs == 0
+        assert check.margin == check.lhs and check.rhs == 0
 
     def test_x1_sign_value_at_3(self):
         # Same integrand as the frozen monomial-oracle value in the exactnum
@@ -286,8 +286,8 @@ class TestLemmas:
     @pytest.mark.parametrize("n,k", [(3, 2), (12, 5)])
     def test_x3nk_holds(self, n, k):
         check = lemma_x3nk_sign(n, k)
-        assert check.holds and check.lhs < k
-        assert check.rhs == k
+        assert check.holds and check.rhs < k
+        assert check.lhs == k
 
     def test_x3nk_equivalent_weighted_integral_negative(self):
         # Ratio < k is the same as the t-weighted integral being negative.
@@ -358,10 +358,12 @@ class TestStirlingPrecision:
     @pytest.mark.parametrize("n", [2, 8, 30, 100, 400])
     def test_agrees_with_higher_precision(self, n):
         check = asymptotic_bounds("X3", n, n)
-        assert check.relation == "upper-bound"
-        assert check.rhs == 2 * n + 1
+        c = F(2 * n + 1, 2 * n) ** (2 * n + 1)
+        # The bound is on the left: 2n+1 > (R pi (n+2) / (2c))^2 with pi <= PI_UPPER.
+        assert check.lhs == 2 * n + 1
+        assert check.rhs == (r_x3nn_closed(n) * PI_UPPER * (n + 2) / (2 * c)) ** 2
         assert check.holds == self._reference_holds(n)
-        assert 1 - check.lhs / check.rhs >= F(1, 10)
+        assert 1 - check.rhs / check.lhs >= F(1, 10)
 
     def test_detects_a_larger_r(self, monkeypatch):
         exact = closedforms.r_x3nn_closed
@@ -373,38 +375,32 @@ class TestBoundCheckSemantics:
     def test_relations(self):
         from grlb.closedforms import BoundCheck
 
-        assert BoundCheck("lower-bound", F(2), F(1)).holds
-        assert not BoundCheck("lower-bound", F(1), F(2)).holds
-        assert not BoundCheck("lower-bound", F(2), F(2)).holds
-        assert BoundCheck("upper-bound", F(1), F(2)).holds
-        assert not BoundCheck("upper-bound", F(2), F(2)).holds
-        # A sign check is a lower bound against 0; no other tag is accepted.
-        for tag in ("sign", "equality", "between", "sideways"):
-            with pytest.raises(ValueError, match=f"unknown relation tag '{tag}'"):
-                BoundCheck(tag, F(1), F(1))
-        with pytest.raises(ValueError, match="unknown relation tag 'sideways'"):
-            BoundCheck(relation="sideways", lhs=F(1), rhs=F(0))
+        # One relation, lhs > rhs: a sign check is a lower bound against 0,
+        # and an upper bound puts the bound on the left.
+        assert BoundCheck._fields == ("lhs", "rhs")
+        assert BoundCheck(F(2), F(1)).holds
+        assert not BoundCheck(F(1), F(2)).holds
+        assert not BoundCheck(F(2), F(2)).holds
+        assert BoundCheck(lhs=F(1), rhs=F(0)).holds
+        assert lemma_x3nk_sign(9, 4).lhs == 4 and lemma_x3nk_sign(9, 4).rhs < 4
+        assert asymptotic_bounds("X3", 9, 9).lhs == 19 and asymptotic_bounds("X3", 9, 9).rhs < 19
 
-    @given(
-        st.sampled_from(["lower-bound", "upper-bound"]),
-        st.fractions(),
-        st.fractions() | st.just(None),
-    )
-    @example("lower-bound", F(7, 3), None)
-    @example("upper-bound", F(-10**40, 3), None)
+    @given(st.fractions(), st.fractions() | st.just(None))
+    @example(F(7, 3), None)
+    @example(F(-10**40, 3), None)
     @settings(max_examples=200, deadline=None)
-    def test_holds_is_a_positive_margin(self, relation, lhs, rhs):
+    def test_holds_is_a_positive_margin(self, lhs, rhs):
         # holds compares the sides; it must agree with the margin's sign, and fail at lhs == rhs.
         from grlb.closedforms import BoundCheck
 
-        check = BoundCheck(relation, lhs, lhs if rhs is None else rhs)
+        check = BoundCheck(lhs, lhs if rhs is None else rhs)
         assert check.holds == (check.margin > 0)
 
     def test_fields_are_read_only(self):
         from grlb.closedforms import BoundCheck
 
-        check = BoundCheck("lower-bound", F(2), F(1))
-        for name in ("relation", "lhs", "rhs", "other"):
+        check = BoundCheck(F(2), F(1))
+        for name in ("lhs", "rhs", "other"):
             with pytest.raises(AttributeError):
                 setattr(check, name, F(0))
         assert check.holds
@@ -412,7 +408,7 @@ class TestBoundCheckSemantics:
     def test_margins(self):
         from grlb.closedforms import BoundCheck
 
-        assert BoundCheck("lower-bound", F(3), F(1)).margin == 2
-        assert BoundCheck("upper-bound", F(1), F(3)).margin == 2
-        assert BoundCheck("lower-bound", F(5), F(0)).margin == 5
-        assert BoundCheck("upper-bound", F(3), F(1)).margin == -2
+        assert BoundCheck(F(3), F(1)).margin == 2
+        assert BoundCheck(F(-1), F(-3)).margin == 2
+        assert BoundCheck(F(5), F(0)).margin == 5
+        assert BoundCheck(F(1), F(3)).margin == -2

@@ -297,8 +297,8 @@ class TestMarkedForms:
             estimates([datum])
             type_label, rank, i, j = engine._marked_pair(datum)
             marked, _ = engine.unipotent_radical(type_label, rank, i, j)
-            half_lengths = engine._root_data(type_label, rank)[0]
-            want = 1 + sum(engine._forms(marked, half_lengths[i - 1], half_lengths[j - 1]).values())
+            lengths = engine._root_data(type_label, rank)[0]
+            want = 1 + sum(engine._forms(marked, lengths[i - 1], lengths[j - 1]).values())
             assert degrees == [want], datum.label()
             if datum.family == "X1":
                 assert want == datum.n * (datum.n + 1) // 2 + 1, datum.label()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from grlb.rootsystems import UnsupportedRootSystemError, _bc_walk, unipotent_radical
+from grlb.rootsystems import UnsupportedRootSystemError, _bc_walk, _root_data, unipotent_radical
 from reference import build_root_system, phi_pu, table_marked, weight_of_root_sum
 
 F = Fraction
@@ -99,6 +99,13 @@ class TestConstruction:
         assert build_root_system("B", 5).half_lengths == (F(1),) * 4 + (F(1, 2),)
         assert build_root_system("C", 5).half_lengths == (F(1),) * 4 + (F(2),)
         assert build_root_system("F4", 4).half_lengths == (F(1), F(1), F(1, 2), F(1, 2))
+
+    def test_root_data_keeps_squared_lengths_as_ints(self):
+        # The engine reads these ints; the table stores their halves as Fractions.
+        for type_label, n in SUPPORTED + [("B", 24), ("C", 24)]:
+            lengths = _root_data(type_label, n)[0]
+            assert all(type(length) is int for length in lengths)
+            assert build_root_system(type_label, n).half_lengths == tuple(F(length, 2) for length in lengths)
 
     def test_unsupported(self):
         for args in [("A", 3), ("B", 1), ("F4", 3), ("G2", 3), ("D", 4)]:
